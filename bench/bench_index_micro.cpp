@@ -11,8 +11,8 @@
 //    and dense heatmap aggregation against the per-row scalar paths they
 //    replaced (vectorized_scan_speedup / heatmap_speedup).
 //  * google-benchmark timings of the substrate data structures: grid-index
-//    insert and queries at several selectivities, kd-tree build/k-NN,
-//    temporal-store camera windows, trajectory lookup, and the wire codecs.
+//    insert and queries at several selectivities, the columnar store's
+//    camera-window scan, trajectory lookup, and the wire codecs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,8 +30,6 @@
 #include "common/rng.h"
 #include "core/protocol.h"
 #include "index/grid_index.h"
-#include "index/kdtree.h"
-#include "index/temporal_store.h"
 #include "index/trajectory_store.h"
 #include "obs/json.h"
 
@@ -118,51 +116,18 @@ void BM_GridKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_GridKnn)->Arg(1)->Arg(10)->Arg(100);
 
-void BM_KdTreeBuild(benchmark::State& state) {
+void BM_StoreCameraWindow(benchmark::State& state) {
   Dataset& ds = dataset();
-  std::vector<KdTree::Item> items;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
-    items.push_back({ds.raw[i].position, i});
-  }
-  for (auto _ : state) {
-    KdTree tree(items);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(10'000)->Arg(100'000);
-
-void BM_KdTreeKnn(benchmark::State& state) {
-  Dataset& ds = dataset();
-  std::vector<KdTree::Item> items;
-  items.reserve(ds.raw.size());
-  for (std::size_t i = 0; i < ds.raw.size(); ++i) {
-    items.push_back({ds.raw[i].position, i});
-  }
-  KdTree tree(std::move(items));
-  auto k = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  for (auto _ : state) {
-    auto out = tree.knn({rng.uniform(0, 2000), rng.uniform(0, 2000)}, k);
-    benchmark::DoNotOptimize(out.size());
-  }
-}
-BENCHMARK(BM_KdTreeKnn)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_TemporalCameraWindow(benchmark::State& state) {
-  Dataset& ds = dataset();
-  TemporalStore temporal;
-  for (DetectionRef r : ds.refs) temporal.insert(ds.store, r);
   Rng rng(12);
   for (auto _ : state) {
     CameraId cam(1 + rng.uniform_index(100));
     TimePoint begin(rng.uniform_int(0, 500'000'000));
-    auto out = temporal.query_camera(
+    auto out = ds.store.scan_camera(
         cam, {begin, begin + Duration::seconds(60)});
     benchmark::DoNotOptimize(out.size());
   }
 }
-BENCHMARK(BM_TemporalCameraWindow);
+BENCHMARK(BM_StoreCameraWindow);
 
 void BM_TrajectoryQuery(benchmark::State& state) {
   Dataset& ds = dataset();

@@ -1,17 +1,16 @@
 // E8 — k-NN query latency (table "k-NN latency").
 //
 // k-nearest-detection queries through the full distributed stack, swept
-// over k and worker count, plus a local index-level comparison of the grid
-// ring search against a bulk kd-tree. Expected shape: latency grows gently
-// with k; worker count adds fan-in cost for k-NN (no spatial pruning is
-// possible), so fewer workers are better for this query type.
+// over k and worker count, plus the local index-level cost of the grid ring
+// search. Expected shape: latency grows gently with k; worker count adds
+// fan-in cost for k-NN (no spatial pruning is possible), so fewer workers
+// are better for this query type.
 #include <cinttypes>
 #include <memory>
 
 #include "baseline/centralized.h"
 #include "bench_util.h"
 #include "core/framework.h"
-#include "index/kdtree.h"
 #include "partition/strategies.h"
 
 namespace stcn {
@@ -82,16 +81,10 @@ void run() {
     std::printf("\n");
   }
 
-  std::printf("\n-- index-level: grid ring search vs kd-tree (us per query)\n");
+  std::printf("\n-- index-level: grid ring search (us per query)\n");
   CentralizedIndex central(world);
   central.ingest_all(trace.detections);
-  std::vector<KdTree::Item> items;
-  items.reserve(trace.detections.size());
-  for (const Detection& d : trace.detections) {
-    items.push_back({d.position, d.id.value()});
-  }
-  KdTree tree(items);
-  std::printf("%10s %12s %12s\n", "k", "grid_us", "kdtree_us");
+  std::printf("%10s %12s\n", "k", "grid_us");
   for (std::size_t k : {1, 10, 100}) {
     bench::WallTimer grid_timer;
     for (Point c : centers) {
@@ -99,14 +92,8 @@ void run() {
                                              TimeInterval::all());
     }
     double grid_us = grid_timer.elapsed_ms() * 1000.0 / centers.size();
-    bench::WallTimer kd_timer;
-    for (Point c : centers) {
-      (void)tree.knn(c, k);
-    }
-    double kd_us = kd_timer.elapsed_ms() * 1000.0 / centers.size();
-    std::printf("%10zu %12.1f %12.1f\n", k, grid_us, kd_us);
+    std::printf("%10zu %12.1f\n", k, grid_us);
     report.set("grid_us_k" + std::to_string(k), grid_us);
-    report.set("kdtree_us_k" + std::to_string(k), kd_us);
   }
   std::printf(
       "\nexpected shape: latency grows mildly with k; k-NN cannot prune\n"

@@ -46,12 +46,8 @@ class LocalCandidateSource final : public CandidateSource {
 
   [[nodiscard]] std::vector<Detection> detections_at(
       CameraId camera, const TimeInterval& window) const override {
-    std::vector<Detection> out;
-    const WorkerIndexes& idx = index_.indexes();
-    for (DetectionRef ref : idx.temporal.query_camera(camera, window)) {
-      out.push_back(idx.store.get(ref));
-    }
-    return out;
+    return index_.execute(Query::camera_window(QueryId(0), camera, window))
+        .detections;
   }
 
   [[nodiscard]] std::vector<CameraId> all_cameras() const override {

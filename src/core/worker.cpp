@@ -585,12 +585,9 @@ bool WorkerNode::install_snapshot(PartitionId p) {
     StoreTierConfig tier = indexes.store.tier_config();
     indexes.store = std::move(decoded);
     indexes.store.set_tier_config(tier);
+    indexes.index_rows_from(0);
     for (std::size_t i = 0; i < indexes.store.size(); ++i) {
-      auto ref = static_cast<DetectionRef>(i);
-      indexes.grid.insert(indexes.store, ref);
-      indexes.trajectories.insert(indexes.store, ref);
-      indexes.temporal.insert(indexes.store, ref);
-      seen.insert(indexes.store.id_of(ref).value());
+      seen.insert(indexes.store.id_of(static_cast<DetectionRef>(i)).value());
     }
     snapshot_rows_installed_.add(indexes.store.size());
   } else {

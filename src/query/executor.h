@@ -10,7 +10,6 @@
 #include "common/filter_kernel.h"
 #include "index/detection_store.h"
 #include "index/grid_index.h"
-#include "index/temporal_store.h"
 #include "index/trajectory_store.h"
 #include "query/planner.h"
 #include "query/query.h"
@@ -18,24 +17,34 @@
 
 namespace stcn {
 
-/// The bundle of per-worker storage a query executes against.
+/// The bundle of per-worker storage a query executes against: the columnar
+/// store (which also answers camera windows by zone-map block scan), the
+/// grid and the per-object trajectories.
 struct WorkerIndexes {
   GridIndexConfig grid_config;
   DetectionStore store;
   GridIndex grid;
   TrajectoryStore trajectories;
-  TemporalStore temporal;
 
   explicit WorkerIndexes(const GridIndexConfig& config)
       : grid_config(config), grid(config) {}
 
-  /// Ingest one detection into every index.
+  /// Ingest one detection into the store and every index.
   DetectionRef ingest(Detection d) {
     DetectionRef ref = store.append(std::move(d));
-    grid.insert(store, ref);
-    trajectories.insert(store, ref);
-    temporal.insert(store, ref);
+    index_rows_from(to_index(ref));
     return ref;
+  }
+
+  /// Indexes store rows [first, size()) — the one place that lists the
+  /// per-row index inserts. Callers that append to `store` directly (bulk
+  /// copies, snapshot installs) call this afterwards.
+  void index_rows_from(std::size_t first) {
+    for (std::size_t i = first; i < store.size(); ++i) {
+      auto ref = static_cast<DetectionRef>(i);
+      grid.insert(store, ref);
+      trajectories.insert(store, ref);
+    }
   }
 
   /// Retention compaction: rebuilds the store and every index keeping only
@@ -50,23 +59,11 @@ struct WorkerIndexes {
   /// after every compaction). Mixed blocks fall back to per-row
   /// append_copy; no path materializes Detection records.
   std::size_t compact(TimePoint horizon) {
-    DetectionStore new_store;
+    WorkerIndexes fresh(grid_config);
     // Propagate tiering before any rows land: surviving whole cold blocks
     // then adopt verbatim (no decode/re-quantization) and surviving hot
     // rows re-demote at the same watermark.
-    new_store.set_tier_config(store.tier_config());
-    GridIndex new_grid(grid_config);
-    TrajectoryStore new_trajectories;
-    TemporalStore new_temporal;
-    auto index_from = [&](std::uint32_t first_new) {
-      for (std::uint32_t i = first_new;
-           i < static_cast<std::uint32_t>(new_store.size()); ++i) {
-        auto ref = static_cast<DetectionRef>(i);
-        new_grid.insert(new_store, ref);
-        new_trajectories.insert(new_store, ref);
-        new_temporal.insert(new_store, ref);
-      }
-    };
+    fresh.store.set_tier_config(store.tier_config());
     std::size_t evicted = 0;
     for (std::size_t b = 0; b < store.block_count(); ++b) {
       const DetectionBlockZone& z = store.zone(b);
@@ -75,9 +72,9 @@ struct WorkerIndexes {
         evicted += last - first;
         continue;
       }
-      auto first_new = static_cast<std::uint32_t>(new_store.size());
+      std::size_t first_new = fresh.size();
       if (TimePoint(z.t_min) >= horizon) {  // whole block fresh: bulk copy
-        (void)new_store.append_rows(store, first, last);
+        (void)fresh.store.append_rows(store, first, last);
       } else {
         for (std::uint32_t i = first; i < last; ++i) {
           auto old_ref = static_cast<DetectionRef>(i);
@@ -85,15 +82,12 @@ struct WorkerIndexes {
             ++evicted;
             continue;
           }
-          (void)new_store.append_copy(store, old_ref);
+          (void)fresh.store.append_copy(store, old_ref);
         }
       }
-      index_from(first_new);
+      fresh.index_rows_from(first_new);
     }
-    store = std::move(new_store);
-    grid = std::move(new_grid);
-    trajectories = std::move(new_trajectories);
-    temporal = std::move(new_temporal);
+    *this = std::move(fresh);
     return evicted;
   }
 
@@ -179,8 +173,8 @@ class LocalExecutor {
         break;
       }
       case QueryKind::kCameraWindow: {
-        for (DetectionRef ref :
-             indexes.temporal.query_camera(query.camera, query.interval)) {
+        for (DetectionRef ref : indexes.store.scan_camera(
+                 query.camera, query.interval, &ms)) {
           ++scanned;
           result.detections.push_back(indexes.store.get(ref));
         }

@@ -27,7 +27,7 @@ namespace stcn {
 
 /// Abstract access to stored detections, keyed by camera and time. The
 /// distributed core implements this with scatter-gather queries; tests and
-/// the centralized baseline implement it over a local TemporalStore.
+/// the centralized baseline run the same camera-window query locally.
 class CandidateSource {
  public:
   virtual ~CandidateSource() = default;

@@ -2,6 +2,7 @@
 // pipeline across randomized scenarios (parameterized over seeds).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -185,6 +186,59 @@ TEST_P(PipelineProperty, QueryCodecFuzz) {
     ASSERT_EQ(back.k, q.k);
     ASSERT_EQ(back.region, q.region);
   }
+}
+
+// Property 7: a distributed camera-window answer is exactly the raw trace
+// filtered by camera and half-open window, in (time, id) order — checked by
+// brute force rather than against the oracle, which runs the same executor.
+TEST_P(PipelineProperty, CameraWindowsMatchBruteForce) {
+  Trace trace = TraceGenerator::generate(config_for_seed(GetParam()));
+  Rect world = trace.roads.bounds(120.0);
+  ClusterConfig config;
+  config.worker_count = 3;
+  Cluster cluster(
+      world,
+      std::make_unique<SpatialGridStrategy>(world, 2, 2, trace.cameras),
+      config);
+  cluster.ingest_all(trace.detections);
+
+  // Window edges sit on detection times so both half-open bounds bite.
+  std::vector<TimePoint> times;
+  for (const Detection& d : trace.detections) times.push_back(d.time);
+  std::sort(times.begin(), times.end());
+  ASSERT_GE(times.size(), 4u);
+  TimePoint q1 = times[times.size() / 4];
+  TimePoint mid = times[times.size() / 2];
+  TimePoint q3 = times[3 * times.size() / 4];
+  std::vector<TimeInterval> windows = {
+      {times.front(), q1}, {q1, mid}, {mid, q3 + Duration::seconds(1)}};
+
+  std::size_t matched = 0;
+  for (const Camera& cam : trace.cameras.cameras()) {
+    for (const TimeInterval& window : windows) {
+      std::vector<const Detection*> expected;
+      for (const Detection& d : trace.detections) {
+        if (d.camera == cam.id && d.time >= window.begin &&
+            d.time < window.end) {
+          expected.push_back(&d);
+        }
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const Detection* a, const Detection* b) {
+                  if (a->time != b->time) return a->time < b->time;
+                  return a->id < b->id;
+                });
+      QueryResult r = cluster.execute(
+          Query::camera_window(cluster.next_query_id(), cam.id, window));
+      ASSERT_EQ(r.detections.size(), expected.size())
+          << "camera " << cam.id.value();
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(r.detections[i].id, expected[i]->id);
+      }
+      matched += expected.size();
+    }
+  }
+  EXPECT_GT(matched, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,

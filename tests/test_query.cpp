@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "query/executor.h"
 #include "query/result.h"
@@ -103,6 +104,51 @@ TEST_F(ExecutorFixture, CameraWindowQuery) {
   ASSERT_EQ(r.detections.size(), 2u);
   EXPECT_EQ(r.detections[0].id, DetectionId(1));
   EXPECT_EQ(r.detections[1].id, DetectionId(4));
+}
+
+std::vector<std::uint64_t> camera_window_ids(const WorkerIndexes& indexes,
+                                             CameraId camera,
+                                             TimeInterval window) {
+  Query q = Query::camera_window(QueryId(1), camera, window);
+  ResultMerger merger(q);
+  merger.add(LocalExecutor::execute(indexes, q));
+  std::vector<std::uint64_t> ids;
+  for (const Detection& d : merger.take().detections) {
+    ids.push_back(d.id.value());
+  }
+  return ids;
+}
+
+TEST_F(ExecutorFixture, CameraWindowOutOfOrderArrival) {
+  // Late arrivals for camera 1: rows land after newer detections.
+  indexes_.ingest(make_detection(6, {12, 12}, 250, 4, 1));
+  indexes_.ingest(make_detection(7, {14, 14}, 50, 4, 1));
+  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1), TimeInterval::all()),
+            (std::vector<std::uint64_t>{7, 1, 6, 4}));
+  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1),
+                              {TimePoint(60), TimePoint(300)}),
+            (std::vector<std::uint64_t>{1, 6}));
+}
+
+TEST_F(ExecutorFixture, CameraWindowHalfOpen) {
+  // [begin, end): a detection at `begin` is in, one at `end` is out.
+  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1),
+                              {TimePoint(100), TimePoint(400)}),
+            (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1),
+                              {TimePoint(101), TimePoint(401)}),
+            (std::vector<std::uint64_t>{4}));
+}
+
+TEST_F(ExecutorFixture, CameraWindowUnknownCameraAndEmptyWindow) {
+  EXPECT_TRUE(
+      camera_window_ids(indexes_, CameraId(99), TimeInterval::all()).empty());
+  EXPECT_TRUE(camera_window_ids(indexes_, CameraId(1),
+                                {TimePoint(100), TimePoint(100)})
+                  .empty());
+  EXPECT_TRUE(camera_window_ids(indexes_, CameraId(1),
+                                {TimePoint(400), TimePoint(100)})
+                  .empty());
 }
 
 TEST(QueryModel, SpatialFootprints) {

@@ -40,8 +40,7 @@ TEST(Compaction, EvictsOldKeepsRecent) {
       indexes.trajectories.query(ObjectId(1), TimeInterval::all()).size(),
       1u);
   EXPECT_EQ(
-      indexes.temporal.query_camera(CameraId(1), TimeInterval::all()).size(),
-      1u);
+      indexes.store.scan_camera(CameraId(1), TimeInterval::all()).size(), 1u);
 }
 
 TEST(Compaction, NoOpWhenNothingOld) {
