@@ -27,8 +27,9 @@ struct RunResult {
 
 RunResult run_queries(Cluster& cluster, const Rect& world, std::size_t n) {
   Rng rng(9);
-  auto msgs0 = cluster.network().counters().get("messages_sent");
-  auto bytes0 = cluster.network().counters().get("bytes_sent");
+  const MetricsRegistry& net = cluster.network().metrics();
+  auto msgs0 = net.counter_value("messages_sent");
+  auto bytes0 = net.counter_value("bytes_sent");
   bench::WallTimer timer;
   for (std::size_t i = 0; i < n; ++i) {
     Rect region = Rect::centered(
@@ -43,12 +44,10 @@ RunResult run_queries(Cluster& cluster, const Rect& world, std::size_t n) {
   r.wall_ms_per_query = timer.elapsed_ms() / static_cast<double>(n);
   r.fanout = cluster.coordinator().mean_fanout();
   r.msgs_per_query =
-      static_cast<double>(cluster.network().counters().get("messages_sent") -
-                          msgs0) /
+      static_cast<double>(net.counter_value("messages_sent") - msgs0) /
       static_cast<double>(n);
   r.bytes_per_query =
-      static_cast<double>(cluster.network().counters().get("bytes_sent") -
-                          bytes0) /
+      static_cast<double>(net.counter_value("bytes_sent") - bytes0) /
       static_cast<double>(n);
   return r;
 }

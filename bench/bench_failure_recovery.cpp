@@ -44,9 +44,9 @@ void quiesce(Cluster& cluster) {
 
 /// Sums one counter across the coordinator and all workers.
 std::uint64_t cluster_counter(Cluster& cluster, const char* name) {
-  std::uint64_t total = cluster.coordinator().counters().get(name);
+  std::uint64_t total = cluster.coordinator().metrics().counter_value(name);
   for (WorkerId w : cluster.worker_ids()) {
-    total += cluster.worker(w).counters().get(name);
+    total += cluster.worker(w).metrics().counter_value(name);
   }
   return total;
 }
@@ -311,14 +311,14 @@ void run_snapshot_age(bench::BenchReport& report) {
     }
     quiesce(cluster);
 
-    std::uint64_t bytes0 = cluster.network().counters().get("bytes_sent");
+    const MetricsRegistry& net = cluster.network().metrics();
+    const MetricsRegistry& vm = cluster.worker(victim).metrics();
+    std::uint64_t bytes0 = net.counter_value("bytes_sent");
     cluster.crash_worker(victim);
     Cluster::RecoveryReport rep = cluster.restart_worker(victim);
-    std::uint64_t bytes =
-        cluster.network().counters().get("bytes_sent") - bytes0;
-    std::uint64_t replayed =
-        cluster.worker(victim).counters().get("replayed_detections") +
-        cluster.worker(victim).counters().get("ingested_resync");
+    std::uint64_t bytes = net.counter_value("bytes_sent") - bytes0;
+    std::uint64_t replayed = vm.counter_value("replayed_detections") +
+                             vm.counter_value("ingested_resync");
 
     QueryResult r = cluster.execute(
         Query::range(cluster.next_query_id(), world, TimeInterval::all()));
@@ -381,7 +381,8 @@ void run() {
 
     double recovery_ms = 0.0;
     std::uint64_t resynced = 0;
-    std::uint64_t bytes0 = cluster.network().counters().get("bytes_sent");
+    const MetricsRegistry& net = cluster.network().metrics();
+    std::uint64_t bytes0 = net.counter_value("bytes_sent");
     bool all_complete = true;
 
     for (std::size_t f = 0; f < failures; ++f) {
@@ -398,7 +399,8 @@ void run() {
       Cluster::RecoveryReport recovery = cluster.restart_worker(victim);
       all_complete = all_complete && recovery.completed;
       recovery_ms += recovery.duration.to_seconds() * 1000.0;
-      resynced += cluster.worker(victim).counters().get("ingested_resync");
+      resynced +=
+          cluster.worker(victim).metrics().counter_value("ingested_resync");
 
       // Query after recovery.
       QueryResult after = cluster.execute(Query::range(
@@ -407,8 +409,7 @@ void run() {
       for (const Detection& d : after.detections) got.insert(d.id.value());
       all_complete = all_complete && (got == expected);
     }
-    std::uint64_t resync_bytes =
-        cluster.network().counters().get("bytes_sent") - bytes0;
+    std::uint64_t resync_bytes = net.counter_value("bytes_sent") - bytes0;
     std::printf("%10zu %16.2f %16" PRIu64 " %16" PRIu64 " %12s\n", failures,
                 recovery_ms / static_cast<double>(failures),
                 resynced / failures, resync_bytes / failures,

@@ -53,9 +53,11 @@ void run() {
     fleet.flush(cluster.network());
     cluster.pump();
 
-    auto bytes = cluster.network().counters().get("bytes_sent");
-    auto msgs = cluster.network().counters().get("messages_sent");
-    auto forwards = cluster.coordinator().counters().get("ingest_forwards");
+    const MetricsRegistry& net = cluster.network().metrics();
+    auto bytes = net.counter_value("bytes_sent");
+    auto msgs = net.counter_value("messages_sent");
+    auto forwards =
+        cluster.coordinator().metrics().counter_value("ingest_forwards");
     std::printf("%-22s %14" PRIu64 " %12" PRIu64 " %14.1f %18" PRIu64 "\n",
                 relay ? "relay-via-coordinator" : "gateway-direct", bytes,
                 msgs,

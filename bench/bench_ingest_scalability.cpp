@@ -73,9 +73,9 @@ void run() {
     std::uint64_t busiest = 0;
     for (WorkerId w : cluster.worker_ids()) {
       // Primary + replica ingest both cost indexing work at the worker.
-      std::uint64_t load =
-          cluster.worker(w).counters().get("ingested_primary") +
-          cluster.worker(w).counters().get("ingested_replica");
+      const MetricsRegistry& m = cluster.worker(w).metrics();
+      std::uint64_t load = m.counter_value("ingested_primary") +
+                           m.counter_value("ingested_replica");
       busiest = std::max(busiest, load);
     }
     double modeled_time_s =
@@ -84,7 +84,8 @@ void run() {
         static_cast<double>(trace.detections.size()) / modeled_time_s;
     if (workers == 1) baseline_throughput = throughput;
     double bytes_per_event =
-        static_cast<double>(cluster.network().counters().get("bytes_sent")) /
+        static_cast<double>(
+            cluster.network().metrics().counter_value("bytes_sent")) /
         static_cast<double>(trace.detections.size());
     std::printf("%8zu %18" PRIu64 " %20.0f %14.1f %9.2fx\n", workers, busiest,
                 throughput, bytes_per_event,

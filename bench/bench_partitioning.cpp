@@ -42,7 +42,8 @@ void evaluate(const std::string& label,
 
   // Query-side routing efficiency.
   Rng rng(5);
-  auto bytes0 = cluster.network().counters().get("bytes_sent");
+  const MetricsRegistry& net = cluster.network().metrics();
+  auto bytes0 = net.counter_value("bytes_sent");
   const int kQueries = bench::quick() ? 15 : 80;
   for (int i = 0; i < kQueries; ++i) {
     Rect region = Rect::centered(
@@ -55,8 +56,7 @@ void evaluate(const std::string& label,
         Query::range(cluster.next_query_id(), region, interval));
   }
   double bytes_per_query =
-      static_cast<double>(cluster.network().counters().get("bytes_sent") -
-                          bytes0) /
+      static_cast<double>(net.counter_value("bytes_sent") - bytes0) /
       kQueries;
 
   std::printf("%-10s %11zu %10.3f %10.2f %10.2f %14.0f\n", label.c_str(),

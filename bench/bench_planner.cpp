@@ -25,23 +25,20 @@ struct Cost {
 
 template <typename RunQuery>
 Cost measure(Cluster& cluster, std::size_t n, RunQuery&& run) {
-  auto q0 = cluster.coordinator().counters().get("queries_submitted");
-  auto f0 = cluster.coordinator().counters().get("query_fanout_total");
-  auto m0 = cluster.network().counters().get("messages_sent");
-  auto b0 = cluster.network().counters().get("bytes_sent");
+  const MetricsRegistry& coord = cluster.coordinator().metrics();
+  const MetricsRegistry& net = cluster.network().metrics();
+  auto q0 = coord.counter_value("queries_submitted");
+  auto f0 = coord.counter_value("query_fanout_total");
+  auto m0 = net.counter_value("messages_sent");
+  auto b0 = net.counter_value("bytes_sent");
   run();
-  auto queries =
-      cluster.coordinator().counters().get("queries_submitted") - q0;
-  return {static_cast<double>(
-              cluster.coordinator().counters().get("query_fanout_total") -
-              f0) /
+  auto queries = coord.counter_value("queries_submitted") - q0;
+  return {static_cast<double>(coord.counter_value("query_fanout_total") -
+                              f0) /
               static_cast<double>(queries),
-          static_cast<double>(cluster.network().counters().get(
-                                  "messages_sent") -
-                              m0) /
+          static_cast<double>(net.counter_value("messages_sent") - m0) /
               static_cast<double>(n),
-          static_cast<double>(cluster.network().counters().get("bytes_sent") -
-                              b0) /
+          static_cast<double>(net.counter_value("bytes_sent") - b0) /
               static_cast<double>(n)};
 }
 

@@ -84,14 +84,15 @@ void run() {
       double predicted = estimator.estimate(region, interval);
 
       auto fanout0 =
-          cluster.coordinator().counters().get("query_fanout_total");
+          cluster.coordinator().metrics().counter_value("query_fanout_total");
       bench::WallTimer dist_timer;
       TimePoint v0 = cluster.now();
       QueryResult dr = cluster.execute(q);
       dist_virtual_ms += (cluster.now() - v0).to_seconds() * 1000.0;
       dist_cpu_ms += dist_timer.elapsed_ms();
       fanout_sum += static_cast<double>(
-          cluster.coordinator().counters().get("query_fanout_total") -
+          cluster.coordinator().metrics().counter_value(
+              "query_fanout_total") -
           fanout0);
 
       bench::WallTimer central_timer;

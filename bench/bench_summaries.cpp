@@ -58,15 +58,18 @@ void run() {
     if (summaries) {
       std::uint64_t published = 0;
       for (WorkerId w : cluster.worker_ids()) {
-        published += cluster.worker(w).counters().get("summaries_published");
+        published +=
+            cluster.worker(w).metrics().counter_value("summaries_published");
       }
       summary_bytes = published * (2048 / 8 + 8 + 16 + 42);
     }
 
-    auto q0 = cluster.coordinator().counters().get("queries_submitted");
-    auto f0 = cluster.coordinator().counters().get("query_fanout_total");
-    auto m0 = cluster.network().counters().get("messages_sent");
-    auto b0 = cluster.network().counters().get("bytes_sent");
+    const MetricsRegistry& coord = cluster.coordinator().metrics();
+    const MetricsRegistry& net = cluster.network().metrics();
+    auto q0 = coord.counter_value("queries_submitted");
+    auto f0 = coord.counter_value("query_fanout_total");
+    auto m0 = net.counter_value("messages_sent");
+    auto b0 = net.counter_value("bytes_sent");
     const int kQueries = bench::quick() ? 12 : 50;
     for (int i = 0; i < kQueries; ++i) {
       ObjectId object(1 + static_cast<std::uint64_t>(i) %
@@ -74,17 +77,13 @@ void run() {
       (void)cluster.execute(
           Query::trajectory(cluster.next_query_id(), object, covered));
     }
-    auto queries =
-        cluster.coordinator().counters().get("queries_submitted") - q0;
-    Cost c{static_cast<double>(cluster.coordinator().counters().get(
-                                   "query_fanout_total") -
+    auto queries = coord.counter_value("queries_submitted") - q0;
+    Cost c{static_cast<double>(coord.counter_value("query_fanout_total") -
                                f0) /
                static_cast<double>(queries),
-           static_cast<double>(
-               cluster.network().counters().get("messages_sent") - m0) /
+           static_cast<double>(net.counter_value("messages_sent") - m0) /
                kQueries,
-           static_cast<double>(
-               cluster.network().counters().get("bytes_sent") - b0) /
+           static_cast<double>(net.counter_value("bytes_sent") - b0) /
                kQueries};
     std::printf("%-16s %10.2f %10.1f %12.0f %18" PRIu64 "\n",
                 summaries ? "bloom-pruned" : "broadcast", c.fanout, c.msgs,

@@ -9,7 +9,8 @@
 # gray-failure health alert firing and resolving in its "health" section;
 # bench_partitioning --quick must show the heat observatory catching the
 # zipf(1.1) camera skew (true hottest partition, >=3x load stddev vs the
-# uniform run, advisor improvement >=25%) and staying silent under uniform.
+# uniform run, advisor improvement >=25%) and staying silent under uniform;
+# perfbench must build and pass its oracle check on every workload.
 #
 # Usage: ./ci.sh [--skip-sanitize]
 set -euo pipefail
@@ -33,8 +34,9 @@ echo "== tier-1 tests =="
 ctest --test-dir build -j "$JOBS" --output-on-failure
 
 echo "== metrics doc lint (tools/metrics_doc --check) =="
-# Every registered metric must carry a help string and appear in
-# docs/METRICS.md (regenerate with ./build/tools/metrics_doc > docs/METRICS.md).
+# Every registered metric must carry a help string, and docs/METRICS.md must
+# match the generated reference byte for byte (regenerate with
+# ./build/tools/metrics_doc > docs/METRICS.md).
 ./build/tools/metrics_doc --check docs/METRICS.md
 
 if [ "$SKIP_SANITIZE" -eq 0 ]; then
@@ -341,5 +343,15 @@ assert bundle["frames"], "no cluster-state frames in the bundle"
 print("bundle.json OK:", f"trigger={trigger['kind']}:{trigger['rule']},",
       f"{len(exemplars)} exemplars, {len(bundle['frames'])} frames")
 PY
+
+echo "== perfbench smoke (perfbench/run.py, every workload) =="
+# Builds the end-to-end benchmark from src/ and runs one short round of each
+# workload. run.py exits non-zero when the build fails or the oracle check
+# prints FAILED, so a src/ change that breaks perfbench/ fails here rather
+# than at the next benchmark run.
+for workload in city_ingest forensic_mix reid_paths; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      >/dev/null
+done
 
 echo "== ci.sh: all green =="

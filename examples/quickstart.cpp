@@ -43,7 +43,7 @@ int main() {
   cluster.ingest_all(trace.detections);
   std::printf("ingested; cluster moved %llu bytes over the network\n",
               static_cast<unsigned long long>(
-                  cluster.network().counters().get("bytes_sent")));
+                  cluster.network().metrics().counter_value("bytes_sent")));
 
   // 4. Spatio-temporal range query: everything near the city center in the
   //    first two minutes.

@@ -212,13 +212,14 @@ QueryResult Cluster::execute_knn_adaptive(Point center, std::uint32_t k,
   KnnPlanner planner(estimator_, world_);
   KnnPlan plan =
       planner.plan(center, k, interval, profiling ? &profiler_ : nullptr);
-  coordinator_->counters().add("knn_adaptive_plans");
-  if (plan.degenerate) coordinator_->counters().add("knn_adaptive_degenerate");
+  Coordinator::ClusterEvents& events = coordinator_->cluster_events();
+  events.knn_adaptive_plans.inc();
+  if (plan.degenerate) events.knn_adaptive_degenerate.inc();
 
   double radius = plan.initial_radius;
   bool first_round = true;
   for (;;) {
-    coordinator_->counters().add("knn_adaptive_rounds");
+    events.knn_adaptive_rounds.inc();
     std::size_t round_stage = QueryProfiler::kNoStage;
     if (profiling) {
       round_stage = profiler_.open_stage("knn.round", network_.now());
@@ -295,12 +296,8 @@ MetricsRegistry Cluster::metrics_snapshot() const {
   MetricsRegistry snapshot;
   network_.metrics().merge_into(snapshot, "net.");
   coordinator_->metrics().merge_into(snapshot, "coordinator.");
-  snapshot.import_counter_set(coordinator_->counters(), "coordinator.",
-                              &coordinator_->metrics());
   for (const auto& worker : workers_) {
     worker->metrics().merge_into(snapshot, "worker.");
-    snapshot.import_counter_set(worker->counters(), "worker.",
-                                &worker->metrics());
   }
   coordinator_->cost_ledger().metrics().merge_into(snapshot, "cost.");
   return snapshot;
@@ -517,7 +514,7 @@ void Cluster::advance_time(Duration d) {
 void Cluster::crash_worker(WorkerId w) {
   network_.crash(NodeId(w.value()));
   worker(w).lose_state();
-  coordinator_->counters().add("workers_crashed");
+  coordinator_->cluster_events().workers_crashed.inc();
 }
 
 Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
@@ -564,7 +561,7 @@ Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
       node.resync_complete() && coordinator_->recovering_count_for(w) == 0 &&
       report.partitions_failed == 0;
   if (!report.completed && network_.now() >= deadline) {
-    coordinator_->counters().add("resync_timeout");
+    coordinator_->cluster_events().resync_timeout.inc();
   }
   if (rspan.valid()) {
     tracer_.tag(rspan, "partitions", std::to_string(report.partitions_total));
@@ -573,7 +570,7 @@ Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
     tracer_.tag(rspan, "outcome", report.completed ? "ok" : "incomplete");
     tracer_.end_span(rspan, network_.now());
   }
-  coordinator_->counters().add("workers_restarted");
+  coordinator_->cluster_events().workers_restarted.inc();
   return report;
 }
 

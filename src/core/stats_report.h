@@ -99,46 +99,49 @@ struct ClusterStats {
 /// Snapshots all counters of a running cluster.
 inline ClusterStats collect_stats(Cluster& cluster) {
   ClusterStats s;
-  const CounterSet& c = cluster.coordinator().counters();
-  s.events_ingested = c.get("ingested");
-  s.queries = c.get("queries_submitted");
+  const MetricsRegistry& c = cluster.coordinator().metrics();
+  s.events_ingested = c.counter_value("ingested");
+  s.queries = c.counter_value("queries_submitted");
   s.mean_fanout = cluster.coordinator().mean_fanout();
-  s.queries_partial = c.get("queries_partial");
-  s.trajectory_partitions_pruned = c.get("trajectory_partitions_pruned");
-  s.monitors_installed = c.get("monitors_installed");
-  s.deltas_positive = c.get("deltas_positive");
-  s.deltas_negative = c.get("deltas_negative");
-  s.failover_retries = c.get("failover_retries");
-  s.partitions_failed_over = c.get("partitions_failed_over");
-  s.partitions_rereplicated = c.get("partitions_rereplicated");
-  s.workers_suspected = c.get("workers_suspected");
-  s.messages_sent = cluster.network().counters().get("messages_sent");
-  s.bytes_sent = cluster.network().counters().get("bytes_sent");
+  s.queries_partial = c.counter_value("queries_partial");
+  s.trajectory_partitions_pruned =
+      c.counter_value("trajectory_partitions_pruned");
+  s.monitors_installed = c.counter_value("monitors_installed");
+  s.deltas_positive = c.counter_value("deltas_positive");
+  s.deltas_negative = c.counter_value("deltas_negative");
+  s.failover_retries = c.counter_value("failover_retries");
+  s.partitions_failed_over = c.counter_value("partitions_failed_over");
+  s.partitions_rereplicated = c.counter_value("partitions_rereplicated");
+  s.workers_suspected = c.counter_value("workers_suspected");
+  const MetricsRegistry& net = cluster.network().metrics();
+  s.messages_sent = net.counter_value("messages_sent");
+  s.bytes_sent = net.counter_value("bytes_sent");
   // Transport accounting is per-channel: sum the coordinator's and every
   // worker's reliable-channel counters for the cluster-wide picture.
-  s.retransmits = c.get("retransmits");
-  s.retransmit_exhausted = c.get("retransmit_exhausted");
-  s.dup_suppressed = c.get("dup_suppressed");
-  s.hedges_issued = c.get("hedges_issued");
-  s.hedges_won = c.get("hedges_won");
+  s.retransmits = c.counter_value("retransmits");
+  s.retransmit_exhausted = c.counter_value("retransmit_exhausted");
+  s.dup_suppressed = c.counter_value("dup_suppressed");
+  s.hedges_issued = c.counter_value("hedges_issued");
+  s.hedges_won = c.counter_value("hedges_won");
   for (WorkerId id : cluster.worker_ids()) {
     const WorkerNode& w = cluster.worker(id);
+    const MetricsRegistry& m = w.metrics();
     WorkerStats ws;
     ws.id = id;
-    ws.primary_events = w.counters().get("ingested_primary");
-    ws.replica_events = w.counters().get("ingested_replica");
+    ws.primary_events = m.counter_value("ingested_primary");
+    ws.replica_events = m.counter_value("ingested_replica");
     // Rows re-acquired through any recovery path: snapshot install,
     // replay-log replay, or holder-to-holder resync transfer.
-    ws.resync_events = w.counters().get("ingested_resync") +
-                       w.counters().get("replayed_detections") +
-                       w.counters().get("snapshot_rows_installed");
-    ws.queries_served = w.counters().get("queries_served");
+    ws.resync_events = m.counter_value("ingested_resync") +
+                       m.counter_value("replayed_detections") +
+                       m.counter_value("snapshot_rows_installed");
+    ws.queries_served = m.counter_value("queries_served");
     ws.stored_detections = w.stored_detections();
     ws.partitions = w.partition_count();
     s.workers.push_back(ws);
-    s.retransmits += w.counters().get("retransmits");
-    s.retransmit_exhausted += w.counters().get("retransmit_exhausted");
-    s.dup_suppressed += w.counters().get("dup_suppressed");
+    s.retransmits += m.counter_value("retransmits");
+    s.retransmit_exhausted += m.counter_value("retransmit_exhausted");
+    s.dup_suppressed += m.counter_value("dup_suppressed");
   }
   return s;
 }

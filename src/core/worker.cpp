@@ -76,7 +76,7 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
     // explicit outcomes, never a silent hang.
     if (++task.attempts >= config_.resync_max_attempts) {
       recovery_failed_.inc();
-      counters_.add("recovery_failed_partitions");
+      recovery_failed_partitions_.inc();
       if (task.span.valid()) {
         tracer_->tag(task.span, "outcome", "failed");
         tracer_->tag(task.span, "attempts", std::to_string(task.attempts - 1));
@@ -165,7 +165,7 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
       network.send({node_id(), coordinator_,
                     static_cast<std::uint32_t>(MsgType::kObjectSummary),
                     encode(summary), network.now(), {}});
-      counters_.add("summaries_published");
+      summaries_published_.inc();
     }
   }
 
@@ -174,9 +174,9 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
     ticks_since_compaction_ = 0;
     TimePoint horizon = network.now() - config_.retention;
     for (auto& [p, indexes] : partitions_) {
-      counters_.add("detections_evicted", indexes->compact(horizon));
+      detections_evicted_.add(indexes->compact(horizon));
     }
-    counters_.add("compactions");
+    compactions_.inc();
   }
   network.set_timer(node_id(), config_.monitor_tick, timer_token);
 }
@@ -233,7 +233,7 @@ void WorkerNode::dispatch(const Message& message, bool reliable,
       on_delta_sync_response(decode_delta_sync_response(reader), network);
       break;
     default:
-      counters_.add("unknown_message");
+      unknown_message_.inc();
       break;
   }
 }
@@ -382,7 +382,7 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
 
 void WorkerNode::on_sync_request(const SyncRequest& request, NodeId reply_to,
                                  bool reliable, SimNetwork& network) {
-  counters_.add("sync_requests_served");
+  sync_requests_served_.inc();
   SyncResponse response;
   response.partition = request.partition;
   auto it = partitions_.find(request.partition);
@@ -448,7 +448,7 @@ void WorkerNode::on_delta_sync_request(const DeltaSyncRequest& request,
     response.entries = replay_log(request.partition).collect(request.since);
     delta_syncs_served_.inc();
   } else {
-    counters_.add("delta_syncs_refused");
+    delta_syncs_refused_.inc();
   }
   if (reliable) {
     channel_.send(reply_to,
@@ -518,7 +518,7 @@ void WorkerNode::lose_state() {
   // process crash does not erase. next_task_token_ also survives so stale
   // parked timers can never alias a post-restart task.
   channel_.reset();
-  counters_.add("state_losses");
+  state_losses_.inc();
 }
 
 ReplayLog& WorkerNode::replay_log(PartitionId p) {
@@ -573,7 +573,7 @@ bool WorkerNode::install_snapshot(PartitionId p) {
   BinaryReader r(snap.store_bytes);
   DetectionStore decoded = DetectionStore::deserialize_from(r);
   if (r.failed()) {
-    counters_.add("snapshot_corrupt");
+    snapshot_corrupt_.inc();
     return false;
   }
   WorkerIndexes& indexes = partition(p);
@@ -645,7 +645,7 @@ void WorkerNode::finish_task(std::uint64_t token, SimNetwork& network) {
   recovery_tasks_.erase(it);
   task_by_partition_.erase(task.partition);
   ++recovered_last_;
-  counters_.add("partitions_resynced");
+  partitions_resynced_.inc();
   if (tracer_ != nullptr && task.span.valid()) {
     tracer_->tag(task.span, "outcome", "ok");
     tracer_->tag(task.span, "mode", task.delta ? "delta" : "full");
@@ -698,8 +698,7 @@ void WorkerNode::start_recovery(std::uint64_t recovery_id,
       // No surviving holder: the vault snapshot is the best obtainable
       // state. No exchange, no completion message — the coordinator knew
       // there was nothing to wait for when it built this spec.
-      counters_.add(installed ? "recovered_local_only"
-                              : "recovery_no_source");
+      (installed ? recovered_local_only_ : recovery_no_source_).inc();
       continue;
     }
     std::uint64_t token = kRecoveryTimerBase + (next_task_token_++ %

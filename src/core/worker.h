@@ -163,34 +163,7 @@ class WorkerNode final : public NetworkNode {
         scan_wall_us_(metrics_.histogram(
             "scan_wall_us", "Real microseconds per fragment scan loop")),
         heat_(config.heat),
-        channel_(NodeId(id.value()), counters_, config.channel) {
-    channel_.register_metrics(metrics_);
-    // Eagerly-bumped CounterSet events: helps only, no registry handle
-    // (import_counter_set attaches them at snapshot time).
-    metrics_.set_help("recovery_failed_partitions",
-                      "Partitions whose recovery gave up permanently");
-    metrics_.set_help("summaries_published",
-                      "Object-presence summaries published upstream");
-    metrics_.set_help("detections_evicted",
-                      "Detections dropped by retention compaction");
-    metrics_.set_help("compactions", "Retention compaction sweeps run");
-    metrics_.set_help("unknown_message",
-                      "Messages dropped for an unrecognized type");
-    metrics_.set_help("sync_requests_served",
-                      "Full-state sync requests answered for peers");
-    metrics_.set_help("delta_syncs_refused",
-                      "Delta syncs refused (replay log too shallow)");
-    metrics_.set_help("state_losses", "Crash events that wiped local state");
-    metrics_.set_help("snapshot_corrupt",
-                      "Snapshots rejected by checksum validation");
-    metrics_.set_help("partitions_resynced",
-                      "Partitions rebuilt from a surviving holder");
-    metrics_.set_help("recovered_local_only",
-                      "Partitions restored from the local vault snapshot "
-                      "with no surviving holder");
-    metrics_.set_help("recovery_no_source",
-                      "Partitions unrecoverable: no snapshot and no holder");
-  }
+        channel_(NodeId(id.value()), metrics_, config.channel) {}
 
   [[nodiscard]] NodeId node_id() const override { return NodeId(id_.value()); }
   [[nodiscard]] WorkerId worker_id() const { return id_; }
@@ -254,16 +227,7 @@ class WorkerNode final : public NetworkNode {
   [[nodiscard]] std::size_t partition_count() const {
     return partitions_.size();
   }
-  /// Counter view; registry-backed counters are mirrored in at read time.
-  [[nodiscard]] const CounterSet& counters() const {
-    metrics_.sync_counters_into(counters_);
-    return counters_;
-  }
-  CounterSet& counters() {
-    metrics_.sync_counters_into(counters_);
-    return counters_;
-  }
-
+  /// Every metric this node exports, registered at construction.
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry& metrics() { return metrics_; }
 
@@ -358,8 +322,6 @@ class WorkerNode final : public NetworkNode {
   std::uint64_t tick_generation_ = 0;
   std::uint32_t ticks_since_compaction_ = 0;
   std::uint32_t ticks_since_summary_ = 0;
-  // mutable: registry-backed counters are mirrored in from const accessors.
-  mutable CounterSet counters_;
   MetricsRegistry metrics_;
   Counter& ingested_primary_;
   Counter& ingested_replica_;
@@ -394,11 +356,40 @@ class WorkerNode final : public NetworkNode {
   /// worker compute as instantaneous, so this is the only place the actual
   /// index work shows up.
   LatencyHistogram& scan_wall_us_;
+  // Background and recovery events.
+  Counter& recovery_failed_partitions_ = metrics_.counter(
+      "recovery_failed_partitions",
+      "Partitions whose recovery gave up permanently");
+  Counter& summaries_published_ = metrics_.counter(
+      "summaries_published", "Object-presence summaries published upstream");
+  Counter& detections_evicted_ = metrics_.counter(
+      "detections_evicted", "Detections dropped by retention compaction");
+  Counter& compactions_ =
+      metrics_.counter("compactions", "Retention compaction sweeps run");
+  Counter& unknown_message_ = metrics_.counter(
+      "unknown_message", "Messages dropped for an unrecognized type");
+  Counter& sync_requests_served_ = metrics_.counter(
+      "sync_requests_served", "Full-state sync requests answered for peers");
+  Counter& delta_syncs_refused_ = metrics_.counter(
+      "delta_syncs_refused", "Delta syncs refused (replay log too shallow)");
+  Counter& state_losses_ = metrics_.counter(
+      "state_losses", "Crash events that wiped local state");
+  Counter& snapshot_corrupt_ = metrics_.counter(
+      "snapshot_corrupt", "Snapshots rejected by checksum validation");
+  Counter& partitions_resynced_ = metrics_.counter(
+      "partitions_resynced", "Partitions rebuilt from a surviving holder");
+  Counter& recovered_local_only_ = metrics_.counter(
+      "recovered_local_only",
+      "Partitions restored from the local vault snapshot with no surviving "
+      "holder");
+  Counter& recovery_no_source_ = metrics_.counter(
+      "recovery_no_source",
+      "Partitions unrecoverable: no snapshot and no holder");
   Tracer* tracer_ = nullptr;
   // Per-partition load telemetry; snapshots ride on heartbeats. Cleared by
   // lose_state() — heat totals are per-incarnation like the store itself.
   HeatTracker heat_;
-  // Declared after counters_/metrics_ (it writes its accounting there).
+  // Declared after metrics_ (it registers its accounting there).
   ReliableChannel channel_;
 };
 

@@ -54,7 +54,7 @@ void ReliableChannel::send(NodeId to, std::uint32_t inner_type,
   frame.attempts = 1;
   frame.trace = ctx;
   transmit(frame, network);
-  bump(frames_sent_, "reliable_frames_sent");
+  frames_sent_.inc();
 
   std::uint64_t timer_id = next_timer_id_++;
   std::uint64_t token = config_.timer_token_base + (timer_id & 0xffffffffULL);
@@ -69,7 +69,7 @@ void ReliableChannel::handle_timer(std::uint64_t token, SimNetwork& network) {
   if (it == pending_.end()) return;  // acked before the timer fired
   Pending& frame = it->second;
   if (frame.attempts >= config_.max_attempts) {
-    bump(retransmit_exhausted_, "retransmit_exhausted");
+    retransmit_exhausted_.inc();
     if (tracer_ != nullptr && frame.trace.valid()) {
       TraceContext span = tracer_->instant("net.retransmit_exhausted",
                                            frame.trace, self_.value(),
@@ -82,7 +82,7 @@ void ReliableChannel::handle_timer(std::uint64_t token, SimNetwork& network) {
     return;
   }
   ++frame.attempts;
-  bump(retransmits_, "retransmits");
+  retransmits_.inc();
   if (tracer_ != nullptr && frame.trace.valid()) {
     TraceContext span = tracer_->instant("net.retransmit", frame.trace,
                                          self_.value(), network.now());
@@ -107,7 +107,7 @@ std::optional<Message> ReliableChannel::on_data(const Message& frame,
   std::uint32_t inner_len = r.read_u32();
   std::vector<std::uint8_t> inner = r.read_bytes(inner_len);
   if (r.failed()) {
-    bump(frames_malformed_, "reliable_frames_malformed");
+    frames_malformed_.inc();
     return std::nullopt;
   }
 
@@ -126,7 +126,7 @@ std::optional<Message> ReliableChannel::on_data(const Message& frame,
   bool duplicate =
       seq <= stream.contiguous || stream.ahead.contains(seq);
   if (duplicate) {
-    bump(dup_suppressed_, "dup_suppressed");
+    dup_suppressed_.inc();
     return std::nullopt;
   }
   stream.ahead.insert(seq);
@@ -157,7 +157,7 @@ void ReliableChannel::on_ack(const Message& frame) {
   if (entry == dest->second.end()) return;  // dup ack after completion
   pending_.erase(entry->second);
   dest->second.erase(entry);
-  bump(frames_acked_, "reliable_frames_acked");
+  frames_acked_.inc();
   update_unacked_gauge();
 }
 

@@ -44,7 +44,6 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/serialize.h"
-#include "common/stats.h"
 #include "common/time.h"
 #include "net/message.h"
 #include "net/sim_network.h"
@@ -79,41 +78,37 @@ struct ReliableChannelConfig {
 
 class ReliableChannel {
  public:
-  /// `counters` must outlive the channel; retransmit/dedup accounting is
-  /// written there (typically the owning node's counter set).
-  ReliableChannel(NodeId self, CounterSet& counters,
+  /// `registry` must outlive the channel; retransmit/dedup accounting is
+  /// registered there (typically the owning node's registry).
+  ReliableChannel(NodeId self, MetricsRegistry& registry,
                   ReliableChannelConfig config = {})
       : self_(self),
         config_(config),
-        counters_(&counters),
+        frames_sent_(registry.counter(
+            "reliable_frames_sent",
+            "DATA frames sent over the reliable channel")),
+        retransmits_(registry.counter(
+            "retransmits", "DATA frames re-sent after an ack timeout")),
+        retransmit_exhausted_(registry.counter(
+            "retransmit_exhausted",
+            "Frames abandoned after exhausting the retransmit ladder")),
+        dup_suppressed_(registry.counter(
+            "dup_suppressed",
+            "Duplicate DATA frames dropped by the receiver")),
+        frames_acked_(registry.counter(
+            "reliable_frames_acked", "DATA frames acknowledged end to end")),
+        frames_malformed_(registry.counter(
+            "reliable_frames_malformed",
+            "Frames that failed header decoding")),
+        unacked_gauge_(registry.gauge(
+            "unacked_frames",
+            "DATA frames in flight awaiting acknowledgement")),
         rng_(0x5eedC4A77E1ULL ^ self.value()) {
     epoch_ = rng_.next_u64();
   }
 
   ReliableChannel(const ReliableChannel&) = delete;
   ReliableChannel& operator=(const ReliableChannel&) = delete;
-
-  /// Migrates channel accounting onto pre-registered handles in `registry`
-  /// (same counter names). The CounterSet passed at construction stops
-  /// receiving eager writes; the owning node is expected to mirror the
-  /// registry back into it via MetricsRegistry::sync_counters_into.
-  void register_metrics(MetricsRegistry& registry) {
-    frames_sent_ = &registry.counter(
-        "reliable_frames_sent", "DATA frames sent over the reliable channel");
-    retransmits_ = &registry.counter(
-        "retransmits", "DATA frames re-sent after an ack timeout");
-    retransmit_exhausted_ = &registry.counter(
-        "retransmit_exhausted",
-        "Frames abandoned after exhausting the retransmit ladder");
-    dup_suppressed_ = &registry.counter(
-        "dup_suppressed", "Duplicate DATA frames dropped by the receiver");
-    frames_acked_ = &registry.counter(
-        "reliable_frames_acked", "DATA frames acknowledged end to end");
-    frames_malformed_ = &registry.counter(
-        "reliable_frames_malformed", "Frames that failed header decoding");
-    unacked_gauge_ = &registry.gauge(
-        "unacked_frames", "DATA frames in flight awaiting acknowledgement");
-  }
 
   /// Attaches a tracer (may be null). Retransmissions of traced frames are
   /// recorded as instant `net.retransmit` spans under the frame's context.
@@ -180,32 +175,19 @@ class ReliableChannel {
 
   /// Publishes the send-queue depth (health monitor queue-buildup signal).
   void update_unacked_gauge() {
-    if (unacked_gauge_ != nullptr) {
-      unacked_gauge_->set(static_cast<double>(pending_.size()));
-    }
-  }
-
-  /// Accounting indirection: registered handle when available, else the
-  /// construction-time CounterSet (keeps registry-less users working).
-  void bump(Counter* handle, const char* name, std::uint64_t delta = 1) {
-    if (handle != nullptr) {
-      handle->add(delta);
-    } else {
-      counters_->add(name, delta);
-    }
+    unacked_gauge_.set(static_cast<double>(pending_.size()));
   }
 
   NodeId self_;
   ReliableChannelConfig config_;
-  CounterSet* counters_;
   Tracer* tracer_ = nullptr;
-  Counter* frames_sent_ = nullptr;
-  Counter* retransmits_ = nullptr;
-  Counter* retransmit_exhausted_ = nullptr;
-  Counter* dup_suppressed_ = nullptr;
-  Counter* frames_acked_ = nullptr;
-  Counter* frames_malformed_ = nullptr;
-  Gauge* unacked_gauge_ = nullptr;
+  Counter& frames_sent_;
+  Counter& retransmits_;
+  Counter& retransmit_exhausted_;
+  Counter& dup_suppressed_;
+  Counter& frames_acked_;
+  Counter& frames_malformed_;
+  Gauge& unacked_gauge_;
   Rng rng_;
 
   std::uint64_t epoch_ = 0;  // sender incarnation; rotated by reset()

@@ -9,8 +9,8 @@
 //                     + link_extra_latency
 //
 // with optional per-message drop probability and per-node failure state.
-// Every byte and message is accounted in a CounterSet so benchmarks can
-// report network volume exactly.
+// Every byte and message is accounted in the network's metrics registry so
+// benchmarks can report network volume exactly.
 //
 // Fault model (beyond clean crashes):
 //  * fabric loss        — `drop_probability` drops any message uniformly;
@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "net/message.h"
@@ -195,20 +194,9 @@ class SimNetwork {
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] bool idle() const { return events_.empty(); }
 
-  /// Transport accounting: messages_sent, messages_delivered,
-  /// messages_dropped_*, messages_duplicated, bytes_sent, timers_parked.
-  /// Hot paths write pre-registered metric handles; this view mirrors the
-  /// registry into a CounterSet at read time for compatibility.
-  [[nodiscard]] const CounterSet& counters() const {
-    metrics_.sync_counters_into(counters_);
-    return counters_;
-  }
-  CounterSet& counters() {
-    metrics_.sync_counters_into(counters_);
-    return counters_;
-  }
-
-  /// Registry backing the counters above plus the delivery-delay histogram.
+  /// Transport accounting (messages_sent, messages_delivered,
+  /// messages_dropped_*, messages_duplicated, bytes_sent, timers_parked)
+  /// plus the delivery-delay histogram.
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry& metrics() { return metrics_; }
 
@@ -263,7 +251,6 @@ class SimNetwork {
   std::unordered_map<NodeId, double> slow_;
 
   MetricsRegistry metrics_;
-  mutable CounterSet counters_;  // lazily-synced view of metrics_
   Counter& messages_sent_;
   Counter& bytes_sent_;
   Counter& messages_delivered_;

@@ -203,9 +203,10 @@ void HealthMonitor::sample_rule(const AlertRule& rule, const Source& src,
         visit(name, [&](SeriesState& st, double& value, bool& ready) {
           if (raw > 0.0) st.armed = true;
           if (st.has_prev && dt_seconds > 0.0) {
-            // Clamped at zero: a subject restarting mid-window resets its
-            // counters, and a negative "rate" would both evade kAbove rules
-            // and spuriously breach kBelow floors during recovery.
+            // Clamped at zero: counters are monotonic and a worker restart
+            // keeps its registry, but a source whose registry is replaced
+            // goes backwards, and a negative "rate" would both evade kAbove
+            // rules and spuriously breach kBelow floors.
             value = raw >= st.prev_a ? (raw - st.prev_a) / dt_seconds : 0.0;
             ready = true;
           }

@@ -1,9 +1,9 @@
 // Metrics registry: pre-registered counters, gauges, and log-scale latency
 // histograms with machine-readable export.
 //
-// The legacy CounterSet costs a string hash + map lookup on every add —
-// fine for cold paths, measurable on per-message and per-detection paths.
-// The registry hands out *stable handles* at registration time:
+// Every node owns one registry and registers each of its counters, with a
+// help string, once at construction. The registry hands out *stable
+// handles* at registration time, so a bump never looks a name up:
 //
 //   Counter& ingested = registry.counter("ingested");
 //   ... hot loop: ingested.inc();              // one pointer write
@@ -13,10 +13,6 @@
 // quantile). Exporters: Prometheus text format and JSON; the JSON form
 // round-trips through metrics_registry_from_json so downstream tooling can
 // diff snapshots across runs.
-//
-// Compatibility: sync_counters_into() mirrors every registered counter into
-// a CounterSet, so existing stats plumbing and tests keep working while hot
-// paths migrate to handles.
 #pragma once
 
 #include <algorithm>
@@ -29,8 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
-
 namespace stcn {
 
 /// Monotonic counter. Handle semantics: references returned by the registry
@@ -39,10 +33,6 @@ class Counter {
  public:
   void inc() { ++value_; }
   void add(std::uint64_t delta) { value_ += delta; }
-  /// Restart semantics: a crashed subject comes back with zeroed counters.
-  /// Rate consumers (HealthMonitor kCounterRate) clamp the apparent
-  /// negative delta at zero rather than reporting a negative rate.
-  void reset() { value_ = 0; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
@@ -267,31 +257,16 @@ class MetricsRegistry {
     return histograms_;
   }
 
-  /// Mirrors every registered counter into `sink` (set semantics), bridging
-  /// handle-based hot paths into legacy CounterSet consumers.
-  void sync_counters_into(CounterSet& sink) const;
+  /// Value of counter `name`, or 0 when no such counter is registered.
+  [[nodiscard]] std::uint64_t counter_value(const std::string& name) const {
+    auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second->value();
+  }
 
   /// Adds this registry's metrics into `dst` under `prefix` (counters and
   /// histograms accumulate; gauges accumulate too, which makes merged
   /// worker gauges totals).
   void merge_into(MetricsRegistry& dst, const std::string& prefix) const;
-
-  /// Imports CounterSet entries as counters under `prefix`.
-  ///
-  /// With `handle_owner` given (the registry of the node the CounterSet
-  /// belongs to), only names that registry owns are skipped: those are
-  /// handle-backed counters already merged via merge_into, and the
-  /// CounterSet mirrors them (sync_counters_into), so importing them again
-  /// would double-count. Eager-only names always accumulate — importing a
-  /// second node's CounterSet under the same prefix sums, it does not drop.
-  ///
-  /// Without `handle_owner` the legacy behavior applies: any name already
-  /// present in *this* registry under `prefix` is skipped. That guard also
-  /// swallows the second node's eager counters, so multi-node snapshot
-  /// assembly must pass the owner registry.
-  void import_counter_set(const CounterSet& counters,
-                          const std::string& prefix,
-                          const MetricsRegistry* handle_owner = nullptr);
 
   /// Prometheus text exposition format.
   [[nodiscard]] std::string to_prometheus(

@@ -203,9 +203,9 @@ TEST_P(FabricChaosTest, NoAckedDetectionLostOnFaultyFabric) {
 
   auto exhausted_frames = [&] {
     std::uint64_t n =
-        cluster.coordinator().counters().get("retransmit_exhausted");
+        cluster.coordinator().metrics().counter_value("retransmit_exhausted");
     for (WorkerId w : cluster.worker_ids()) {
-      n += cluster.worker(w).counters().get("retransmit_exhausted");
+      n += cluster.worker(w).metrics().counter_value("retransmit_exhausted");
     }
     return n;
   };

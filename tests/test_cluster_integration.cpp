@@ -240,9 +240,9 @@ TEST(ClusterIntegration, NetworkBytesAccounted) {
       std::make_unique<SpatialGridStrategy>(s.world, 3, 3, s.trace.cameras),
       config);
   cluster.ingest_all(s.trace.detections);
-  const CounterSet& counters = cluster.network().counters();
-  EXPECT_GT(counters.get("messages_sent"), 0u);
-  EXPECT_GT(counters.get("bytes_sent"),
+  const MetricsRegistry& net = cluster.network().metrics();
+  EXPECT_GT(net.counter_value("messages_sent"), 0u);
+  EXPECT_GT(net.counter_value("bytes_sent"),
             s.trace.detections.size() * 50)
       << "every detection crosses the wire at least once";
 }

@@ -62,12 +62,14 @@ TEST(Coordinator, IngestRoutesByStrategy) {
   // one primary partition (plus one backup).
   std::size_t total_primary = 0;
   for (WorkerId w : cluster.worker_ids()) {
-    total_primary += cluster.worker(w).counters().get("ingested_primary");
+    total_primary +=
+        cluster.worker(w).metrics().counter_value("ingested_primary");
   }
   EXPECT_EQ(total_primary, 4u);
   std::size_t total_replica = 0;
   for (WorkerId w : cluster.worker_ids()) {
-    total_replica += cluster.worker(w).counters().get("ingested_replica");
+    total_replica +=
+        cluster.worker(w).metrics().counter_value("ingested_replica");
   }
   EXPECT_EQ(total_replica, 4u);  // replication factor 2
 }
@@ -89,7 +91,9 @@ TEST(Coordinator, RangeQueryFansOutOnlyToFootprint) {
   // Whole-world region → everyone.
   (void)cluster.execute(
       Query::range(cluster.next_query_id(), tw.world, TimeInterval::all()));
-  EXPECT_GT(cluster.coordinator().counters().get("query_fanout_total"), 8u);
+  EXPECT_GT(
+      cluster.coordinator().metrics().counter_value("query_fanout_total"),
+      8u);
 }
 
 TEST(Coordinator, QueryResultsMatchAcrossStrategies) {

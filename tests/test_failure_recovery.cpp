@@ -70,7 +70,8 @@ TEST(FailureRecovery, QueriesCorrectAfterCrashViaFailover) {
                           TimeInterval::all());
   auto after_crash = ids_of(cluster.execute(q2));
   EXPECT_EQ(after_crash, expected);
-  EXPECT_GT(cluster.coordinator().counters().get("failover_retries"), 0u);
+  EXPECT_GT(cluster.coordinator().metrics().counter_value("failover_retries"),
+            0u);
 }
 
 TEST(FailureRecovery, CrashLosesStateRestartResyncsIt) {
@@ -158,7 +159,8 @@ TEST(FailureRecovery, PartialResultsWhenNoReplicaSurvives) {
                          TimeInterval::all());
   QueryResult r = cluster.execute(q);
   EXPECT_TRUE(r.detections.empty());
-  EXPECT_GT(cluster.coordinator().counters().get("queries_partial"), 0u);
+  EXPECT_GT(cluster.coordinator().metrics().counter_value("queries_partial"),
+            0u);
 }
 
 TEST(FailureRecovery, MultipleSequentialFailures) {
@@ -243,14 +245,14 @@ TEST(RecoveryChaos, CompletenessWhileRestartInFlight) {
                                         cluster.network());
 
   std::uint64_t partial0 =
-      cluster.coordinator().counters().get("queries_partial");
+      cluster.coordinator().metrics().counter_value("queries_partial");
   for (int i = 0; i < 5; ++i) {
     Query q = Query::range(cluster.next_query_id(), s.world,
                            TimeInterval::all());
     ASSERT_EQ(ids_of(cluster.execute(q)), expected)
         << "query " << i << " lost data while restart was in flight";
   }
-  EXPECT_EQ(cluster.coordinator().counters().get("queries_partial"),
+  EXPECT_EQ(cluster.coordinator().metrics().counter_value("queries_partial"),
             partial0)
       << "queries during recovery must be complete, not partial";
   EXPECT_GT(cluster.coordinator().recovering_count_for(victim), 0u)
@@ -309,16 +311,16 @@ TEST(RecoveryChaos, HolderCrashMidResync) {
   pump_recovery(cluster, a, Duration::seconds(45));
   EXPECT_TRUE(cluster.worker(a).resync_complete());
   EXPECT_GT(cluster.worker(a).recovery_failed_count(), 0u);
-  EXPECT_GT(cluster.worker(a).counters().get("recovery_failed"), 0u);
+  EXPECT_GT(cluster.worker(a).metrics().counter_value("recovery_failed"), 0u);
 
   // Queries still terminate; partitions with no live holder are flagged
   // partial — never a silent hole.
   std::uint64_t partial0 =
-      cluster.coordinator().counters().get("queries_partial");
+      cluster.coordinator().metrics().counter_value("queries_partial");
   QueryResult during = cluster.execute(Query::range(
       cluster.next_query_id(), s.world, TimeInterval::all()));
   EXPECT_FALSE(during.detections.empty());
-  EXPECT_GT(cluster.coordinator().counters().get("queries_partial"),
+  EXPECT_GT(cluster.coordinator().metrics().counter_value("queries_partial"),
             partial0)
       << "missing partitions must surface as a partial result";
 
@@ -362,9 +364,12 @@ TEST(RecoveryChaos, RecoveringWorkerCrashesAgain) {
   // straggler completions from the first incarnation are ignored.
   Cluster::RecoveryReport report = cluster.restart_worker(a);
   EXPECT_TRUE(report.completed);
-  EXPECT_GT(cluster.coordinator().counters().get("recoveries_started"), 0u);
+  EXPECT_GT(
+      cluster.coordinator().metrics().counter_value("recoveries_started"),
+      0u);
   EXPECT_EQ(cluster.coordinator().recovering_count_for(a), 0u);
-  auto plan2_used = cluster.coordinator().counters().get("recovery_done_stale");
+  auto plan2_used =
+      cluster.coordinator().metrics().counter_value("recovery_done_stale");
   (void)plan2_used;  // stale completions are timing-dependent; just counted
   EXPECT_NE(first_rid, 0u);
 
@@ -405,8 +410,9 @@ TEST(RecoveryChaos, SnapshotInstallRacesLiveStream) {
   EXPECT_TRUE(cluster.worker(victim).resync_complete());
   EXPECT_EQ(cluster.worker(victim).recovery_failed_count(), 0u);
   EXPECT_EQ(cluster.coordinator().recovering_count_for(victim), 0u);
-  EXPECT_GT(cluster.worker(victim).counters().get("snapshots_installed"),
-            0u);
+  EXPECT_GT(
+      cluster.worker(victim).metrics().counter_value("snapshots_installed"),
+      0u);
 
   CentralizedIndex oracle(s.world);
   oracle.ingest_all(s.trace.detections);

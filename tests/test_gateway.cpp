@@ -80,7 +80,8 @@ TEST(Gateway, RelayModeDeliversEverything) {
   fleet.flush(cluster->network());
   cluster->pump();
   EXPECT_EQ(all_ids(*cluster, s.world), expected_ids(s.trace));
-  EXPECT_GT(cluster->coordinator().counters().get("ingest_forwards"), 0u);
+  EXPECT_GT(cluster->coordinator().metrics().counter_value("ingest_forwards"),
+            0u);
 }
 
 TEST(Gateway, DirectModeMovesFewerBytesThanRelay) {
@@ -96,7 +97,7 @@ TEST(Gateway, DirectModeMovesFewerBytesThanRelay) {
     }
     fleet.flush(cluster->network());
     cluster->pump();
-    return cluster->network().counters().get("bytes_sent");
+    return cluster->network().metrics().counter_value("bytes_sent");
   };
 
   std::uint64_t direct_bytes = run(false);

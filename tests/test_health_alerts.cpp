@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/framework.h"
 #include "partition/strategies.h"
@@ -354,6 +355,36 @@ TEST(ClusterHealthWiring, SourcesRulesAndSnapshotNamespacing) {
             scenario().trace.detections.size());
   EXPECT_EQ(snapshot.counter("worker.ingested_primary").value(),
             scenario().trace.detections.size());
+}
+
+TEST(ClusterHealthWiring, EventCountersReachAlertRules) {
+  // A crash bumps the worker's state_losses handle; the health monitor
+  // samples that registry, so a rate rule on the event fires.
+  auto cluster = make_cluster();
+  AlertRule rule = rate_rule("state_loss", "state_losses", 0.0);
+  rule.for_samples = 1;
+  rule.source_filter = "worker.*";
+  cluster->health_monitor().add_rule(rule);
+  WorkerId victim = cluster->worker_ids().front();
+
+  cluster->sample_health();
+  cluster->advance_time(Duration::millis(500));
+  cluster->crash_worker(victim);
+  cluster->sample_health();
+  EXPECT_TRUE(cluster->health_monitor().is_firing(
+      "state_loss", "worker." + std::to_string(victim.value())));
+}
+
+TEST(ClusterHealthWiring, SnapshotSumsEventCountersAcrossNodes) {
+  auto cluster = make_cluster();
+  std::vector<WorkerId> ids = cluster->worker_ids();
+  cluster->crash_worker(ids[0]);
+  cluster->crash_worker(ids[1]);
+
+  MetricsRegistry snapshot = cluster->metrics_snapshot();
+  EXPECT_EQ(snapshot.counter_value("worker.state_losses"), 2u);
+  EXPECT_EQ(snapshot.counter_value("coordinator.workers_crashed"), 2u);
+  EXPECT_FALSE(snapshot.help("worker.state_losses").empty());
 }
 
 TEST(ClusterHealthWiring, TickerSamplesOnSimClock) {

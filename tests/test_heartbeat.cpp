@@ -45,7 +45,9 @@ TEST(Heartbeat, HealthyClusterSuspectsNobody) {
   cluster->ingest_all(s.trace.detections);
   cluster->advance_time(Duration::seconds(30));
   EXPECT_TRUE(cluster->coordinator().suspected_workers().empty());
-  EXPECT_EQ(cluster->coordinator().counters().get("workers_suspected"), 0u);
+  EXPECT_EQ(
+      cluster->coordinator().metrics().counter_value("workers_suspected"),
+      0u);
 }
 
 TEST(Heartbeat, SilentWorkerSuspectedAndFailedOver) {
@@ -59,7 +61,9 @@ TEST(Heartbeat, SilentWorkerSuspectedAndFailedOver) {
 
   EXPECT_TRUE(
       cluster->coordinator().suspected_workers().contains(WorkerId(2)));
-  EXPECT_GT(cluster->coordinator().counters().get("workers_suspected"), 0u);
+  EXPECT_GT(
+      cluster->coordinator().metrics().counter_value("workers_suspected"),
+      0u);
   // Every partition has been re-pointed away from the dead worker.
   const PartitionMap& map = cluster->coordinator().partition_map();
   for (std::size_t p = 0; p < map.partition_count(); ++p) {
@@ -75,10 +79,11 @@ TEST(Heartbeat, QueriesAfterDetectionNeedNoRetry) {
   cluster->crash_worker(WorkerId(1));
   cluster->advance_time(Duration::seconds(15));
 
-  auto retries0 = cluster->coordinator().counters().get("failover_retries");
+  auto retries0 =
+      cluster->coordinator().metrics().counter_value("failover_retries");
   QueryResult r = cluster->execute(Query::range(
       cluster->next_query_id(), s.world, TimeInterval::all()));
-  EXPECT_EQ(cluster->coordinator().counters().get("failover_retries"),
+  EXPECT_EQ(cluster->coordinator().metrics().counter_value("failover_retries"),
             retries0)
       << "after proactive failover, no per-query retry should be needed";
   EXPECT_EQ(r.detections.size(), s.trace.detections.size());

@@ -261,9 +261,10 @@ TEST(HealthMonitor, CounterRateClampsAtZeroOnSubjectRestart) {
   monitor.sample(at(0));
   events.add(100);
   monitor.sample(at(1));  // 100/s
-  events.reset();         // subject restarted mid-window
+  reg = MetricsRegistry();  // subject rebuilt its registry mid-window
+  Counter& reborn = reg.counter("events");
   monitor.sample(at(2));  // raw delta is -200: must clamp, not go negative
-  events.add(50);
+  reborn.add(50);
   monitor.sample(at(3));  // post-restart rate resumes at 50/s
 
   const TimeSeries* series =

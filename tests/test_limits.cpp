@@ -100,12 +100,12 @@ TEST(QueryLimit, ZeroMeansUnlimited) {
 TEST(QueryLimit, BoundsWireBytes) {
   LimitScenario& s = scenario();
   auto bytes_for = [&](std::uint32_t limit) {
-    auto before = s.cluster->network().counters().get("bytes_sent");
+    auto before = s.cluster->network().metrics().counter_value("bytes_sent");
     Query q = Query::range(s.cluster->next_query_id(), s.world,
                            TimeInterval::all())
                   .with_limit(limit);
     (void)s.cluster->execute(q);
-    return s.cluster->network().counters().get("bytes_sent") - before;
+    return s.cluster->network().metrics().counter_value("bytes_sent") - before;
   };
   std::uint64_t small = bytes_for(5);
   std::uint64_t large = bytes_for(0);

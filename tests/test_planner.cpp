@@ -127,15 +127,15 @@ TEST(AdaptiveKnn, WarmedPlannerReducesFanout) {
 
   auto fanout_of = [&](auto&& run) {
     auto queries0 =
-        s.cluster->coordinator().counters().get("queries_submitted");
+        s.cluster->coordinator().metrics().counter_value("queries_submitted");
     auto fanout0 =
-        s.cluster->coordinator().counters().get("query_fanout_total");
+        s.cluster->coordinator().metrics().counter_value("query_fanout_total");
     run();
     auto queries =
-        s.cluster->coordinator().counters().get("queries_submitted") -
+        s.cluster->coordinator().metrics().counter_value("queries_submitted") -
         queries0;
     auto fanout =
-        s.cluster->coordinator().counters().get("query_fanout_total") -
+        s.cluster->coordinator().metrics().counter_value("query_fanout_total") -
         fanout0;
     return static_cast<double>(fanout) / static_cast<double>(queries);
   };
@@ -169,7 +169,7 @@ TEST(AdaptiveKnn, ColdPlannerStillCorrect) {
       Query::knn(s.cluster->next_query_id(), s.world.center(), 7,
                  TimeInterval::all()));
   ASSERT_EQ(adaptive.detections.size(), broadcast.detections.size());
-  EXPECT_GT(s.cluster->coordinator().counters().get(
+  EXPECT_GT(s.cluster->coordinator().metrics().counter_value(
                 "knn_adaptive_degenerate"),
             0u);
 }

@@ -23,7 +23,7 @@ namespace {
 class ChannelNode final : public NetworkNode {
  public:
   explicit ChannelNode(NodeId id, ReliableChannelConfig config = {})
-      : id_(id), channel_(id, counters_, config) {}
+      : id_(id), channel_(id, metrics_, config) {}
 
   [[nodiscard]] NodeId node_id() const override { return id_; }
 
@@ -45,13 +45,13 @@ class ChannelNode final : public NetworkNode {
   }
 
   ReliableChannel& channel() { return channel_; }
-  const CounterSet& counters() const { return counters_; }
+  const MetricsRegistry& metrics() const { return metrics_; }
 
   std::vector<Message> delivered;
 
  private:
   NodeId id_;
-  CounterSet counters_;
+  MetricsRegistry metrics_;
   ReliableChannel channel_;
 };
 
@@ -75,7 +75,7 @@ TEST(ReliableChannel, DeliversExactlyOnceUnderHeavyLoss) {
   for (const Message& m : b.delivered) types.insert(m.type);
   EXPECT_EQ(types.size(), 50u);  // no duplicates reached the application
   EXPECT_EQ(a.channel().unacked(), 0u);
-  EXPECT_GT(a.counters().get("retransmits"), 0u);
+  EXPECT_GT(a.metrics().counter_value("retransmits"), 0u);
 }
 
 TEST(ReliableChannel, FabricDuplicationSuppressed) {
@@ -94,7 +94,7 @@ TEST(ReliableChannel, FabricDuplicationSuppressed) {
   net.run_until_idle();
 
   EXPECT_EQ(b.delivered.size(), 10u);
-  EXPECT_GT(b.counters().get("dup_suppressed"), 0u);
+  EXPECT_GT(b.metrics().counter_value("dup_suppressed"), 0u);
   EXPECT_EQ(a.channel().unacked(), 0u);
 }
 
@@ -140,7 +140,7 @@ TEST(ReliableChannel, GivesUpAfterMaxAttempts) {
   net.run_until_idle();
 
   EXPECT_TRUE(b.delivered.empty());
-  EXPECT_EQ(a.counters().get("retransmit_exhausted"), 1u);
+  EXPECT_EQ(a.metrics().counter_value("retransmit_exhausted"), 1u);
   EXPECT_EQ(a.channel().unacked(), 0u);  // abandoned, not leaked
 }
 
@@ -232,7 +232,7 @@ TEST(ReliableChannelE2E, LossyFabricIngestMatchesOracle) {
   EXPECT_EQ(cluster.execute(count).total_count(),
             oracle.execute(count).total_count());
 
-  EXPECT_GT(cluster.coordinator().counters().get("retransmits"), 0u);
+  EXPECT_GT(cluster.coordinator().metrics().counter_value("retransmits"), 0u);
 }
 
 TEST(ReliableChannelE2E, HedgingMasksGrayFailure) {
@@ -259,10 +259,10 @@ TEST(ReliableChannelE2E, HedgingMasksGrayFailure) {
                          TimeInterval::all());
   EXPECT_EQ(ids_of(cluster.execute(q)), ids_of(oracle.execute(q)));
 
-  const CounterSet& cc = cluster.coordinator().counters();
-  EXPECT_GT(cc.get("hedges_issued"), 0u);
-  EXPECT_GT(cc.get("hedges_won"), 0u);
-  EXPECT_EQ(cc.get("workers_suspected"), 0u);  // detector never fired
+  const MetricsRegistry& cc = cluster.coordinator().metrics();
+  EXPECT_GT(cc.counter_value("hedges_issued"), 0u);
+  EXPECT_GT(cc.counter_value("hedges_won"), 0u);
+  EXPECT_EQ(cc.counter_value("workers_suspected"), 0u);  // detector never fired
 }
 
 TEST(ReliableChannelE2E, HeartbeatsResumeAfterNetworkOnlyRestart) {

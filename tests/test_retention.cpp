@@ -108,7 +108,7 @@ TEST(Retention, ClusterEvictsBeyondWindow) {
 
   std::uint64_t evicted = 0;
   for (WorkerId w : cluster.worker_ids()) {
-    evicted += cluster.worker(w).counters().get("detections_evicted");
+    evicted += cluster.worker(w).metrics().counter_value("detections_evicted");
   }
   EXPECT_GT(evicted, 0u);
 }

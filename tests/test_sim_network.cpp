@@ -97,9 +97,10 @@ TEST(SimNetwork, CountersAccountBytesAndMessages) {
   net.attach(b);
   net.send({NodeId(1), NodeId(2), 0, std::vector<std::uint8_t>(100), {}, {}});
   net.run_until_idle();
-  EXPECT_EQ(net.counters().get("messages_sent"), 1u);
-  EXPECT_EQ(net.counters().get("messages_delivered"), 1u);
-  EXPECT_EQ(net.counters().get("bytes_sent"), 142u);  // payload + envelope
+  EXPECT_EQ(net.metrics().counter_value("messages_sent"), 1u);
+  EXPECT_EQ(net.metrics().counter_value("messages_delivered"), 1u);
+  // payload + envelope
+  EXPECT_EQ(net.metrics().counter_value("bytes_sent"), 142u);
 }
 
 TEST(SimNetwork, CrashedNodeDropsMessages) {
@@ -111,7 +112,7 @@ TEST(SimNetwork, CrashedNodeDropsMessages) {
   net.send({NodeId(1), NodeId(2), 0, {}, {}, {}});
   net.run_until_idle();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net.counters().get("messages_dropped_crashed"), 1u);
+  EXPECT_EQ(net.metrics().counter_value("messages_dropped_crashed"), 1u);
 
   net.restart(NodeId(2));
   net.send({NodeId(1), NodeId(2), 0, {}, {}, {}});
@@ -133,7 +134,7 @@ TEST(SimNetwork, UnknownDestinationCounted) {
   SimNetwork net(quiet_config());
   net.send({NodeId(1), NodeId(99), 0, {}, {}, {}});
   net.run_until_idle();
-  EXPECT_EQ(net.counters().get("messages_dropped_unknown_node"), 1u);
+  EXPECT_EQ(net.metrics().counter_value("messages_dropped_unknown_node"), 1u);
 }
 
 TEST(SimNetwork, DropProbabilityLosesMessages) {
@@ -145,7 +146,7 @@ TEST(SimNetwork, DropProbabilityLosesMessages) {
   for (int i = 0; i < 10; ++i) net.send({NodeId(1), NodeId(2), 0, {}, {}, {}});
   net.run_until_idle();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net.counters().get("messages_dropped_fabric"), 10u);
+  EXPECT_EQ(net.metrics().counter_value("messages_dropped_fabric"), 10u);
 }
 
 TEST(SimNetwork, TimersFireAtRequestedTime) {
@@ -238,7 +239,7 @@ TEST(SimNetwork, PartitionCutsBothDirectionsUntilHealed) {
   EXPECT_TRUE(a.received.empty());
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(c.received.size(), 1u);
-  EXPECT_EQ(net.counters().get("messages_dropped_partition"), 2u);
+  EXPECT_EQ(net.metrics().counter_value("messages_dropped_partition"), 2u);
 
   net.heal();
   net.send({NodeId(1), NodeId(2), 0, {}, {}, {}});
@@ -279,8 +280,8 @@ TEST(SimNetwork, DuplicateProbabilityDeliversTwice) {
   for (int i = 0; i < 5; ++i) net.send({NodeId(1), NodeId(2), 0, {}, {}, {}});
   net.run_until_idle();
   EXPECT_EQ(b.received.size(), 10u);
-  EXPECT_EQ(net.counters().get("messages_duplicated"), 5u);
-  EXPECT_EQ(net.counters().get("messages_delivered"), 10u);
+  EXPECT_EQ(net.metrics().counter_value("messages_duplicated"), 5u);
+  EXPECT_EQ(net.metrics().counter_value("messages_delivered"), 10u);
 }
 
 TEST(SimNetwork, LinkOverrideDropAndLatency) {
@@ -341,7 +342,7 @@ TEST(SimNetwork, ParkedTimersResumeOnRestart) {
   net.crash(NodeId(1));
   net.run_until(TimePoint::origin() + Duration::seconds(5));
   EXPECT_TRUE(a.timer_tokens.empty());
-  EXPECT_EQ(net.counters().get("timers_parked"), 1u);
+  EXPECT_EQ(net.metrics().counter_value("timers_parked"), 1u);
 
   net.restart(NodeId(1));
   net.run_until_idle();
@@ -349,7 +350,7 @@ TEST(SimNetwork, ParkedTimersResumeOnRestart) {
   EXPECT_EQ(a.timer_tokens[0], 77u);
   // Fired at restart time (its original due time had already passed).
   EXPECT_GE(a.timer_at[0], TimePoint::origin() + Duration::seconds(5));
-  EXPECT_EQ(net.counters().get("timers_resumed"), 1u);
+  EXPECT_EQ(net.metrics().counter_value("timers_resumed"), 1u);
 }
 
 TEST(FailureSchedule, AppliesInOrder) {

@@ -140,19 +140,5 @@ TEST(QuantileRecorder, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(q.median(), 5.0);  // re-sorts after new samples
 }
 
-TEST(CounterSet, AddGetReset) {
-  CounterSet c;
-  EXPECT_EQ(c.get("missing"), 0u);
-  c.add("msgs");
-  c.add("msgs");
-  c.add("bytes", 100);
-  EXPECT_EQ(c.get("msgs"), 2u);
-  EXPECT_EQ(c.get("bytes"), 100u);
-  EXPECT_EQ(c.all().size(), 2u);
-  c.reset();
-  EXPECT_EQ(c.get("msgs"), 0u);
-  EXPECT_TRUE(c.all().empty());
-}
-
 }  // namespace
 }  // namespace stcn

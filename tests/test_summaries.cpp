@@ -55,7 +55,8 @@ TEST(ObjectSummaries, PublishedForEveryPartition) {
   EXPECT_GE(s.cluster->coordinator().summarized_partitions(), 10u);
   std::uint64_t published = 0;
   for (WorkerId w : s.cluster->worker_ids()) {
-    published += s.cluster->worker(w).counters().get("summaries_published");
+    published +=
+        s.cluster->worker(w).metrics().counter_value("summaries_published");
   }
   EXPECT_GT(published, 0u);
 }
@@ -65,13 +66,13 @@ TEST(ObjectSummaries, PruneTrajectoryFanout) {
   // Bounded-interval trajectory query: summaries cover it → pruning fires.
   TimeInterval covered{TimePoint::origin(),
                        TimePoint::origin() + Duration::minutes(4)};
-  auto pruned0 = s.cluster->coordinator().counters().get(
+  auto pruned0 = s.cluster->coordinator().metrics().counter_value(
       "trajectory_partitions_pruned");
   for (std::uint64_t obj = 1; obj <= 10; ++obj) {
     (void)s.cluster->execute(Query::trajectory(s.cluster->next_query_id(),
                                                ObjectId(obj), covered));
   }
-  auto pruned = s.cluster->coordinator().counters().get(
+  auto pruned = s.cluster->coordinator().metrics().counter_value(
                     "trajectory_partitions_pruned") -
                 pruned0;
   EXPECT_GT(pruned, 0u)
@@ -95,12 +96,13 @@ TEST(ObjectSummaries, UnknownObjectPrunesEverywhereAndReturnsEmpty) {
   TimeInterval covered{TimePoint::origin(),
                        TimePoint::origin() + Duration::minutes(4)};
   auto fanout0 =
-      s.cluster->coordinator().counters().get("query_fanout_total");
+      s.cluster->coordinator().metrics().counter_value("query_fanout_total");
   QueryResult r = s.cluster->execute(Query::trajectory(
       s.cluster->next_query_id(), ObjectId(999'999), covered));
   EXPECT_TRUE(r.detections.empty());
-  auto fanout =
-      s.cluster->coordinator().counters().get("query_fanout_total") - fanout0;
+  auto fanout = s.cluster->coordinator().metrics().counter_value(
+                    "query_fanout_total") -
+                fanout0;
   // A Bloom false positive can leak a worker or two, but nowhere near the
   // whole fleet.
   EXPECT_LE(fanout, 2u);
@@ -110,11 +112,11 @@ TEST(ObjectSummaries, IntervalBeyondWatermarkNeverPruned) {
   SummaryScenario s;
   // A query whose interval extends past every summary's as_of cannot be
   // pruned — freshness gate (future data may exist the summary missed).
-  auto pruned0 = s.cluster->coordinator().counters().get(
+  auto pruned0 = s.cluster->coordinator().metrics().counter_value(
       "trajectory_partitions_pruned");
   (void)s.cluster->execute(Query::trajectory(
       s.cluster->next_query_id(), ObjectId(999'999), TimeInterval::all()));
-  auto pruned = s.cluster->coordinator().counters().get(
+  auto pruned = s.cluster->coordinator().metrics().counter_value(
                     "trajectory_partitions_pruned") -
                 pruned0;
   EXPECT_EQ(pruned, 0u);

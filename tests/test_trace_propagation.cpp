@@ -50,17 +50,18 @@ TEST(TracePropagation, RangeQuerySpanTreeCoversEveryContactedPartition) {
   cluster.ingest_all(s.trace.detections);
 
   auto fanout0 =
-      cluster.coordinator().counters().get("query_fanout_total");
+      cluster.coordinator().metrics().counter_value("query_fanout_total");
   auto partitions0 =
-      cluster.coordinator().counters().get("query_partitions_total");
+      cluster.coordinator().metrics().counter_value("query_partitions_total");
   Query q = Query::range(cluster.next_query_id(),
                          Rect::centered(s.world.center(), 800.0),
                          TimeInterval::all());
   (void)cluster.execute(q);
-  auto fanout = cluster.coordinator().counters().get("query_fanout_total") -
-                fanout0;
+  auto fanout =
+      cluster.coordinator().metrics().counter_value("query_fanout_total") -
+      fanout0;
   auto partitions =
-      cluster.coordinator().counters().get("query_partitions_total") -
+      cluster.coordinator().metrics().counter_value("query_partitions_total") -
       partitions0;
   ASSERT_GT(fanout, 0u);
 
@@ -110,7 +111,7 @@ TEST(TracePropagation, HedgedFragmentAppearsAsTaggedChildSpan) {
   cluster.network().set_slow(NodeId(2), 500.0);
   (void)cluster.execute(Query::range(cluster.next_query_id(), s.world,
                                      TimeInterval::all()));
-  ASSERT_GT(cluster.coordinator().counters().get("hedges_issued"), 0u);
+  ASSERT_GT(cluster.coordinator().metrics().counter_value("hedges_issued"), 0u);
 
   SpanTree tree(cluster.tracer().trace(cluster.last_trace_id()));
   auto fragments = tree.named("fragment");
@@ -213,7 +214,7 @@ TEST(TracePropagation, ClusterMetricsSnapshotIsNamespacedAndExportable) {
 
   MetricsRegistry snapshot = cluster.metrics_snapshot();
   EXPECT_EQ(snapshot.counter("net.messages_sent").value(),
-            cluster.network().counters().get("messages_sent"));
+            cluster.network().metrics().counter_value("messages_sent"));
   EXPECT_GT(snapshot.counter("coordinator.queries_submitted").value(), 0u);
   EXPECT_GT(snapshot.counter("worker.queries_served").value(), 0u);
   EXPECT_GT(snapshot.histogram("coordinator.query_latency_us").count(), 0u);

@@ -35,7 +35,7 @@ WorkerConfig worker_config() {
 /// forever.
 class CoordStub final : public NetworkNode {
  public:
-  CoordStub() : channel_(kCoord, counters_) {}
+  CoordStub() : channel_(kCoord, metrics_) {}
   [[nodiscard]] NodeId node_id() const override { return kCoord; }
   void handle_message(const Message& message, SimNetwork& network) override {
     Message inner = message;
@@ -70,7 +70,7 @@ class CoordStub final : public NetworkNode {
   std::vector<WireDelta> deltas;
 
  private:
-  CounterSet counters_;
+  MetricsRegistry metrics_;
   ReliableChannel channel_;
 };
 
@@ -209,8 +209,8 @@ TEST_F(WorkerFixture, CountersTrackIngestKinds) {
   send_ingest(PartitionId(0), {make_detection(1, {10, 10}, 100)});
   send_ingest(PartitionId(0), {make_detection(2, {10, 10}, 200)},
               /*replica=*/true);
-  EXPECT_EQ(worker_.counters().get("ingested_primary"), 1u);
-  EXPECT_EQ(worker_.counters().get("ingested_replica"), 1u);
+  EXPECT_EQ(worker_.metrics().counter_value("ingested_primary"), 1u);
+  EXPECT_EQ(worker_.metrics().counter_value("ingested_replica"), 1u);
 }
 
 }  // namespace

@@ -7,11 +7,11 @@
 //
 //   metrics_doc                    # write the reference to stdout
 //   metrics_doc --check FILE      # lint: exit 1 if any metric has an empty
-//                                  # help string or is missing from FILE
+//                                  # help string or FILE is not byte for
+//                                  # byte what the first form would write
 //
-// ci.sh regenerates docs/METRICS.md with the first form and gates on the
-// second, so a metric registered without a help line (or not committed to
-// the doc) fails the build.
+// ci.sh gates on the second form, so a metric registered without a help
+// line, or a doc that misses a metric or keeps a stale row, fails the build.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -110,8 +110,8 @@ std::string render(const std::map<std::string, Row>& rows) {
          "metric registration. Do not edit by hand — rerun\n"
          "`./build/tools/metrics_doc > docs/METRICS.md` after adding a "
          "metric.\n"
-         "`ci.sh` fails if a registered metric is missing from this file or\n"
-         "was registered without a help string.\n\n";
+         "`ci.sh` fails if this file differs from the generated output or a\n"
+         "metric was registered without a help string.\n\n";
   out << "Prefixes name the owning subsystem: `net.` (simulated fabric),\n"
          "`coordinator.` (scatter-gather front end, including per-peer\n"
          "`peer.<node>.` series), `worker.` (summed over all workers),\n"
@@ -143,13 +143,13 @@ int check(const std::map<std::string, Row>& rows, const char* path) {
                    name.c_str(), row.type.c_str());
       ++failures;
     }
-    if (doc.find("`" + name + "`") == std::string::npos) {
-      std::fprintf(stderr,
-                   "metrics_doc: %s missing from %s (regenerate with "
-                   "./build/tools/metrics_doc > docs/METRICS.md)\n",
-                   name.c_str(), path);
-      ++failures;
-    }
+  }
+  if (doc != render(rows)) {
+    std::fprintf(stderr,
+                 "metrics_doc: %s is stale (regenerate with "
+                 "./build/tools/metrics_doc > docs/METRICS.md)\n",
+                 path);
+    ++failures;
   }
   if (failures == 0) {
     std::fprintf(stderr, "metrics_doc: %zu metrics documented, all helps set\n",
