@@ -57,10 +57,13 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ./build-asan/tests/test_failure_recovery \
       --gtest_filter='RecoveryChaos.*' >/dev/null
   echo "== sanitizer tiered-store differential rerun =="
-  # Decode-fused cold-tier scans, snapshot round-trips, and the int8
-  # quantized appearance path under ASan+UBSan explicitly.
+  # Decode-fused cold-tier scans, snapshot round-trips, the incrementally
+  # kept snapshot vault against full-image installs (with its corruption
+  # sweep), and the int8 quantized appearance path under ASan+UBSan
+  # explicitly.
   ./build-asan/tests/test_tiered_store \
-      --gtest_filter='*TieredDifferential.*:QuantizedAppearance.*' >/dev/null
+      --gtest_filter='*TieredDifferential.*:*VaultDifferential.*:QuantizedAppearance.*' \
+      >/dev/null
 fi
 
 echo "== columnar scan smoke (Release -O3, bench_index_micro --quick) =="

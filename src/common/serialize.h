@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -142,6 +143,18 @@ class BinaryReader {
       return out;
     }
     out.assign(data_ + pos_, data_ + pos_ + n);
+    pos_ += n;
+    return out;
+  }
+
+  /// Views the next `n` bytes in place (valid while the underlying buffer
+  /// lives); an empty view and failed() when fewer remain.
+  std::span<const std::uint8_t> read_span(std::size_t n) {
+    if (failed_ || n > remaining()) {
+      failed_ = true;
+      return {};
+    }
+    std::span<const std::uint8_t> out(data_ + pos_, n);
     pos_ += n;
     return out;
   }

@@ -3,7 +3,7 @@
 // Every ingest sender (the coordinator, each gateway) stamps the batches it
 // emits with a per-partition monotonically increasing batch id (`pbid`).
 // Workers track, per (partition, source), the highest *contiguous* pbid they
-// have applied — the watermark. A snapshot is a serialized DetectionStore
+// have applied — the watermark. A snapshot is a DetectionStore image
 // keyed by the watermark at capture time; a replay log retains recent
 // batches past the watermark so a restarted peer can fetch only the delta
 // instead of re-copying the whole partition.
@@ -16,6 +16,7 @@
 // contiguous watermark, everything newer is in the log.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -25,6 +26,7 @@
 #include "common/ids.h"
 #include "common/serialize.h"
 #include "common/time.h"
+#include "index/detection_store.h"
 #include "trace/detection.h"
 
 namespace stcn {
@@ -205,17 +207,99 @@ struct RecoverySpec {
   NodeId holder;
 };
 
-/// A versioned, watermark-keyed capture of one partition: the serialized
-/// columnar store plus the log tail past the watermark at capture time.
-/// Lives in the worker's vault, which survives lose_state() — it models
-/// a checkpoint on local disk that a process crash does not erase.
+/// A versioned, watermark-keyed capture of one partition: the store image
+/// plus the log tail past the watermark at capture time. Lives in the
+/// worker's vault, which survives lose_state() — it models a checkpoint on
+/// local disk that a process crash does not erase.
+///
+/// The image is kept incrementally, one DetectionStore segment per block in
+/// block order: a cold block's CompressedBlock encoding, or a hot block's
+/// row run. A capture re-encodes the blocks demoted since the previous one
+/// and appends the rows added since to the open hot segment in place, so
+/// its cost is O(new rows) and an unchanged store costs nothing. Only
+/// appends and demotions are incremental: any other change to the store
+/// (retention compaction, a snapshot install, a crash that emptied it)
+/// requires the caller to ask for a rewrite.
 struct PartitionSnapshot {
   std::uint64_t version = 0;
   TimePoint taken_at;
   Watermark watermark;
+  /// The store image: one segment per block, cold blocks first.
+  std::vector<std::vector<std::uint8_t>> segments;
+  std::size_t cold_blocks = 0;  // leading segments that hold cold blocks
+  std::size_t rows = 0;         // rows the image holds
+  std::size_t bytes = 0;        // sum of segment sizes
+  /// What the latest capture wrote: every segment it created or
+  /// re-encoded, whole, and for each segment it extended, the patched
+  /// header plus the appended rows.
   std::vector<std::uint8_t> store_bytes;
   std::vector<ReplayEntry> tail;
-  std::size_t rows = 0;
+
+  /// Whether the image already matches `store` (given no rewrite is due).
+  [[nodiscard]] bool current(const DetectionStore& store) const {
+    return rows == store.size() && cold_blocks == store.cold_block_count();
+  }
+
+  /// Brings the image up to date with `store`; a `rewrite` (or a store
+  /// that can no longer extend the image) re-encodes it whole. Returns the
+  /// bytes written, which store_bytes then holds.
+  std::size_t capture(const DetectionStore& store, bool rewrite) {
+    std::size_t cold = store.cold_block_count();
+    if (rewrite || store.size() < rows || cold < cold_blocks) {
+      segments.clear();
+      cold_blocks = rows = bytes = 0;
+    }
+    std::vector<std::uint8_t> written;
+    auto encode = [&](std::size_t b) {
+      std::vector<std::uint8_t> seg = store.encode_segment(b);
+      written.insert(written.end(), seg.begin(), seg.end());
+      bytes += seg.size();
+      if (b == segments.size()) {
+        segments.push_back(std::move(seg));
+      } else {
+        bytes -= segments[b].size();
+        segments[b] = std::move(seg);
+      }
+    };
+    // Blocks demoted since the last capture move to their cold encoding.
+    for (std::size_t b = cold_blocks; b < cold; ++b) encode(b);
+    // Hot blocks full at the last capture are unchanged; the open one
+    // grows in place and newer ones are encoded afresh.
+    for (std::size_t b = std::max(cold, rows / kDetectionBlockRows);
+         b < store.block_count(); ++b) {
+      if (b == segments.size()) {
+        encode(b);
+        continue;
+      }
+      std::vector<std::uint8_t>& seg = segments[b];
+      std::size_t added = store.extend_segment(b, seg);
+      if (added == 0) continue;
+      bytes += added;
+      auto tail = seg.end() - static_cast<std::ptrdiff_t>(added);
+      written.insert(written.end(), seg.begin(),
+                     seg.begin() + DetectionStore::kSegmentHeaderBytes);
+      written.insert(written.end(), tail, seg.end());
+    }
+    rows = store.size();
+    cold_blocks = cold;
+    written.shrink_to_fit();  // kept until the partition's next capture
+    store_bytes = std::move(written);
+    return store_bytes.size();
+  }
+
+  /// Decodes the image into `out`. Returns false — leaving `out` as it was
+  /// — when any segment is truncated, corrupt, or missing.
+  [[nodiscard]] bool restore(DetectionStore& out) const {
+    DetectionStore decoded;
+    for (const std::vector<std::uint8_t>& seg : segments) {
+      if (!decoded.append_segment(seg)) return false;
+    }
+    if (decoded.size() != rows || decoded.cold_block_count() != cold_blocks) {
+      return false;
+    }
+    out = std::move(decoded);
+    return true;
+  }
 };
 
 }  // namespace stcn

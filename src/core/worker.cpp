@@ -30,6 +30,7 @@ WorkerIndexes& WorkerNode::partition(PartitionId p) {
       it->second->store.set_tier_config(
           {true, config_.hot_sealed_blocks});
     }
+    vault_rewrite_.insert(p);
   }
   return *it->second;
 }
@@ -174,7 +175,10 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
     ticks_since_compaction_ = 0;
     TimePoint horizon = network.now() - config_.retention;
     for (auto& [p, indexes] : partitions_) {
-      detections_evicted_.add(indexes->compact(horizon));
+      std::size_t evicted = indexes->compact(horizon);
+      // An eviction-free compaction rebuilds an identical store.
+      if (evicted > 0) vault_rewrite_.insert(p);
+      detections_evicted_.add(evicted);
     }
     compactions_.inc();
   }
@@ -510,6 +514,8 @@ void WorkerNode::lose_state() {
   replay_logs_.clear();
   recovery_tasks_.clear();
   task_by_partition_.clear();
+  // Re-held partitions are marked again when partition() recreates them.
+  vault_rewrite_.clear();
   // Heat totals die with the store: the next heartbeat ships fresh (lower)
   // totals, and every downstream windowed rate clamps at zero rather than
   // going negative across the reset.
@@ -549,18 +555,20 @@ Watermark WorkerNode::watermark_of(PartitionId p) const {
 
 void WorkerNode::take_snapshots(TimePoint now) {
   for (const auto& [p, indexes] : partitions_) {
-    PartitionSnapshot snap;
+    // A partition's first snapshot is always a rewrite: partition() marks
+    // every partition it creates.
+    bool rewrite = vault_rewrite_.erase(p) > 0;
+    PartitionSnapshot& snap = vault_[p];
+    if (!rewrite && snap.current(indexes->store)) continue;
+    vault_bytes_ -= snap.bytes;
+    snapshot_bytes_written_.add(snap.capture(indexes->store, rewrite));
+    vault_bytes_ += snap.bytes;
     snap.version = ++snapshot_version_;
     snap.taken_at = now;
     snap.watermark = watermark_of(p);
-    snap.rows = indexes->store.size();
-    BinaryWriter w;
-    indexes->store.serialize_to(w);
-    snap.store_bytes = w.take();
     // Rows the contiguous watermark does not cover (delivered out of
     // order) ride along as replay entries under their true identity.
     snap.tail = replay_log(p).collect(snap.watermark);
-    vault_[p] = std::move(snap);
     snapshots_taken_.inc();
   }
   update_recovery_gauges();
@@ -570,14 +578,15 @@ bool WorkerNode::install_snapshot(PartitionId p) {
   auto it = vault_.find(p);
   if (it == vault_.end()) return false;
   const PartitionSnapshot& snap = it->second;
-  BinaryReader r(snap.store_bytes);
-  DetectionStore decoded = DetectionStore::deserialize_from(r);
-  if (r.failed()) {
+  DetectionStore decoded;
+  if (!snap.restore(decoded)) {
     snapshot_corrupt_.inc();
     return false;
   }
   WorkerIndexes& indexes = partition(p);
   auto& seen = ingested_ids_[p];
+  // The store no longer extends its vault image by appends alone.
+  vault_rewrite_.insert(p);
   if (indexes.store.empty()) {
     // Bulk path: adopt the decoded columns wholesale (cold blocks stay
     // compressed) and index from them. The move clobbers the partition's
@@ -669,11 +678,7 @@ void WorkerNode::update_recovery_gauges() {
     log_bytes += static_cast<double>(log.bytes());
   }
   replay_log_bytes_.set(log_bytes);
-  double snap_bytes = 0;
-  for (const auto& [p, snap] : vault_) {
-    snap_bytes += static_cast<double>(snap.store_bytes.size());
-  }
-  snapshot_bytes_.set(snap_bytes);
+  snapshot_bytes_.set(static_cast<double>(vault_bytes_));
 }
 
 void WorkerNode::start_recovery(std::uint64_t recovery_id,

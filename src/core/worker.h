@@ -118,7 +118,13 @@ class WorkerNode final : public NetworkNode {
             "store.decode_morsels",
             "Cold morsels evaluated through decode-fused filter kernels")),
         snapshots_taken_(metrics_.counter(
-            "snapshots_taken", "Partition snapshots written to the vault")),
+            "snapshots_taken",
+            "Partition snapshots written to the vault (unchanged partitions "
+            "are skipped)")),
+        snapshot_bytes_written_(metrics_.counter(
+            "snapshot_bytes_written",
+            "Bytes snapshots wrote into the vault: appended rows, re-encoded "
+            "demoted blocks, and whole-image rewrites")),
         snapshots_installed_(metrics_.counter(
             "snapshots_installed",
             "Snapshots restored into the store during recovery")),
@@ -183,9 +189,12 @@ class WorkerNode final : public NetworkNode {
   /// survives — it models a checkpoint on local disk.
   void lose_state();
 
-  /// Captures a versioned snapshot of every held partition: the serialized
-  /// columnar store keyed by the current watermark, plus the replay-log
-  /// tail past it. Also driven periodically by the snapshot ticker.
+  /// Captures a versioned snapshot of every held partition that changed
+  /// since its last one: the store image keyed by the current watermark,
+  /// plus the replay-log tail past it. Images are written incrementally
+  /// (see PartitionSnapshot); a partition mutated other than by appends
+  /// and demotions is rewritten whole. Also driven periodically by the
+  /// snapshot ticker.
   void take_snapshots(TimePoint now);
 
   /// Starts incremental recovery for `specs`: install each partition's
@@ -220,6 +229,17 @@ class WorkerNode final : public NetworkNode {
   [[nodiscard]] const std::unordered_map<PartitionId, PartitionSnapshot>&
   snapshot_vault() const {
     return vault_;
+  }
+  /// Fault injection: the vault models a checkpoint on local disk, which
+  /// tests damage in place to exercise install-time validation.
+  [[nodiscard]] std::unordered_map<PartitionId, PartitionSnapshot>&
+  snapshot_vault_for_fault_injection() {
+    return vault_;
+  }
+  /// Read-only view of a held partition's store (nullptr when not held).
+  [[nodiscard]] const DetectionStore* store_of(PartitionId p) const {
+    auto it = partitions_.find(p);
+    return it == partitions_.end() ? nullptr : &it->second->store;
   }
 
   /// Total detections stored across partitions (incl. replicas).
@@ -308,8 +328,16 @@ class WorkerNode final : public NetworkNode {
   std::unordered_map<PartitionId, std::map<std::uint64_t, PbidTracker>>
       watermarks_;
   std::unordered_map<PartitionId, ReplayLog> replay_logs_;
-  // Snapshot vault: survives lose_state() (checkpoint on local disk).
+  // Snapshot vault: survives lose_state() (checkpoint on local disk), and
+  // only take_snapshots() writes it, so a crash at any point finds the last
+  // consistent image.
   std::unordered_map<PartitionId, PartitionSnapshot> vault_;
+  // Sum of vault_ image bytes, kept as entries change.
+  std::size_t vault_bytes_ = 0;
+  // Partitions whose store changed other than by appends and demotions
+  // (created afresh, compacted, installed into) since their last snapshot:
+  // the next take_snapshots() rewrites their image whole.
+  std::unordered_set<PartitionId> vault_rewrite_;
   std::uint64_t snapshot_version_ = 0;
   std::unordered_map<std::uint64_t, RecoveryTask> recovery_tasks_;
   std::unordered_map<PartitionId, std::uint64_t> task_by_partition_;
@@ -337,6 +365,7 @@ class WorkerNode final : public NetworkNode {
   Counter& store_cold_blocks_skipped_;
   Counter& store_decode_morsels_;
   Counter& snapshots_taken_;
+  Counter& snapshot_bytes_written_;
   Counter& snapshots_installed_;
   Counter& snapshot_rows_installed_;
   Counter& delta_syncs_served_;

@@ -34,6 +34,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <utility>
@@ -1168,30 +1169,150 @@ class DetectionStore {
 
   // ----------------------------------------------------------- snapshots
   //
-  // Wire image v2 for recovery checkpoints: magic, the cold tier as
-  // compressed blocks (snapshots shrink with the store), then the hot tier
-  // column-wise in the v1 layout (floats as raw bits — snapshots must
-  // round-trip exactly). Zone maps are not serialized; decode rebuilds
-  // them deterministically — cold zones from decoded cold values, hot
-  // zones from the hot columns.
+  // The recovery image is one self-checking segment per block, in block
+  // order: the unit a snapshot vault keeps, and what a full image
+  // (serialize_to) concatenates. A segment is
+  //
+  //   u32 kind · u32 rows · u64 payload bytes · u64 FNV-1a(payload) · payload
+  //
+  // A cold block's payload is its CompressedBlock encoding (snapshots
+  // shrink with the store). A hot block's payload is its rows, row-major:
+  // id, camera, object, time, x, y, confidence, a u32 embedding dim, then
+  // the floats as raw bits (snapshots must round-trip exactly). Row-major
+  // is what lets a hot segment grow in place: extend_segment appends the
+  // rows the block gained and patches the header, continuing the running
+  // checksum from its stored value — O(new rows), and byte-identical to
+  // encoding the block afresh. Zone maps are not serialized; decode
+  // rebuilds them deterministically — cold zones from decoded cold values,
+  // hot zones from the hot columns.
 
+  static constexpr std::size_t kSegmentHeaderBytes = 24;
+
+  /// Encodes block `b` as one segment.
+  [[nodiscard]] std::vector<std::uint8_t> encode_segment(std::size_t b) const {
+    STCN_CHECK(b < block_count());
+    auto [first, last] = block_rows(b);
+    std::vector<std::uint8_t> seg;
+    SegmentHeader h;
+    h.rows = last - first;
+    if (b < cold_.size()) {
+      BinaryWriter w;
+      w.reserve(kSegmentHeaderBytes + cold_[b].compressed_bytes() + 1024);
+      for (int i = 0; i < 3; ++i) w.write_u64(0);  // header, sealed below
+      cold_[b].serialize_to(w);
+      seg = w.take();
+      seg.shrink_to_fit();  // vaults hold segments for the block's lifetime
+      h.kind = kColdSegment;
+    } else {
+      seg.resize(kSegmentHeaderBytes);
+      put_hot_rows(first, last, seg);
+      h.kind = kHotSegment;
+    }
+    h.payload = seg.size() - kSegmentHeaderBytes;
+    h.hash = fnv1a(kFnvOffset, seg.data() + kSegmentHeaderBytes, h.payload);
+    h.store(seg.data());
+    return seg;
+  }
+
+  /// Extends `seg` — hot block `b`'s segment, holding a prefix of its rows
+  /// — with the rows the block has gained since, patching the header in
+  /// place. Returns the payload bytes appended (0 when nothing is new).
+  std::size_t extend_segment(std::size_t b,
+                             std::vector<std::uint8_t>& seg) const {
+    STCN_CHECK(b >= cold_.size() && b < block_count());
+    STCN_CHECK(seg.size() >= kSegmentHeaderBytes);
+    SegmentHeader h = SegmentHeader::load(seg.data());
+    STCN_CHECK(h.kind == kHotSegment);
+    auto [first, last] = block_rows(b);
+    std::uint32_t from = first + h.rows;
+    STCN_CHECK(from <= last);
+    if (from == last) return 0;
+    std::size_t at = seg.size();
+    // Grow by an eighth rather than letting the vector double: a vault
+    // holds one growing segment per partition, and doubling would leave up
+    // to half of every one as slack (an eighth still amortizes the copy).
+    std::size_t need = at + hot_rows_bytes(from, last);
+    if (need > seg.capacity()) seg.reserve(std::max(need, at + at / 8));
+    put_hot_rows(from, last, seg);
+    h.rows = last - first;
+    h.payload += seg.size() - at;
+    h.hash = fnv1a(h.hash, seg.data() + at, seg.size() - at);
+    h.store(seg.data());
+    return seg.size() - at;
+  }
+
+  /// Appends one encoded block (an encode_segment image) to the end of the
+  /// store. The store must end on a block boundary, and a cold segment may
+  /// only follow cold blocks. Returns false — leaving the store untouched
+  /// — when the segment is truncated, fails its checksum, or does not fit.
+  /// No demotion runs: the decoded tier boundary is the encoded one.
+  bool append_segment(std::span<const std::uint8_t> seg) {
+    if (seg.size() < kSegmentHeaderBytes || size() % kDetectionBlockRows != 0) {
+      return false;
+    }
+    SegmentHeader h = SegmentHeader::load(seg.data());
+    std::span<const std::uint8_t> payload = seg.subspan(kSegmentHeaderBytes);
+    if (h.payload != payload.size() ||
+        h.hash != fnv1a(kFnvOffset, payload.data(), payload.size()) ||
+        h.rows == 0 || h.rows > kDetectionBlockRows ||
+        size() + h.rows >= UINT32_MAX) {
+      return false;
+    }
+    if (h.kind == kColdSegment) {
+      BinaryReader r(payload.data(), payload.size());
+      CompressedBlock cb;
+      if (!ids_.empty() || h.rows != kDetectionBlockRows ||
+          !CompressedBlock::deserialize_from(r, cb) || cb.rows != h.rows ||
+          !r.at_end()) {
+        return false;
+      }
+      zones_.push_back(zone_from_cold(cb));
+      cold_.push_back(std::move(cb));
+      hot_base_ += kDetectionBlockRows;
+      return true;
+    }
+    if (h.kind != kHotSegment) return false;
+    // Check the row framing end to end before any column grows.
+    std::size_t pos = 0;
+    for (std::uint32_t i = 0; i < h.rows; ++i) {
+      if (payload.size() - pos < kHotRowFixedBytes) return false;
+      std::uint32_t dim = load<std::uint32_t>(payload.data() + pos + 56);
+      pos += kHotRowFixedBytes;
+      if (dim > (payload.size() - pos) / sizeof(float)) return false;
+      pos += dim * sizeof(float);
+    }
+    if (pos != payload.size()) return false;
+    const std::uint8_t* p = payload.data();
+    for (std::uint32_t i = 0; i < h.rows; ++i) {
+      auto row = static_cast<std::uint32_t>(size());
+      ids_.push_back(load<std::uint64_t>(p));
+      cameras_.push_back(load<std::uint64_t>(p + 8));
+      objects_.push_back(load<std::uint64_t>(p + 16));
+      times_.push_back(load<std::int64_t>(p + 24));
+      xs_.push_back(load<double>(p + 32));
+      ys_.push_back(load<double>(p + 40));
+      confidences_.push_back(load<double>(p + 48));
+      std::uint32_t dim = load<std::uint32_t>(p + 56);
+      p += kHotRowFixedBytes;
+      if (dim > 0) {
+        std::size_t a = arena_.size();
+        arena_.resize(a + dim);
+        std::memcpy(arena_.data() + a, p, dim * sizeof(float));
+        p += dim * sizeof(float);
+      }
+      emb_offsets_.push_back(arena_.size());
+      grow_zone(row);
+    }
+    return true;
+  }
+
+  /// Full image: magic, segment count, then every block's segment.
   void serialize_to(BinaryWriter& w) const {
     w.write_u32(kStoreSnapshotMagic);
-    w.write_u32(static_cast<std::uint32_t>(cold_.size()));
-    for (const CompressedBlock& cb : cold_) cb.serialize_to(w);
-    auto n = static_cast<std::uint32_t>(ids_.size());
-    w.reserve(4 + static_cast<std::size_t>(n) * 64 + 8 + arena_.size() * 4);
-    w.write_u32(n);
-    for (std::uint64_t v : ids_) w.write_u64(v);
-    for (std::uint64_t v : cameras_) w.write_u64(v);
-    for (std::uint64_t v : objects_) w.write_u64(v);
-    for (std::int64_t v : times_) w.write_i64(v);
-    for (double v : xs_) w.write_double(v);
-    for (double v : ys_) w.write_double(v);
-    for (double v : confidences_) w.write_double(v);
-    for (std::uint64_t v : emb_offsets_) w.write_u64(v);
-    w.write_u64(arena_.size());
-    for (float v : arena_) w.write_u32(std::bit_cast<std::uint32_t>(v));
+    w.write_u32(static_cast<std::uint32_t>(block_count()));
+    for (std::size_t b = 0; b < block_count(); ++b) {
+      w.write_bytes(encode_segment(b));
+    }
   }
 
   /// Decodes a serialize_to image. On truncated or inconsistent input the
@@ -1204,80 +1325,107 @@ class DetectionStore {
     };
     std::uint32_t magic = r.read_u32();
     if (r.failed() || magic != kStoreSnapshotMagic) return poison();
-    std::uint32_t cold_n = r.read_u32();
-    // Each cold block serializes to well over 16 bytes and holds a full
-    // block of rows; a count the payload cannot hold (or that would push
-    // row ids past 32 bits) is corrupt.
+    std::uint32_t n = r.read_u32();
     if (r.failed() ||
-        static_cast<std::uint64_t>(cold_n) * kDetectionBlockRows >=
-            UINT32_MAX ||
-        static_cast<std::uint64_t>(cold_n) * 16 > r.remaining()) {
+        static_cast<std::uint64_t>(n) * kSegmentHeaderBytes > r.remaining()) {
       return poison();
     }
-    s.cold_.reserve(cold_n);
-    for (std::uint32_t i = 0; i < cold_n; ++i) {
-      CompressedBlock cb;
-      if (!CompressedBlock::deserialize_from(r, cb) ||
-          cb.rows != kDetectionBlockRows) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::span<const std::uint8_t> head = r.read_span(kSegmentHeaderBytes);
+      if (r.failed()) return poison();
+      std::uint64_t payload = SegmentHeader::load(head.data()).payload;
+      if (payload > r.remaining()) return poison();
+      (void)r.read_span(payload);
+      if (!s.append_segment({head.data(), kSegmentHeaderBytes + payload})) {
         return poison();
       }
-      s.cold_.push_back(std::move(cb));
-    }
-    s.hot_base_ = static_cast<std::size_t>(cold_n) * kDetectionBlockRows;
-    for (const CompressedBlock& cb : s.cold_) {
-      s.zones_.push_back(zone_from_cold(cb));
-    }
-    std::uint32_t n = r.read_u32();
-    // Eight fixed-width 8-byte columns per row: a row count the payload
-    // cannot possibly hold is corrupt — poison the reader before reserving.
-    if (r.failed() || static_cast<std::uint64_t>(n) * 64 > r.remaining() ||
-        s.hot_base_ + n >= UINT32_MAX) {
-      return poison();
-    }
-    s.ids_.reserve(n);
-    s.cameras_.reserve(n);
-    s.objects_.reserve(n);
-    s.times_.reserve(n);
-    s.xs_.reserve(n);
-    s.ys_.reserve(n);
-    s.confidences_.reserve(n);
-    s.emb_offsets_.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) s.ids_.push_back(r.read_u64());
-    for (std::uint32_t i = 0; i < n; ++i) s.cameras_.push_back(r.read_u64());
-    for (std::uint32_t i = 0; i < n; ++i) s.objects_.push_back(r.read_u64());
-    for (std::uint32_t i = 0; i < n; ++i) s.times_.push_back(r.read_i64());
-    for (std::uint32_t i = 0; i < n; ++i) s.xs_.push_back(r.read_double());
-    for (std::uint32_t i = 0; i < n; ++i) s.ys_.push_back(r.read_double());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      s.confidences_.push_back(r.read_double());
-    }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      s.emb_offsets_.push_back(r.read_u64());
-    }
-    std::uint64_t arena_n = r.read_u64();
-    if (r.failed() || arena_n * 4 > r.remaining()) return poison();
-    s.arena_.reserve(arena_n);
-    for (std::uint64_t i = 0; i < arena_n; ++i) {
-      s.arena_.push_back(std::bit_cast<float>(r.read_u32()));
-    }
-    // Offsets must be non-decreasing and end exactly at the arena size, or
-    // embedding() would hand out views past the arena.
-    std::uint64_t prev = 0;
-    for (std::uint64_t off : s.emb_offsets_) {
-      if (off < prev) return poison();
-      prev = off;
-    }
-    if (r.failed() || (n > 0 && s.emb_offsets_.back() != arena_n)) {
-      return poison();
-    }
-    for (std::uint32_t row = 0; row < n; ++row) {
-      s.grow_zone(static_cast<std::uint32_t>(s.hot_base_) + row);
     }
     return s;
   }
 
  private:
-  static constexpr std::uint32_t kStoreSnapshotMagic = 0x53544332;  // "STC2"
+  static constexpr std::uint32_t kStoreSnapshotMagic = 0x53544333;  // "STC3"
+  static constexpr std::uint32_t kColdSegment = 0x444C4F43;  // "COLD"
+  static constexpr std::uint32_t kHotSegment = 0x544F4848;   // "HHOT"
+  // Seven 8-byte fields and the u32 embedding dim.
+  static constexpr std::size_t kHotRowFixedBytes = 60;
+  static constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+  template <typename T>
+  [[nodiscard]] static T load(const std::uint8_t* p) {
+    T v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+  }
+  template <typename T>
+  static std::uint8_t* put(std::uint8_t* p, T v) {
+    std::memcpy(p, &v, sizeof v);
+    return p + sizeof v;
+  }
+
+  /// FNV-1a over `n` bytes, continuing from state `h`.
+  [[nodiscard]] static std::uint64_t fnv1a(std::uint64_t h,
+                                           const std::uint8_t* p,
+                                           std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h = (h ^ p[i]) * 1099511628211ull;
+    }
+    return h;
+  }
+
+  struct SegmentHeader {
+    std::uint32_t kind = 0;
+    std::uint32_t rows = 0;
+    std::uint64_t payload = 0;
+    std::uint64_t hash = 0;
+
+    [[nodiscard]] static SegmentHeader load(const std::uint8_t* p) {
+      return {DetectionStore::load<std::uint32_t>(p),
+              DetectionStore::load<std::uint32_t>(p + 4),
+              DetectionStore::load<std::uint64_t>(p + 8),
+              DetectionStore::load<std::uint64_t>(p + 16)};
+    }
+    void store(std::uint8_t* p) const {
+      p = put(p, kind);
+      p = put(p, rows);
+      p = put(p, payload);
+      (void)put(p, hash);
+    }
+  };
+
+  /// Encoded size of hot rows [first, last).
+  [[nodiscard]] std::size_t hot_rows_bytes(std::uint32_t first,
+                                           std::uint32_t last) const {
+    std::size_t h0 = first - hot_base_;
+    std::size_t h1 = last - hot_base_;
+    std::size_t floats =
+        emb_offsets_[h1 - 1] - (h0 == 0 ? 0 : emb_offsets_[h0 - 1]);
+    return (h1 - h0) * kHotRowFixedBytes + floats * sizeof(float);
+  }
+
+  /// Appends hot rows [first, last) to `out` in the hot-segment layout.
+  void put_hot_rows(std::uint32_t first, std::uint32_t last,
+                    std::vector<std::uint8_t>& out) const {
+    std::size_t at = out.size();
+    out.resize(at + hot_rows_bytes(first, last));
+    std::uint8_t* p = out.data() + at;
+    for (std::size_t h = first - hot_base_; h < last - hot_base_; ++h) {
+      p = put(p, ids_[h]);
+      p = put(p, cameras_[h]);
+      p = put(p, objects_[h]);
+      p = put(p, times_[h]);
+      p = put(p, xs_[h]);
+      p = put(p, ys_[h]);
+      p = put(p, confidences_[h]);
+      std::size_t begin = h == 0 ? 0 : emb_offsets_[h - 1];
+      auto dim = static_cast<std::uint32_t>(emb_offsets_[h] - begin);
+      p = put(p, dim);
+      if (dim > 0) {
+        std::memcpy(p, arena_.data() + begin, dim * sizeof(float));
+        p += dim * sizeof(float);
+      }
+    }
+  }
 
   static void append_refs(const std::uint32_t* sel, std::uint32_t n,
                           std::vector<DetectionRef>& out) {

@@ -424,5 +424,144 @@ TEST(RecoveryChaos, SnapshotInstallRacesLiveStream) {
   EXPECT_EQ(got, ids_of(oracle.execute(q)));
 }
 
+/// Sends query fragments straight to one worker, so a test can compare two
+/// holders of the same partition answer for answer.
+class FragmentProbe final : public NetworkNode {
+ public:
+  [[nodiscard]] NodeId node_id() const override { return NodeId(4242); }
+  void handle_message(const Message& message, SimNetwork&) override {
+    if (static_cast<MsgType>(message.type) != MsgType::kQueryResponse) return;
+    BinaryReader r(message.payload);
+    answer_ = decode_query_response(r).result;
+    answered_ = true;
+  }
+  QueryResult ask(SimNetwork& net, WorkerId w, PartitionId p,
+                  const Query& q) {
+    answered_ = false;
+    net.send({node_id(), NodeId(w.value()),
+              static_cast<std::uint32_t>(MsgType::kQueryRequest),
+              encode(QueryRequest{++next_request_, 0, q, {p}}), net.now(),
+              {}});
+    while (!answered_ && net.step()) {
+    }
+    EXPECT_TRUE(answered_);
+    return answer_;
+  }
+
+ private:
+  QueryResult answer_;
+  bool answered_ = false;
+  std::uint64_t next_request_ = 0;
+};
+
+TEST(RecoveryChaos, RestartAfterCompactionMatchesNeverCrashedReplica) {
+  // Tiered storage with age- and fill-triggered demotion and retention
+  // compaction firing between snapshot ticks (every 7 s; compaction every
+  // 30 s, horizon now − 120 s). Early traffic is sparse, so each compaction
+  // evicts fewer rows than the next snapshot interval appends: a vault
+  // that extended its image across a compaction instead of rewriting it
+  // would silently lose rows.
+  TraceConfig tc;
+  tc.roads.grid_cols = 6;
+  tc.roads.grid_rows = 6;
+  tc.cameras.camera_count = 40;
+  tc.mobility.object_count = 500;
+  tc.detection.redetect_interval = Duration::millis(500);
+  tc.duration = Duration::seconds(200);
+  tc.seed = 808;
+  Trace trace = TraceGenerator::generate(tc);
+  Rect world = trace.roads.bounds(120.0);
+  auto at = [](double seconds) {
+    return TimePoint(static_cast<std::int64_t>(seconds * 1e6));
+  };
+  std::vector<Detection> early, late;
+  for (std::size_t i = 0; i < trace.detections.size(); ++i) {
+    const Detection& d = trace.detections[i];
+    if (d.time < at(60) && i % 10 != 0) continue;  // sparse first minute
+    (d.time < at(178) ? early : late).push_back(d);
+  }
+
+  ClusterConfig config = config_with_workers(3);
+  config.tiered_storage = true;
+  config.hot_sealed_blocks = 1;
+  config.demote_after = Duration::seconds(20);
+  config.retention = Duration::seconds(120);
+  config.snapshot_every_ticks = 7;
+  Cluster cluster(
+      world, std::make_unique<SpatialGridStrategy>(world, 2, 2, trace.cameras),
+      config);
+  SimNetwork& net = cluster.network();
+  FragmentProbe probe;
+  net.attach(probe);
+
+  WorkerId victim(1);
+  const MetricsRegistry& vm = cluster.worker(victim).metrics();
+  cluster.ingest_all(early);
+  ASSERT_LT(net.now(), at(180));
+  // The compaction tick at 180 s evicts rows; the next snapshot is due at
+  // 182 s. Crash in between: the vault's image predates the compaction.
+  std::uint64_t evicted0 = vm.counter_value("detections_evicted");
+  std::uint64_t snaps0 = vm.counter_value("snapshots_taken");
+  net.run_until(at(180.5));
+  ASSERT_GT(vm.counter_value("detections_evicted"), evicted0);
+  ASSERT_EQ(vm.counter_value("snapshots_taken"), snaps0);
+  ASSERT_GT(vm.counter_value("compactions"), 1u);
+  ASSERT_GT(cluster.worker(victim).metrics().gauge("store.cold_blocks").value(),
+            0.0);
+  cluster.crash_worker(victim);
+  cluster.ingest_all(late);
+
+  // Restart on a 30 s boundary: the victim's compaction clock (reset at
+  // 180 s) then fires with the survivors' at 240 s, so both sides evict to
+  // the same horizon before they are compared.
+  net.run_until(at(210));
+  auto plan = begin_manual_restart(cluster, victim);
+  ASSERT_FALSE(plan.specs.empty());
+  cluster.worker(victim).start_recovery(plan.recovery_id, plan.specs, {}, net);
+  pump_recovery(cluster, victim, Duration::seconds(20));
+  ASSERT_TRUE(cluster.worker(victim).resync_complete());
+  ASSERT_EQ(cluster.worker(victim).recovery_failed_count(), 0u);
+  EXPECT_GT(vm.counter_value("snapshots_installed"), 0u);
+  std::uint64_t evicted1 = vm.counter_value("detections_evicted");
+  net.run_until(at(240.5));
+  ASSERT_GT(vm.counter_value("detections_evicted"), evicted1)
+      << "the victim's post-restart compaction must have fired";
+
+  std::uint64_t qid = 1'000'000;
+  std::size_t compared_rows = 0;
+  for (const RecoverySpec& spec : plan.specs) {
+    ASSERT_NE(spec.holder, NodeId(0));
+    WorkerId replica(spec.holder.value());
+    auto both = [&](const Query& q) {
+      return std::pair{probe.ask(net, victim, spec.partition, q),
+                       probe.ask(net, replica, spec.partition, q)};
+    };
+    auto [all_v, all_r] =
+        both(Query::range(QueryId(++qid), world, TimeInterval::all()));
+    EXPECT_EQ(all_v.detections.size(), ids_of(all_v).size())
+        << "duplicate detections";
+    EXPECT_EQ(ids_of(all_v), ids_of(all_r))
+        << "partition " << spec.partition.value();
+    compared_rows += all_r.detections.size();
+    auto [win_v, win_r] = both(Query::range(
+        QueryId(++qid), world, TimeInterval{at(130), at(185)}));
+    EXPECT_EQ(ids_of(win_v), ids_of(win_r))
+        << "partition " << spec.partition.value();
+    if (!all_r.detections.empty()) {
+      CameraId cam = all_r.detections.front().camera;
+      auto [cam_v, cam_r] = both(
+          Query::camera_window(QueryId(++qid), cam, TimeInterval::all()));
+      EXPECT_EQ(ids_of(cam_v), ids_of(cam_r))
+          << "partition " << spec.partition.value();
+    }
+    auto [cnt_v, cnt_r] = both(Query::count(QueryId(++qid), world,
+                                            TimeInterval::all(),
+                                            GroupBy::kCamera));
+    EXPECT_EQ(cnt_v.counts, cnt_r.counts)
+        << "partition " << spec.partition.value();
+  }
+  EXPECT_GT(compared_rows, 0u);
+}
+
 }  // namespace
 }  // namespace stcn

@@ -213,5 +213,58 @@ TEST_F(WorkerFixture, CountersTrackIngestKinds) {
   EXPECT_EQ(worker_.metrics().counter_value("ingested_replica"), 1u);
 }
 
+TEST_F(WorkerFixture, SnapshotWriteCostTracksAppendedRowsNotStoreSize) {
+  // Four partitions grow by a fixed burst between snapshots until each
+  // spans several 4096-row blocks. A snapshot writes each partition's new
+  // rows plus the header of every segment it touched (two when the burst
+  // crosses a block boundary) — never the store it already imaged.
+  constexpr std::uint32_t kPartitions = 4;
+  constexpr std::size_t kRowsPerTick = 500;
+  constexpr std::size_t kDim = 16;
+  constexpr std::size_t kRowBytes = 60 + 4 * kDim;
+  constexpr std::size_t kHeader = DetectionStore::kSegmentHeaderBytes;
+  constexpr int kTicks = 50;
+  auto written = [&] {
+    return worker_.metrics().counter_value("snapshot_bytes_written");
+  };
+  std::uint64_t next_id = 0;
+  const std::uint64_t rows_bytes = kPartitions * kRowsPerTick * kRowBytes;
+  for (int tick = 1; tick <= kTicks; ++tick) {
+    for (std::uint32_t p = 0; p < kPartitions; ++p) {
+      std::vector<Detection> burst;
+      for (std::size_t i = 0; i < kRowsPerTick; ++i) {
+        Detection d = make_detection(++next_id, {10.0 * p, 10}, tick);
+        d.appearance.values.assign(kDim, 0.25f * static_cast<float>(i % 4));
+        burst.push_back(std::move(d));
+      }
+      send_ingest(PartitionId(p), std::move(burst));
+    }
+    std::uint64_t before = written();
+    worker_.take_snapshots(TimePoint(tick));
+    std::uint64_t delta = written() - before;
+    EXPECT_GE(delta, rows_bytes + kPartitions * kHeader) << "tick " << tick;
+    EXPECT_LE(delta, rows_bytes + 2 * kPartitions * kHeader) << "tick " << tick;
+  }
+  const std::size_t rows = kTicks * kRowsPerTick;
+  ASSERT_GT(rows, 5 * kDetectionBlockRows);
+  const std::size_t blocks = (rows + kDetectionBlockRows - 1) /
+                             kDetectionBlockRows;
+  // The vault holds each full image, counted as a running total.
+  EXPECT_EQ(worker_.metrics().gauge("snapshot_bytes").value(),
+            static_cast<double>(kPartitions *
+                                (rows * kRowBytes + blocks * kHeader)));
+
+  // A tick with no new rows writes nothing and leaves every entry as the
+  // previous tick stamped it.
+  std::uint64_t before = written();
+  std::uint64_t taken = worker_.metrics().counter_value("snapshots_taken");
+  worker_.take_snapshots(TimePoint(kTicks + 1));
+  EXPECT_EQ(written(), before);
+  EXPECT_EQ(worker_.metrics().counter_value("snapshots_taken"), taken);
+  for (const auto& [p, snap] : worker_.snapshot_vault()) {
+    EXPECT_EQ(snap.taken_at, TimePoint(kTicks)) << "partition " << p.value();
+  }
+}
+
 }  // namespace
 }  // namespace stcn
