@@ -9,10 +9,14 @@
 //    the report sections, at reduced size, for CI).
 //  * A "vectorized" section comparing the morsel-driven vectorized scan
 //    and dense heatmap aggregation against the per-row scalar paths they
-//    replaced (vectorized_scan_speedup / heatmap_speedup).
-//  * google-benchmark timings of the substrate data structures: grid-index
-//    insert and queries at several selectivities, the columnar store's
-//    camera-window scan, trajectory lookup, and the wire codecs.
+//    replaced (vectorized_scan_speedup / heatmap_speedup). Each side here,
+//    and each of the compression section's hot and cold scans, is the
+//    median of interleaved repetitions, so a burst of host load skews one
+//    repetition of both sides rather than one side's only timing.
+//  * google-benchmark timings of the substrate data structures: the
+//    columnar store's range scan and best-first k-NN at several
+//    selectivities, its camera-window scan, trajectory lookup, and the
+//    wire codecs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,8 +32,9 @@
 #include "common/appearance_kernel.h"
 #include "common/filter_kernel.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "core/protocol.h"
-#include "index/grid_index.h"
+#include "index/detection_store.h"
 #include "index/trajectory_store.h"
 #include "obs/json.h"
 
@@ -48,8 +53,6 @@ Detection random_detection(Rng& rng, std::uint64_t id) {
   d.appearance.normalize();
   return d;
 }
-
-GridIndexConfig grid_config() { return {Rect{{0, 0}, {2000, 2000}}, 50.0}; }
 
 struct Dataset {
   DetectionStore store;
@@ -71,50 +74,30 @@ Dataset& dataset() {
   return ds;
 }
 
-void BM_GridInsert(benchmark::State& state) {
+void BM_StoreRangeQuery(benchmark::State& state) {
   Dataset& ds = dataset();
-  for (auto _ : state) {
-    state.PauseTiming();
-    GridIndex index(grid_config());
-    state.ResumeTiming();
-    for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0));
-         ++i) {
-      index.insert(ds.store, ds.refs[i]);
-    }
-    benchmark::DoNotOptimize(index.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GridInsert)->Arg(1000)->Arg(10'000)->Arg(100'000);
-
-void BM_GridRangeQuery(benchmark::State& state) {
-  Dataset& ds = dataset();
-  GridIndex index(grid_config());
-  for (DetectionRef r : ds.refs) index.insert(ds.store, r);
   double half = static_cast<double>(state.range(0));
   Rng rng(9);
   for (auto _ : state) {
     Rect region = Rect::centered(
         {rng.uniform(0, 2000), rng.uniform(0, 2000)}, half);
-    auto out = index.query_range(ds.store, region, TimeInterval::all());
+    auto out = ds.store.scan_range(region, TimeInterval::all());
     benchmark::DoNotOptimize(out.size());
   }
 }
-BENCHMARK(BM_GridRangeQuery)->Arg(25)->Arg(100)->Arg(400)->Arg(1000);
+BENCHMARK(BM_StoreRangeQuery)->Arg(25)->Arg(100)->Arg(400)->Arg(1000);
 
-void BM_GridKnn(benchmark::State& state) {
+void BM_StoreKnn(benchmark::State& state) {
   Dataset& ds = dataset();
-  GridIndex index(grid_config());
-  for (DetectionRef r : ds.refs) index.insert(ds.store, r);
   auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(10);
   for (auto _ : state) {
     Point center{rng.uniform(0, 2000), rng.uniform(0, 2000)};
-    auto out = index.query_knn(ds.store, center, k, TimeInterval::all());
+    auto out = ds.store.scan_knn(center, k, TimeInterval::all());
     benchmark::DoNotOptimize(out.size());
   }
 }
-BENCHMARK(BM_GridKnn)->Arg(1)->Arg(10)->Arg(100);
+BENCHMARK(BM_StoreKnn)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_StoreCameraWindow(benchmark::State& state) {
   Dataset& ds = dataset();
@@ -315,6 +298,9 @@ ColumnarReport run_columnar_section() {
 // so surviving morsels split between the fully-inside fast path and the
 // branch-free filter kernels.
 
+/// Interleaved repetitions per side in the vectorized section.
+constexpr std::size_t kRepetitions = 7;
+
 struct VectorizedReport {
   std::size_t rows = 0;
   std::size_t scan_queries = 0;
@@ -380,29 +366,42 @@ VectorizedReport run_vectorized_section() {
     }
   }
   const std::size_t warmup = std::min<std::size_t>(8, rep.scan_queries);
-
-  // Before: the per-row scalar block scan (pre-change code path).
-  std::size_t scalar_matched = 0;
   for (std::size_t q = 0; q < warmup; ++q) {
     (void)store.scan_range_scalar(regions[q], windows[q]).size();
-  }
-  bench::WallTimer scalar_timer;
-  for (std::size_t q = 0; q < rep.scan_queries; ++q) {
-    scalar_matched += store.scan_range_scalar(regions[q], windows[q]).size();
-  }
-  rep.scalar_scan_ms = scalar_timer.elapsed_ms();
-
-  // After: the morsel-driven vectorized scan.
-  std::size_t vec_matched = 0;
-  MorselStats ms;
-  for (std::size_t q = 0; q < warmup; ++q) {
     (void)store.scan_range(regions[q], windows[q]).size();
   }
-  bench::WallTimer vec_timer;
-  for (std::size_t q = 0; q < rep.scan_queries; ++q) {
-    vec_matched += store.scan_range(regions[q], windows[q], &ms).size();
+
+  // Before: the per-row scalar block scan (pre-change code path). After:
+  // the morsel-driven vectorized scan. Repetitions alternate the two; the
+  // first one also supplies the match counts and morsel accounting.
+  QuantileRecorder scalar_ms;
+  QuantileRecorder vec_ms;
+  std::size_t scalar_matched = 0;
+  std::size_t vec_matched = 0;
+  MorselStats ms;
+  for (std::size_t r = 0; r < kRepetitions; ++r) {
+    std::size_t matched = 0;
+    bench::WallTimer scalar_timer;
+    for (std::size_t q = 0; q < rep.scan_queries; ++q) {
+      matched += store.scan_range_scalar(regions[q], windows[q]).size();
+    }
+    scalar_ms.add(scalar_timer.elapsed_ms());
+    if (r == 0) scalar_matched = matched;
+
+    matched = 0;
+    MorselStats pass;
+    bench::WallTimer vec_timer;
+    for (std::size_t q = 0; q < rep.scan_queries; ++q) {
+      matched += store.scan_range(regions[q], windows[q], &pass).size();
+    }
+    vec_ms.add(vec_timer.elapsed_ms());
+    if (r == 0) {
+      vec_matched = matched;
+      ms = pass;
+    }
   }
-  rep.vectorized_scan_ms = vec_timer.elapsed_ms();
+  rep.scalar_scan_ms = scalar_ms.median();
+  rep.vectorized_scan_ms = vec_ms.median();
   if (vec_matched != scalar_matched) {
     std::fprintf(stderr, "VECTORIZED MISMATCH: %zu vs scalar %zu\n",
                  vec_matched, scalar_matched);
@@ -431,45 +430,55 @@ VectorizedReport run_vectorized_section() {
   std::span<const double> ys = store.y_column();
 
   // Before: materialize refs, then per-row tree inserts into a std::map
-  // keyed by cell (the executor's previous aggregation).
-  std::vector<std::map<std::uint64_t, std::uint64_t>> map_results;
-  bench::WallTimer map_timer;
-  for (std::size_t q = 0; q < rep.heatmap_queries; ++q) {
-    std::map<std::uint64_t, std::uint64_t> counts;
-    for (DetectionRef r : store.scan_range_scalar(world, hwindows[q])) {
-      std::size_t row = to_index(r);
-      auto cx = static_cast<std::uint64_t>(xs[row] / cell);
-      auto cy = static_cast<std::uint64_t>(ys[row] / cell);
-      ++counts[cy * cols + cx];
-    }
-    map_results.push_back(std::move(counts));
-  }
-  rep.heatmap_map_ms = map_timer.elapsed_ms();
-
-  // After: block-granular scan into selection vectors, accumulated into a
-  // dense cell grid, folded to the sparse result at the end.
+  // keyed by cell (the executor's previous aggregation). After:
+  // block-granular scan into selection vectors, accumulated into a dense
+  // cell grid, folded to the sparse result at the end. Interleaved
+  // repetitions as above; every repetition checks parity.
   bool heatmap_parity = true;
   std::vector<std::uint64_t> dense(cols * grid_rows);
   std::uint32_t sel[kDetectionBlockRows];
-  bench::WallTimer dense_timer;
-  for (std::size_t q = 0; q < rep.heatmap_queries; ++q) {
-    std::fill(dense.begin(), dense.end(), 0);
-    MorselStats hms;
-    for (std::size_t b = 0; b < store.block_count(); ++b) {
-      std::uint32_t n = store.scan_range_block(b, world, hwindows[q], sel, hms);
-      heatmap_accumulate(xs.data(), ys.data(), 0, sel, n, {0, 0}, cell, cols,
-                         dense.data());
-    }
-    std::map<std::uint64_t, std::uint64_t> counts;
-    for (std::uint64_t c = 0; c < dense.size(); ++c) {
-      if (dense[c] != 0) {
-        counts[c] = dense[c];
-        rep.heatmap_rows += dense[c];
+  QuantileRecorder map_ms;
+  QuantileRecorder dense_ms;
+  for (std::size_t r = 0; r < kRepetitions; ++r) {
+    std::vector<std::map<std::uint64_t, std::uint64_t>> map_results;
+    bench::WallTimer map_timer;
+    for (std::size_t q = 0; q < rep.heatmap_queries; ++q) {
+      std::map<std::uint64_t, std::uint64_t> counts;
+      for (DetectionRef ref : store.scan_range_scalar(world, hwindows[q])) {
+        std::size_t row = to_index(ref);
+        auto cx = static_cast<std::uint64_t>(xs[row] / cell);
+        auto cy = static_cast<std::uint64_t>(ys[row] / cell);
+        ++counts[cy * cols + cx];
       }
+      map_results.push_back(std::move(counts));
     }
-    heatmap_parity = heatmap_parity && counts == map_results[q];
+    map_ms.add(map_timer.elapsed_ms());
+
+    std::uint64_t heatmap_rows = 0;
+    bench::WallTimer dense_timer;
+    for (std::size_t q = 0; q < rep.heatmap_queries; ++q) {
+      std::fill(dense.begin(), dense.end(), 0);
+      MorselStats hms;
+      for (std::size_t b = 0; b < store.block_count(); ++b) {
+        std::uint32_t n =
+            store.scan_range_block(b, world, hwindows[q], sel, hms);
+        heatmap_accumulate(xs.data(), ys.data(), 0, sel, n, {0, 0}, cell,
+                           cols, dense.data());
+      }
+      std::map<std::uint64_t, std::uint64_t> counts;
+      for (std::uint64_t c = 0; c < dense.size(); ++c) {
+        if (dense[c] != 0) {
+          counts[c] = dense[c];
+          heatmap_rows += dense[c];
+        }
+      }
+      heatmap_parity = heatmap_parity && counts == map_results[q];
+    }
+    dense_ms.add(dense_timer.elapsed_ms());
+    rep.heatmap_rows = heatmap_rows;
   }
-  rep.heatmap_dense_ms = dense_timer.elapsed_ms();
+  rep.heatmap_map_ms = map_ms.median();
+  rep.heatmap_dense_ms = dense_ms.median();
   if (!heatmap_parity) {
     std::fprintf(stderr, "HEATMAP MISMATCH: dense != map aggregation\n");
   }
@@ -576,26 +585,40 @@ CompressionReport run_compression_section() {
         {TimePoint(begin), TimePoint(begin + time_span / 100)});
   }
   const std::size_t warmup = std::min<std::size_t>(8, rep.scan_queries);
-  std::size_t hot_matched = 0;
   for (std::size_t q = 0; q < warmup; ++q) {
     (void)hot_store.scan_range(regions[q], windows[q]).size();
-  }
-  bench::WallTimer hot_timer;
-  for (std::size_t q = 0; q < rep.scan_queries; ++q) {
-    hot_matched += hot_store.scan_range(regions[q], windows[q]).size();
-  }
-  rep.hot_scan_ms = hot_timer.elapsed_ms();
-
-  std::size_t cold_matched = 0;
-  MorselStats ms;
-  for (std::size_t q = 0; q < warmup; ++q) {
     (void)cold_store.scan_range(regions[q], windows[q]).size();
   }
-  bench::WallTimer cold_timer;
-  for (std::size_t q = 0; q < rep.scan_queries; ++q) {
-    cold_matched += cold_store.scan_range(regions[q], windows[q], &ms).size();
+  // Interleaved repetitions as in the vectorized section; the first one
+  // also supplies the match counts and cold-block accounting.
+  QuantileRecorder hot_ms;
+  QuantileRecorder cold_ms;
+  std::size_t hot_matched = 0;
+  std::size_t cold_matched = 0;
+  MorselStats ms;
+  for (std::size_t r = 0; r < kRepetitions; ++r) {
+    std::size_t matched = 0;
+    bench::WallTimer hot_timer;
+    for (std::size_t q = 0; q < rep.scan_queries; ++q) {
+      matched += hot_store.scan_range(regions[q], windows[q]).size();
+    }
+    hot_ms.add(hot_timer.elapsed_ms());
+    if (r == 0) hot_matched = matched;
+
+    matched = 0;
+    MorselStats pass;
+    bench::WallTimer cold_timer;
+    for (std::size_t q = 0; q < rep.scan_queries; ++q) {
+      matched += cold_store.scan_range(regions[q], windows[q], &pass).size();
+    }
+    cold_ms.add(cold_timer.elapsed_ms());
+    if (r == 0) {
+      cold_matched = matched;
+      ms = pass;
+    }
   }
-  rep.cold_scan_ms = cold_timer.elapsed_ms();
+  rep.hot_scan_ms = hot_ms.median();
+  rep.cold_scan_ms = cold_ms.median();
   // Positions requantize at ~1 µm; a differing match count would mean a
   // detection sitting within that of a query border, which these random
   // queries cannot produce.
@@ -707,6 +730,8 @@ void write_report(const ColumnarReport& rep, const VectorizedReport& vec,
   bench::print_header("E10b", "vectorized morsel scan vs scalar block scan");
   std::printf("rows %zu, %zu zone-selective scans (%zu matches)\n", vec.rows,
               vec.scan_queries, vec.matched);
+  std::printf("  (median of %zu interleaved repetitions per side)\n",
+              kRepetitions);
   std::printf("  scalar block scan  : %9.2f ms\n", vec.scalar_scan_ms);
   std::printf("  vectorized morsels : %9.2f ms   (%.1fx)\n",
               vec.vectorized_scan_ms, vec.vectorized_scan_speedup);
@@ -755,6 +780,8 @@ void write_report(const ColumnarReport& rep, const VectorizedReport& vec,
   vw.value(static_cast<double>(vec.scan_queries));
   vw.key("matched");
   vw.value(static_cast<double>(vec.matched));
+  vw.key("repetitions");
+  vw.value(static_cast<double>(kRepetitions));
   vw.key("scalar_scan_ms");
   vw.value(vec.scalar_scan_ms);
   vw.key("vectorized_scan_ms");

@@ -39,7 +39,7 @@ void run() {
   // Calibrate per-event indexing cost on a single worker.
   double unit_cost_us;
   {
-    WorkerIndexes solo(GridIndexConfig{world, 50.0});
+    WorkerIndexes solo;
     WallTimer timer;
     for (const Detection& d : trace.detections) solo.ingest(d);
     unit_cost_us =

@@ -1,10 +1,10 @@
 // E8 — k-NN query latency (table "k-NN latency").
 //
 // k-nearest-detection queries through the full distributed stack, swept
-// over k and worker count, plus the local index-level cost of the grid ring
-// search. Expected shape: latency grows gently with k; worker count adds
-// fan-in cost for k-NN (no spatial pruning is possible), so fewer workers
-// are better for this query type.
+// over k and worker count, plus the local index-level cost of the store's
+// best-first block k-NN. Expected shape: latency grows gently with k;
+// worker count adds fan-in cost for k-NN (no spatial pruning is possible),
+// so fewer workers are better for this query type.
 #include <cinttypes>
 #include <memory>
 
@@ -81,19 +81,18 @@ void run() {
     std::printf("\n");
   }
 
-  std::printf("\n-- index-level: grid ring search (us per query)\n");
+  std::printf("\n-- index-level: store block k-NN (us per query)\n");
   CentralizedIndex central(world);
   central.ingest_all(trace.detections);
-  std::printf("%10s %12s\n", "k", "grid_us");
+  std::printf("%10s %12s\n", "k", "store_us");
   for (std::size_t k : {1, 10, 100}) {
-    bench::WallTimer grid_timer;
+    bench::WallTimer store_timer;
     for (Point c : centers) {
-      (void)central.indexes().grid.query_knn(central.indexes().store, c, k,
-                                             TimeInterval::all());
+      (void)central.indexes().store.scan_knn(c, k, TimeInterval::all());
     }
-    double grid_us = grid_timer.elapsed_ms() * 1000.0 / centers.size();
-    std::printf("%10zu %12.1f\n", k, grid_us);
-    report.set("grid_us_k" + std::to_string(k), grid_us);
+    double store_us = store_timer.elapsed_ms() * 1000.0 / centers.size();
+    std::printf("%10zu %12.1f\n", k, store_us);
+    report.set("store_us_k" + std::to_string(k), store_us);
   }
   std::printf(
       "\nexpected shape: latency grows mildly with k; k-NN cannot prune\n"

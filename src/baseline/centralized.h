@@ -16,8 +16,9 @@ namespace stcn {
 
 class CentralizedIndex {
  public:
-  CentralizedIndex(Rect world, double cell_size = 50.0)
-      : indexes_(GridIndexConfig{world, cell_size}) {}
+  /// `world` is the area the oracle stands in for, as a Cluster's is; the
+  /// store itself needs no spatial bounds.
+  explicit CentralizedIndex(Rect /*world*/) {}
 
   void ingest(const Detection& d) { indexes_.ingest(d); }
   void ingest_all(std::span<const Detection> detections) {

@@ -37,7 +37,6 @@ Cluster::Cluster(Rect world, std::unique_ptr<PartitionStrategy> strategy,
   coordinator_->start(network_);
 
   WorkerConfig worker_config;
-  worker_config.grid = {world, config_.grid_cell_size};
   worker_config.world = world;
   worker_config.monitor_tick = config_.monitor_tick;
   worker_config.retention = config_.retention;

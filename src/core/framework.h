@@ -68,8 +68,6 @@ struct ClusterConfig {
   std::size_t worker_count = 4;
   NetworkConfig network;
   CoordinatorConfig coordinator;
-  /// Cell size of each worker's spatio-temporal grid index.
-  double grid_cell_size = 50.0;
   Duration monitor_tick = Duration::seconds(1);
   /// Worker-side retention window; Duration::max() disables eviction.
   Duration retention = Duration::max();

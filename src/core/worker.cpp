@@ -23,9 +23,7 @@ constexpr std::uint64_t kRecoveryTimerSpan = std::uint64_t{1} << 32;
 WorkerIndexes& WorkerNode::partition(PartitionId p) {
   auto it = partitions_.find(p);
   if (it == partitions_.end()) {
-    it = partitions_
-             .emplace(p, std::make_unique<WorkerIndexes>(config_.grid))
-             .first;
+    it = partitions_.emplace(p, std::make_unique<WorkerIndexes>()).first;
     if (config_.tiered_storage) {
       it->second->store.set_tier_config(
           {true, config_.hot_sealed_blocks});

@@ -35,7 +35,6 @@
 namespace stcn {
 
 struct WorkerConfig {
-  GridIndexConfig grid;
   Rect world;
   /// Monitor windows are advanced (negative deltas emitted) on this period.
   Duration monitor_tick = Duration::seconds(1);

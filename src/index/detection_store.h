@@ -1,8 +1,8 @@
 // Tiered columnar, block-structured arena for detections held by a worker.
 //
-// Indexes (grid, trajectory, temporal) reference detections by a compact
-// 32-bit handle into this store instead of duplicating the full record —
-// a detection can appear in several indexes at once.
+// Every query kind except trajectories scans this store directly; the
+// per-object trajectory index references rows by a compact 32-bit handle
+// into it instead of duplicating the full record.
 //
 // Layout: rows are chunked into fixed-size blocks (kDetectionBlockRows) and
 // live in one of two tiers.
@@ -702,8 +702,7 @@ class DetectionStore {
   // codes into this thread's ColdScratch, counting one decode_morsel.
   // Block entries write all accounting into the caller's MorselStats and
   // never touch the store's mutable counters, so disjoint morsels of one
-  // store can be scanned from many threads (see MorselScanner) — each
-  // thread owns its scratch.
+  // store can be scanned from many threads — each thread owns its scratch.
 
   /// Scans block `b` for rows with position ∈ `region`, time ∈ `interval`.
   /// Appends at most kDetectionBlockRows row ids into `sel`; returns how
@@ -1010,6 +1009,95 @@ class DetectionStore {
     return out;
   }
 
+  /// The k rows during `interval` nearest to `center`, ordered by (squared
+  /// distance, detection id) — the order ResultMerger finalizes k-NN in, so
+  /// a tie at the k-th distance keeps the smaller id. Best-first over
+  /// blocks: blocks outside `interval` are skipped, the rest are visited by
+  /// the squared distance from `center` to their zone bbox, and the walk
+  /// stops (counting the rest skipped) once that bound exceeds the k-th
+  /// best distance. A visited block filters time into a selection vector
+  /// and offers each survivor to a top-k heap. rows_evaluated counts time
+  /// checks plus distance computations; rows_selected the rows offered.
+  [[nodiscard]] std::vector<DetectionRef> scan_knn(
+      Point center, std::size_t k, const TimeInterval& interval,
+      MorselStats* stats = nullptr) const {
+    std::vector<DetectionRef> out;
+    if (k == 0 || interval.empty()) return out;
+    MorselStats ms;
+    auto skip = [&](std::size_t b) {
+      ++ms.blocks_skipped;
+      ms.cold_blocks_skipped += b < cold_.size();
+    };
+    std::vector<std::pair<double, std::size_t>> order;  // (bound², block)
+    for (std::size_t b = 0; b < zones_.size(); ++b) {
+      const DetectionBlockZone& z = zones_[b];
+      if (!z.overlaps(interval)) {
+        skip(b);
+        continue;
+      }
+      double dx = std::max({z.x_min - center.x, 0.0, center.x - z.x_max});
+      double dy = std::max({z.y_min - center.y, 0.0, center.y - z.y_max});
+      order.emplace_back(dx * dx + dy * dy, b);
+    }
+    std::sort(order.begin(), order.end());
+    struct Hit {
+      double d2;
+      std::uint64_t id;
+      std::uint32_t row;
+    };
+    auto before = [](const Hit& a, const Hit& b) {
+      return a.d2 != b.d2 ? a.d2 < b.d2 : a.id < b.id;
+    };
+    std::vector<Hit> top;  // max-heap under `before`: the worst hit on top
+    std::uint32_t sel[kDetectionBlockRows];
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      auto [bound, b] = order[i];
+      if (top.size() == k && bound > top.front().d2) {
+        for (; i < order.size(); ++i) skip(order[i].second);
+        break;
+      }
+      bool cold = b < cold_.size();
+      ++ms.blocks_scanned;
+      ms.cold_blocks_scanned += cold;
+      ms.decode_morsels += cold;
+      ++ms.morsels;
+      auto [first, last] = block_rows(b);
+      BlockColumnsView v = block_columns(b);
+      std::uint32_t rows = last - first;
+      std::uint32_t n;
+      if (zones_[b].within(interval)) {
+        n = fill_identity(0, rows, sel);
+      } else {
+        n = filter_time(v.times, 0, rows, interval.begin.micros_since_origin(),
+                        interval.end.micros_since_origin(), sel);
+        ms.rows_evaluated += rows;
+      }
+      ms.rows_evaluated += n;
+      ms.rows_selected += n;
+      for (std::uint32_t s = 0; s < n; ++s) {
+        double d2 = squared_distance(Point{v.xs[sel[s]], v.ys[sel[s]]}, center);
+        if (top.size() == k && d2 > top.front().d2) continue;
+        std::uint32_t row = first + sel[s];
+        Hit hit{d2, id_of(static_cast<DetectionRef>(row)).value(), row};
+        if (top.size() < k) {
+          top.push_back(hit);
+          std::push_heap(top.begin(), top.end(), before);
+        } else if (before(hit, top.front())) {
+          std::pop_heap(top.begin(), top.end(), before);
+          top.back() = hit;
+          std::push_heap(top.begin(), top.end(), before);
+        }
+      }
+    }
+    std::sort_heap(top.begin(), top.end(), before);
+    out.reserve(top.size());
+    for (const Hit& hit : top) {
+      out.push_back(static_cast<DetectionRef>(hit.row));
+    }
+    finish_scan(ms, stats);
+    return out;
+  }
+
   // --------------------------------------------- scalar reference scans
   //
   // The row-at-a-time paths the vectorized layer replaced, retained as the
@@ -1129,8 +1217,9 @@ class DetectionStore {
   }
   [[nodiscard]] std::uint64_t decode_morsels() const { return decode_morsels_; }
 
-  /// Folds externally-driven block-scan accounting (e.g. a MorselScanner
-  /// run) into the cumulative counters. Call from one thread, after joins.
+  /// Folds externally-driven block-scan accounting (e.g. the executor's
+  /// per-block aggregations) into the cumulative counters. Call from one
+  /// thread, after joins.
   void note_scan(const MorselStats& ms) const {
     blocks_scanned_ += ms.blocks_scanned;
     blocks_skipped_ += ms.blocks_skipped;

@@ -2,7 +2,8 @@
 //
 // Maps object id → time-ordered detections of that object, supporting
 // trajectory reconstruction queries ("where was obj/42 between t1 and t2").
-// Like GridIndex, tolerates mildly out-of-order arrival with sorted insert.
+// Tolerates mildly out-of-order arrival with sorted insert: near-time-ordered
+// arrival appends at the back in O(1).
 #pragma once
 
 #include <algorithm>

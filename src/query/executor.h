@@ -9,25 +9,18 @@
 
 #include "common/filter_kernel.h"
 #include "index/detection_store.h"
-#include "index/grid_index.h"
 #include "index/trajectory_store.h"
-#include "query/planner.h"
 #include "query/query.h"
 #include "query/result.h"
 
 namespace stcn {
 
 /// The bundle of per-worker storage a query executes against: the columnar
-/// store (which also answers camera windows by zone-map block scan), the
-/// grid and the per-object trajectories.
+/// store, which answers every spatial, camera and aggregate query by
+/// zone-map block scan, and the per-object trajectories.
 struct WorkerIndexes {
-  GridIndexConfig grid_config;
   DetectionStore store;
-  GridIndex grid;
   TrajectoryStore trajectories;
-
-  explicit WorkerIndexes(const GridIndexConfig& config)
-      : grid_config(config), grid(config) {}
 
   /// Ingest one detection into the store and every index.
   DetectionRef ingest(Detection d) {
@@ -41,9 +34,7 @@ struct WorkerIndexes {
   /// copies, snapshot installs) call this afterwards.
   void index_rows_from(std::size_t first) {
     for (std::size_t i = first; i < store.size(); ++i) {
-      auto ref = static_cast<DetectionRef>(i);
-      grid.insert(store, ref);
-      trajectories.insert(store, ref);
+      trajectories.insert(store, static_cast<DetectionRef>(i));
     }
   }
 
@@ -59,7 +50,7 @@ struct WorkerIndexes {
   /// after every compaction). Mixed blocks fall back to per-row
   /// append_copy; no path materializes Detection records.
   std::size_t compact(TimePoint horizon) {
-    WorkerIndexes fresh(grid_config);
+    WorkerIndexes fresh;
     // Propagate tiering before any rows land: surviving whole cold blocks
     // then adopt verbatim (no decode/re-quantization) and surviving hot
     // rows re-demote at the same watermark.
@@ -96,8 +87,7 @@ struct WorkerIndexes {
 
 /// EXPLAIN/ANALYZE accounting for one local execution: how many rows the
 /// indexes yielded (for counts/heatmaps this exceeds the result rows), how
-/// the store's zone maps fared when a columnar block scan ran, and — when
-/// the vectorized morsel path executed — how many rows the filter kernels
+/// the store's zone maps fared, and how many rows the filter kernels
 /// actually evaluated vs selected (the gap is the work the zone-map fast
 /// paths and selectivity-ordered evaluation avoided).
 struct ScanStats {
@@ -117,116 +107,55 @@ struct ScanStats {
 class LocalExecutor {
  public:
   /// Executes `query` against `indexes`, producing a partial result. When
-  /// `stats` is given, scan accounting accumulates into it.
-  ///
-  /// Aggregate kinds (count, group-by, heatmap) choose their access path:
-  /// regions covering most of the worker's area run the store's vectorized
-  /// morsel scan and aggregate straight off the selection vectors; small
-  /// regions keep the spatially-pruning grid walk. Both paths return
-  /// identical results (pinned by the differential tests).
+  /// `stats` is given, scan accounting accumulates into it. Every kind but
+  /// trajectories reads the store's zone-map block scans; aggregates (count,
+  /// group-by, heatmap) consume the selection vectors in place.
   [[nodiscard]] static QueryResult execute(const WorkerIndexes& indexes,
                                            const Query& query,
                                            ScanStats* stats = nullptr) {
     QueryResult result;
     result.query = query.id;
     std::uint64_t scanned = 0;
-    MorselStats ms;  // vectorized-path accounting for this execution
-    std::uint64_t blocks_scanned0 = indexes.store.blocks_scanned();
-    std::uint64_t blocks_skipped0 = indexes.store.blocks_skipped();
-    std::uint64_t cold_scanned0 = indexes.store.cold_blocks_scanned();
-    std::uint64_t cold_skipped0 = indexes.store.cold_blocks_skipped();
-    std::uint64_t decode_morsels0 = indexes.store.decode_morsels();
+    MorselStats ms;  // block-scan accounting for this execution
+    std::vector<DetectionRef> refs;  // row-returning kinds
+    const DetectionStore& store = indexes.store;
     switch (query.kind) {
-      case QueryKind::kRange: {
-        for (DetectionRef ref :
-             indexes.grid.query_range(indexes.store, query.region,
-                                      query.interval, &ms)) {
-          ++scanned;
-          result.detections.push_back(indexes.store.get(ref));
-        }
+      case QueryKind::kRange:
+        refs = store.scan_range(query.region, query.interval, &ms);
         break;
-      }
-      case QueryKind::kCircle: {
-        for (DetectionRef ref :
-             indexes.grid.query_circle(indexes.store, query.circle,
-                                       query.interval, &ms)) {
-          ++scanned;
-          result.detections.push_back(indexes.store.get(ref));
-        }
+      case QueryKind::kCircle:
+        refs = store.scan_circle(query.circle, query.interval, &ms);
         break;
-      }
-      case QueryKind::kKnn: {
-        for (const auto& [ref, dist] :
-             indexes.grid.query_knn(indexes.store, query.center, query.k,
-                                    query.interval)) {
-          ++scanned;
-          result.detections.push_back(indexes.store.get(ref));
-        }
+      case QueryKind::kKnn:
+        refs = store.scan_knn(query.center, query.k, query.interval, &ms);
         break;
-      }
-      case QueryKind::kTrajectory: {
-        for (DetectionRef ref :
-             indexes.trajectories.query(query.object, query.interval)) {
-          ++scanned;
-          result.detections.push_back(indexes.store.get(ref));
-        }
+      case QueryKind::kTrajectory:
+        refs = indexes.trajectories.query(query.object, query.interval);
         break;
-      }
-      case QueryKind::kCameraWindow: {
-        for (DetectionRef ref : indexes.store.scan_camera(
-                 query.camera, query.interval, &ms)) {
-          ++scanned;
-          result.detections.push_back(indexes.store.get(ref));
-        }
+      case QueryKind::kCameraWindow:
+        refs = store.scan_camera(query.camera, query.interval, &ms);
         break;
-      }
-      case QueryKind::kCount: {
-        if (prefer_columnar_scan(query.region, indexes.grid.bounds())) {
-          scanned += count_from_store(indexes.store, query, result, ms);
-        } else {
-          auto refs = indexes.grid.query_range(indexes.store, query.region,
-                                               query.interval, &ms);
-          scanned += refs.size();
-          if (query.group_by == GroupBy::kCamera) {
-            for (DetectionRef ref : refs) {
-              ++result.counts[indexes.store.camera_of(ref).value()];
-            }
-          } else {
-            result.counts[0] = refs.size();
-          }
-        }
+      case QueryKind::kCount:
+        scanned = count_from_store(store, query, result, ms);
         break;
-      }
-      case QueryKind::kHeatmap: {
+      case QueryKind::kHeatmap:
         if (query.cell_size <= 0.0) break;
-        if (prefer_columnar_scan(query.region, indexes.grid.bounds())) {
-          scanned += heatmap_from_store(indexes.store, query, result, ms);
-        } else {
-          for (DetectionRef ref :
-               indexes.grid.query_range(indexes.store, query.region,
-                                        query.interval, &ms)) {
-            ++scanned;
-            ++result.counts[query.heatmap_cell(
-                indexes.store.position_of(ref))];
-          }
-        }
+        scanned = heatmap_from_store(store, query, result, ms);
         break;
-      }
     }
+    scanned += refs.size();
+    result.detections.reserve(refs.size());
+    for (DetectionRef ref : refs) result.detections.push_back(store.get(ref));
     if (stats != nullptr) {
       stats->rows_scanned += scanned;
-      stats->blocks_scanned +=
-          indexes.store.blocks_scanned() - blocks_scanned0;
-      stats->blocks_skipped +=
-          indexes.store.blocks_skipped() - blocks_skipped0;
+      stats->blocks_scanned += ms.blocks_scanned;
+      stats->blocks_skipped += ms.blocks_skipped;
       stats->rows_evaluated += ms.rows_evaluated;
       stats->rows_selected += ms.rows_selected;
       stats->vectorized_morsels += ms.morsels;
-      stats->cold_blocks_scanned +=
-          indexes.store.cold_blocks_scanned() - cold_scanned0;
-      stats->cold_blocks_skipped +=
-          indexes.store.cold_blocks_skipped() - cold_skipped0;
-      stats->decode_morsels += indexes.store.decode_morsels() - decode_morsels0;
+      stats->cold_blocks_scanned += ms.cold_blocks_scanned;
+      stats->cold_blocks_skipped += ms.cold_blocks_skipped;
+      stats->decode_morsels += ms.decode_morsels;
     }
     return result;
   }

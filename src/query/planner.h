@@ -23,19 +23,6 @@
 
 namespace stcn {
 
-/// Access-path choice for aggregate queries (count, group-by, heatmap):
-/// true when the query region covers enough of the worker's area that the
-/// store's vectorized morsel scan beats the grid walk. The grid wins on
-/// small regions (it prunes cells spatially); a broad region visits most
-/// cells anyway, and the columnar scan adds zone-map block skipping,
-/// branch-free predicate kernels, and selection-vector aggregation. The
-/// threshold is deliberately coarse — both paths return identical results
-/// (the differential tests pin this), so it only tunes performance.
-[[nodiscard]] inline bool prefer_columnar_scan(const Rect& region,
-                                               const Rect& worker_bounds) {
-  return spatial_coverage(region, worker_bounds) >= 0.5;
-}
-
 struct KnnPlan {
   double initial_radius = 0.0;
   /// Estimated detections within the initial radius.

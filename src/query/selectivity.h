@@ -18,19 +18,6 @@
 
 namespace stcn {
 
-/// Fraction of `bounds` covered by `region` (0 when disjoint, 1 when the
-/// region swallows the bounds). A geometric, feedback-free selectivity
-/// signal: aggregate queries covering most of a worker's area are better
-/// served by the store's vectorized block scan than by probing nearly every
-/// grid cell.
-[[nodiscard]] inline double spatial_coverage(const Rect& region,
-                                             const Rect& bounds) {
-  if (region.is_empty() || bounds.is_empty()) return 0.0;
-  double bounds_area = bounds.area();
-  if (bounds_area <= 0.0) return 0.0;
-  return region.intersection(bounds).area() / bounds_area;
-}
-
 struct SelectivityConfig {
   Rect world;
   std::size_t grid_cols = 16;

@@ -1,10 +1,11 @@
 // Differential tests for the columnar DetectionStore: zone-map block
 // skipping must be invisible to results. A naive reference scan over a
 // plain vector<Detection> (the layout the columnar store replaced) defines
-// the expected answer for every query shape; the store and the grid index
-// on top of it must agree exactly, including on adversarial inputs —
-// out-of-order arrival times (zone maps cannot assume sorted blocks) and
-// positions clamped to the region borders (half-open edge semantics).
+// the expected answer for every query shape; the store must agree exactly,
+// including on adversarial inputs — out-of-order arrival times (zone maps
+// cannot assume sorted blocks) and positions clamped to the region borders
+// (half-open edge semantics). k-NN answers are compared id for id against
+// a brute-force (squared distance, detection id) sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +16,6 @@
 #include "common/appearance_kernel.h"
 #include "common/rng.h"
 #include "index/detection_store.h"
-#include "index/grid_index.h"
 #include "query/executor.h"
 
 namespace stcn {
@@ -50,6 +50,35 @@ std::set<std::uint64_t> ids_of(const DetectionStore& store,
   return out;
 }
 
+/// The ids `scan_knn` returns, in its order.
+std::vector<std::uint64_t> knn_ids(const DetectionStore& store, Point center,
+                                   std::size_t k, const TimeInterval& interval,
+                                   MorselStats* stats = nullptr) {
+  std::vector<std::uint64_t> out;
+  for (DetectionRef r : store.scan_knn(center, k, interval, stats)) {
+    out.push_back(store.id_of(r).value());
+  }
+  return out;
+}
+
+/// Brute-force k-NN: the ids of the first k rows in `interval` sorted by
+/// (squared distance to `center`, detection id).
+std::vector<std::uint64_t> knn_reference(const std::vector<Detection>& rows,
+                                         Point center, std::size_t k,
+                                         const TimeInterval& interval) {
+  std::vector<std::pair<double, std::uint64_t>> hits;
+  for (const Detection& d : rows) {
+    if (interval.contains(d.time)) {
+      hits.emplace_back(squared_distance(d.position, center), d.id.value());
+    }
+  }
+  std::sort(hits.begin(), hits.end());
+  if (hits.size() > k) hits.resize(k);
+  std::vector<std::uint64_t> ids;
+  for (const auto& hit : hits) ids.push_back(hit.second);
+  return ids;
+}
+
 class ColumnarDifferential : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   void SetUp() override {
@@ -57,12 +86,11 @@ class ColumnarDifferential : public ::testing::TestWithParam<std::uint64_t> {
     for (std::uint64_t i = 1; i <= 10'000; ++i) {
       Detection d = random_detection(rng, i);
       reference_.push_back(d);
-      index_.insert(store_, store_.append(d));
+      (void)store_.append(d);
     }
   }
 
   DetectionStore store_;
-  GridIndex index_{{Rect{{0, 0}, {kWorld, kWorld}}, 25.0}};
   std::vector<Detection> reference_;  // naive row-store mirror
 };
 
@@ -82,10 +110,7 @@ TEST_P(ColumnarDifferential, RangeMatchesReferenceScan) {
       }
     }
     EXPECT_EQ(ids_of(store_, store_.scan_range(region, interval)), expected)
-        << "store scan, trial " << trial;
-    EXPECT_EQ(ids_of(store_, index_.query_range(store_, region, interval)),
-              expected)
-        << "grid query, trial " << trial;
+        << "trial " << trial;
   }
 }
 
@@ -103,10 +128,7 @@ TEST_P(ColumnarDifferential, CircleMatchesReferenceScan) {
       }
     }
     EXPECT_EQ(ids_of(store_, store_.scan_circle(circle, interval)), expected)
-        << "store scan, trial " << trial;
-    EXPECT_EQ(ids_of(store_, index_.query_circle(store_, circle, interval)),
-              expected)
-        << "grid query, trial " << trial;
+        << "trial " << trial;
   }
 }
 
@@ -129,26 +151,185 @@ TEST_P(ColumnarDifferential, CameraMatchesReferenceScan) {
 
 TEST_P(ColumnarDifferential, KnnMatchesReferenceScan) {
   Rng rng(GetParam() + 63);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 30; ++trial) {
     Point center{rng.uniform(-50, kWorld + 50), rng.uniform(-50, kWorld + 50)};
     std::size_t k = 1 + rng.uniform_index(25);
-    auto result = index_.query_knn(store_, center, k, TimeInterval::all());
-    ASSERT_EQ(result.size(), std::min(k, reference_.size()));
-    std::vector<double> brute;
-    brute.reserve(reference_.size());
-    for (const Detection& d : reference_) {
-      brute.push_back(distance(d.position, center));
+    // A third all-time; the rest windowed, half of those narrow enough
+    // (~2 rows) to hold fewer than k.
+    TimeInterval interval = TimeInterval::all();
+    if (trial % 3 != 0) {
+      std::int64_t begin = rng.uniform_int(0, 1'000'000);
+      std::int64_t width = trial % 3 == 1 ? 200 : 400'000;
+      interval = {TimePoint(begin), TimePoint(begin + width)};
     }
-    std::sort(brute.begin(), brute.end());
-    for (std::size_t i = 0; i < result.size(); ++i) {
-      ASSERT_NEAR(result[i].second, brute[i], 1e-9)
-          << "trial " << trial << " rank " << i;
-    }
+    EXPECT_EQ(knn_ids(store_, center, k, interval),
+              knn_reference(reference_, center, k, interval))
+        << "trial " << trial;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarDifferential,
                          ::testing::Values(7, 99, 20260806));
+
+// ---------------------------------------------------------------- k-NN
+
+Detection at(std::uint64_t id, Point pos, std::int64_t t) {
+  Detection d;
+  d.id = DetectionId(id);
+  d.camera = CameraId(1);
+  d.object = ObjectId(1);
+  d.time = TimePoint(t);
+  d.position = pos;
+  return d;
+}
+
+TEST(DetectionStore, AppendAndGet) {
+  DetectionStore store;
+  EXPECT_TRUE(store.empty());
+  DetectionRef a = store.append(at(1, {0, 0}, 0));
+  DetectionRef b = store.append(at(2, {1, 1}, 1));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.get(a).id, DetectionId(1));
+  EXPECT_EQ(store.get(b).id, DetectionId(2));
+  EXPECT_GT(store.memory_bytes(), 0u);
+}
+
+TEST(DetectionStore, RangeScanEdgeCases) {
+  DetectionStore store;
+  (void)store.append(at(1, {50, 50}, 300));
+  (void)store.append(at(2, {50, 50}, 100));  // arrives late
+  (void)store.append(at(3, {50, 50}, 200));
+  Rect all{{0, 0}, {100, 100}};
+  EXPECT_TRUE(store.scan_range(Rect::empty(), TimeInterval::all()).empty());
+  EXPECT_TRUE(store.scan_range(all, {TimePoint(5), TimePoint(5)}).empty());
+  // Half-open: t=100 is inside, t=200 is not.
+  EXPECT_EQ(ids_of(store, store.scan_range(all, {TimePoint(100),
+                                                 TimePoint(200)})),
+            (std::set<std::uint64_t>{2}));
+}
+
+TEST(StoreKnn, EmptyStoreReturnsNothing) {
+  DetectionStore store;
+  EXPECT_TRUE(store.scan_knn({50, 50}, 3, TimeInterval::all()).empty());
+}
+
+TEST(StoreKnn, ReturnsNearestInOrder) {
+  DetectionStore store;
+  (void)store.append(at(1, {10, 10}, 100));
+  (void)store.append(at(2, {20, 10}, 100));
+  (void)store.append(at(3, {90, 90}, 100));
+  (void)store.append(at(4, {11, 10}, 100));
+  (void)store.append(at(5, {-20, -20}, 100));  // no world bounds to clamp to
+  EXPECT_EQ(knn_ids(store, {10, 10}, 3, TimeInterval::all()),
+            (std::vector<std::uint64_t>{1, 4, 2}));
+  EXPECT_EQ(knn_ids(store, {-30, -30}, 1, TimeInterval::all()),
+            (std::vector<std::uint64_t>{5}));
+}
+
+TEST(StoreKnn, ZeroKAndEmptyIntervalAreEmpty) {
+  DetectionStore store;
+  (void)store.append(at(1, {10, 10}, 100));
+  EXPECT_TRUE(store.scan_knn({0, 0}, 0, TimeInterval::all()).empty());
+  EXPECT_TRUE(
+      store.scan_knn({0, 0}, 3, {TimePoint(100), TimePoint(100)}).empty());
+  EXPECT_TRUE(
+      store.scan_knn({0, 0}, 3, {TimePoint(200), TimePoint(100)}).empty());
+}
+
+TEST(StoreKnn, KLargerThanPopulationReturnsEveryRowInWindow) {
+  DetectionStore store;
+  (void)store.append(at(1, {10, 10}, 100));
+  (void)store.append(at(2, {20, 20}, 100));
+  (void)store.append(at(3, {12, 10}, 500));
+  EXPECT_EQ(knn_ids(store, {0, 0}, 10, TimeInterval::all()),
+            (std::vector<std::uint64_t>{1, 3, 2}));
+  EXPECT_EQ(knn_ids(store, {10, 10}, 10, {TimePoint(400), TimePoint(600)}),
+            (std::vector<std::uint64_t>{3}));
+}
+
+TEST(StoreKnn, IntervalIsHalfOpen) {
+  DetectionStore store;
+  (void)store.append(at(1, {10, 10}, 100));  // at begin: inside
+  (void)store.append(at(2, {10, 10}, 200));  // at end: outside
+  (void)store.append(at(3, {50, 50}, 150));
+  EXPECT_EQ(knn_ids(store, {10, 10}, 2, {TimePoint(100), TimePoint(200)}),
+            (std::vector<std::uint64_t>{1, 3}));
+}
+
+// Lattice positions make exact distance ties common, and shuffled ids make
+// arrival order disagree with id order, across several blocks: the k-th
+// place must go to the smaller id every time.
+TEST(StoreKnn, TiesAcrossBlocksBreakByDetectionId) {
+  DetectionStore store;
+  std::vector<Detection> reference;
+  Rng rng(37);
+  std::vector<std::uint64_t> ids(3 * kDetectionBlockRows);
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i + 1;
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.uniform_index(i + 1)]);
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Detection d = at(ids[i],
+                     {static_cast<double>(rng.uniform_index(20)),
+                      static_cast<double>(rng.uniform_index(20))},
+                     static_cast<std::int64_t>(rng.uniform_index(1000)));
+    reference.push_back(d);
+    (void)store.append(d);
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    Point center{static_cast<double>(rng.uniform_index(20)),
+                 static_cast<double>(rng.uniform_index(20))};
+    std::size_t k = 1 + rng.uniform_index(60);
+    std::int64_t begin = static_cast<std::int64_t>(rng.uniform_index(900));
+    TimeInterval interval = trial % 2 == 0
+                                ? TimeInterval::all()
+                                : TimeInterval{TimePoint(begin),
+                                               TimePoint(begin + 100)};
+    EXPECT_EQ(knn_ids(store, center, k, interval),
+              knn_reference(reference, center, k, interval))
+        << "trial " << trial;
+  }
+}
+
+// Each block covers its own 250 m strip of x, so best-first order and the
+// k-th-distance cut-off really prune. Answers must stay exact, hot and
+// cold, and far strips must be counted skipped.
+TEST(StoreKnn, BestFirstSkipsFarBlocksAndStaysExact) {
+  for (bool tiered : {false, true}) {
+    DetectionStore store;
+    Rng rng(41);
+    for (std::uint64_t i = 0; i < 4 * kDetectionBlockRows; ++i) {
+      double strip = static_cast<double>(i / kDetectionBlockRows) * 250.0;
+      (void)store.append(at(i + 1,
+                            {strip + rng.uniform(0, 250), rng.uniform(0, 250)},
+                            rng.uniform_int(0, 1'000'000)));
+    }
+    if (tiered) store.set_tier_config({true, 0});  // every sealed block cold
+    std::vector<Detection> reference;  // decoded values once demoted
+    for (std::uint32_t i = 0; i < store.size(); ++i) {
+      reference.push_back(store.get(static_cast<DetectionRef>(i)));
+    }
+    MorselStats ms;
+    for (int trial = 0; trial < 20; ++trial) {
+      Point center{rng.uniform(0, 1000), rng.uniform(0, 250)};
+      std::size_t k = 1 + rng.uniform_index(30);
+      TimeInterval interval = TimeInterval::all();
+      if (trial % 2 == 1) {
+        std::int64_t begin = rng.uniform_int(0, 900'000);
+        interval = {TimePoint(begin), TimePoint(begin + 100'000)};
+      }
+      EXPECT_EQ(knn_ids(store, center, k, interval, &ms),
+                knn_reference(reference, center, k, interval))
+          << "tiered " << tiered << " trial " << trial;
+    }
+    EXPECT_GT(ms.blocks_skipped, 0u) << "tiered " << tiered;
+    EXPECT_GT(ms.blocks_scanned, 0u) << "tiered " << tiered;
+    EXPECT_GE(ms.rows_evaluated, ms.rows_selected);
+    if (tiered) {
+      EXPECT_GT(ms.cold_blocks_skipped, 0u);
+    }
+  }
+}
 
 // Zone maps must actually fire: near-time-ordered ingest (the realistic
 // arrival pattern) plus a selective time window leaves most blocks provably
@@ -265,7 +446,7 @@ TEST(ColumnarStore, AppendRowsPreservesRowsAndRecomputesZonesTightly) {
 // scan skips the same fraction of blocks before and after a no-op
 // compaction (and still skips after a real eviction).
 TEST(ColumnarStore, CompactionKeepsSkipRatioParity) {
-  WorkerIndexes indexes({Rect{{0, 0}, {100, 100}}, 25.0});
+  WorkerIndexes indexes;
   Rng rng(23);
   for (std::uint64_t i = 0; i < 8 * kDetectionBlockRows; ++i) {
     Detection d;

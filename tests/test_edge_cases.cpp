@@ -210,21 +210,50 @@ TEST(EdgeCases, CoLocationWithIdenticalPositions) {
   EXPECT_EQ(meetings.size(), 6u);  // C(4,2) pairs
 }
 
-TEST(EdgeCases, GridIndexSingleCell) {
-  DetectionStore store;
-  GridIndex index(GridIndexConfig{{{0, 0}, {10, 10}}, 100.0});  // 1 cell
-  EXPECT_EQ(index.cell_count(), 1u);
-  for (std::uint64_t i = 1; i <= 50; ++i) {
-    index.insert(store, store.append(make_detection(
-                            i, {static_cast<double>(i % 10), 5.0},
-                            static_cast<std::int64_t>(i))));
-  }
-  EXPECT_EQ(index
-                .query_range(store, {{0, 0}, {10, 10}}, TimeInterval::all())
-                .size(),
-            50u);
-  auto knn = index.query_knn(store, {5, 5}, 5, TimeInterval::all());
-  EXPECT_EQ(knn.size(), 5u);
+// Detections 9 (t=1000, at (10,10)) and 3 (t=2000, at (30,10)) tie at
+// distance 10 from (20,10). k=1 must keep id 3: k-NN answers are ordered by
+// (distance, detection id), whatever order the rows arrived in — the order
+// ResultMerger and the adaptive path (explain) finalize by.
+std::vector<Detection> knn_tie_pair() {
+  return {make_detection(9, {10, 10}, 1000), make_detection(3, {30, 10}, 2000)};
+}
+
+TEST(EdgeCases, KnnTieKeepsSmallerIdCentralized) {
+  CentralizedIndex index({{0, 0}, {100, 100}});
+  index.ingest_all(knn_tie_pair());
+  QueryResult r = index.execute(
+      Query::knn(QueryId(1), {20, 10}, 1, TimeInterval::all()));
+  ASSERT_EQ(r.detections.size(), 1u);
+  EXPECT_EQ(r.detections[0].id, DetectionId(3));
+}
+
+TEST(EdgeCases, KnnTieKeepsSmallerIdCluster) {
+  Rect world{{0, 0}, {100, 100}};
+  RoadNetworkConfig rc;
+  rc.grid_cols = 2;
+  rc.grid_rows = 2;
+  RoadNetwork roads = RoadNetwork::build(rc);
+  CameraNetworkConfig cc;
+  cc.camera_count = 2;
+  CameraNetwork cameras = CameraNetwork::place(roads, cc);
+
+  ClusterConfig config;
+  config.worker_count = 1;
+  // One partition: both rows share a store, so the worker's own top-1 (not
+  // the coordinator's merge) decides the tie.
+  Cluster cluster(world,
+                  std::make_unique<SpatialGridStrategy>(world, 1, 1, cameras),
+                  config);
+  cluster.ingest_all(knn_tie_pair());
+  Query knn =
+      Query::knn(cluster.next_query_id(), {20, 10}, 1, TimeInterval::all());
+  QueryResult broadcast = cluster.execute(knn);
+  ASSERT_EQ(broadcast.detections.size(), 1u);
+  EXPECT_EQ(broadcast.detections[0].id, DetectionId(3));
+  knn.id = cluster.next_query_id();
+  QueryResult adaptive = cluster.explain(knn).result;
+  ASSERT_EQ(adaptive.detections.size(), 1u);
+  EXPECT_EQ(adaptive.detections[0].id, DetectionId(3));
 }
 
 }  // namespace

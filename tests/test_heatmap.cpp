@@ -45,7 +45,7 @@ TEST(HeatmapQuery, SerializationRoundTrip) {
 }
 
 TEST(HeatmapQuery, LocalExecutionCountsPerCell) {
-  CentralizedIndex index({{0, 0}, {100, 100}}, 10.0);
+  CentralizedIndex index({{0, 0}, {100, 100}});
   index.ingest(make_detection(1, {5, 5}, 100));    // cell 0
   index.ingest(make_detection(2, {7, 3}, 200));    // cell 0
   index.ingest(make_detection(3, {55, 5}, 300));   // cell 1 (50 m cells)
@@ -63,7 +63,7 @@ TEST(HeatmapQuery, LocalExecutionCountsPerCell) {
 }
 
 TEST(HeatmapQuery, RespectsTimeInterval) {
-  CentralizedIndex index({{0, 0}, {100, 100}}, 10.0);
+  CentralizedIndex index({{0, 0}, {100, 100}});
   index.ingest(make_detection(1, {5, 5}, 100));
   index.ingest(make_detection(2, {5, 5}, 900));
   Query q = Query::heatmap(QueryId(1), {{0, 0}, {100, 100}}, 50.0,
@@ -72,7 +72,7 @@ TEST(HeatmapQuery, RespectsTimeInterval) {
 }
 
 TEST(HeatmapQuery, ZeroCellSizeYieldsEmpty) {
-  CentralizedIndex index({{0, 0}, {100, 100}}, 10.0);
+  CentralizedIndex index({{0, 0}, {100, 100}});
   index.ingest(make_detection(1, {5, 5}, 100));
   Query q = Query::heatmap(QueryId(1), {{0, 0}, {100, 100}}, 0.0,
                            TimeInterval::all());

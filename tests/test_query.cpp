@@ -24,7 +24,7 @@ Detection make_detection(std::uint64_t id, Point pos, std::int64_t t,
 
 class ExecutorFixture : public ::testing::Test {
  protected:
-  ExecutorFixture() : indexes_(GridIndexConfig{{{0, 0}, {100, 100}}, 10.0}) {
+  ExecutorFixture() {
     // A small fixed dataset exercised by every query kind.
     indexes_.ingest(make_detection(1, {10, 10}, 100, /*object=*/1, /*camera=*/1));
     indexes_.ingest(make_detection(2, {20, 20}, 200, 1, 2));
@@ -149,6 +149,32 @@ TEST_F(ExecutorFixture, CameraWindowUnknownCameraAndEmptyWindow) {
   EXPECT_TRUE(camera_window_ids(indexes_, CameraId(1),
                                 {TimePoint(400), TimePoint(100)})
                   .empty());
+}
+
+// k-NN runs on the store and reports its block work like the other scans:
+// with the first blocks far away along x, a k-NN at the far end scans the
+// near block and counts the early ones skipped.
+TEST(LocalExecutorKnn, FarQuerySkipsEarlyBlocksInScanStats) {
+  WorkerIndexes indexes;
+  for (std::uint64_t i = 0; i < 3 * kDetectionBlockRows; ++i) {
+    double x = static_cast<double>(i / kDetectionBlockRows) * 1000.0 +
+               static_cast<double>(i % 100);
+    indexes.ingest(
+        make_detection(i + 1, {x, 50}, static_cast<std::int64_t>(i)));
+  }
+  ASSERT_EQ(indexes.store.block_count(), 3u);
+  ScanStats stats;
+  QueryResult r = LocalExecutor::execute(
+      indexes, Query::knn(QueryId(1), {2050, 50}, 5, TimeInterval::all()),
+      &stats);
+  ASSERT_EQ(r.detections.size(), 5u);
+  for (const Detection& d : r.detections) {
+    EXPECT_GE(d.position.x, 2000.0);
+  }
+  EXPECT_EQ(stats.blocks_scanned, 1u);
+  EXPECT_EQ(stats.blocks_skipped, 2u);
+  EXPECT_GT(stats.rows_evaluated, 0u);
+  EXPECT_EQ(stats.rows_scanned, 5u);
 }
 
 TEST(QueryModel, SpatialFootprints) {

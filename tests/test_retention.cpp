@@ -22,7 +22,7 @@ Detection make_detection(std::uint64_t id, Point pos, std::int64_t t_seconds,
 }
 
 TEST(Compaction, EvictsOldKeepsRecent) {
-  WorkerIndexes indexes(GridIndexConfig{{{0, 0}, {100, 100}}, 10.0});
+  WorkerIndexes indexes;
   indexes.ingest(make_detection(1, {10, 10}, 10));
   indexes.ingest(make_detection(2, {20, 20}, 20));
   indexes.ingest(make_detection(3, {30, 30}, 30));
@@ -32,8 +32,8 @@ TEST(Compaction, EvictsOldKeepsRecent) {
   EXPECT_EQ(indexes.size(), 1u);
 
   // Every index agrees after the rebuild.
-  auto range = indexes.grid.query_range(indexes.store, {{0, 0}, {100, 100}},
-                                        TimeInterval::all());
+  auto range =
+      indexes.store.scan_range({{0, 0}, {100, 100}}, TimeInterval::all());
   ASSERT_EQ(range.size(), 1u);
   EXPECT_EQ(indexes.store.get(range[0]).id, DetectionId(3));
   EXPECT_EQ(
@@ -44,32 +44,31 @@ TEST(Compaction, EvictsOldKeepsRecent) {
 }
 
 TEST(Compaction, NoOpWhenNothingOld) {
-  WorkerIndexes indexes(GridIndexConfig{{{0, 0}, {100, 100}}, 10.0});
+  WorkerIndexes indexes;
   indexes.ingest(make_detection(1, {10, 10}, 100));
   EXPECT_EQ(indexes.compact(TimePoint(0)), 0u);
   EXPECT_EQ(indexes.size(), 1u);
 }
 
 TEST(Compaction, EvictEverything) {
-  WorkerIndexes indexes(GridIndexConfig{{{0, 0}, {100, 100}}, 10.0});
+  WorkerIndexes indexes;
   for (std::uint64_t i = 1; i <= 10; ++i) {
     indexes.ingest(make_detection(i, {10, 10}, static_cast<std::int64_t>(i)));
   }
   EXPECT_EQ(indexes.compact(TimePoint::max()), 10u);
   EXPECT_EQ(indexes.size(), 0u);
-  EXPECT_TRUE(indexes.grid
-                  .query_range(indexes.store, {{0, 0}, {100, 100}},
-                               TimeInterval::all())
-                  .empty());
+  EXPECT_TRUE(
+      indexes.store.scan_range({{0, 0}, {100, 100}}, TimeInterval::all())
+          .empty());
 }
 
 TEST(Compaction, IngestAfterCompactionWorks) {
-  WorkerIndexes indexes(GridIndexConfig{{{0, 0}, {100, 100}}, 10.0});
+  WorkerIndexes indexes;
   indexes.ingest(make_detection(1, {10, 10}, 10));
   indexes.compact(TimePoint::max());
   indexes.ingest(make_detection(2, {20, 20}, 20));
-  auto range = indexes.grid.query_range(indexes.store, {{0, 0}, {100, 100}},
-                                        TimeInterval::all());
+  auto range =
+      indexes.store.scan_range({{0, 0}, {100, 100}}, TimeInterval::all());
   ASSERT_EQ(range.size(), 1u);
   EXPECT_EQ(indexes.store.get(range[0]).id, DetectionId(2));
 }

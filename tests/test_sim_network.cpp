@@ -4,8 +4,6 @@
 
 #include <vector>
 
-#include "net/failure.h"
-
 namespace stcn {
 namespace {
 
@@ -351,65 +349,6 @@ TEST(SimNetwork, ParkedTimersResumeOnRestart) {
   // Fired at restart time (its original due time had already passed).
   EXPECT_GE(a.timer_at[0], TimePoint::origin() + Duration::seconds(5));
   EXPECT_EQ(net.metrics().counter_value("timers_resumed"), 1u);
-}
-
-TEST(FailureSchedule, AppliesInOrder) {
-  SimNetwork net(quiet_config());
-  RecorderNode a(NodeId(1));
-  net.attach(a);
-  FailureSchedule schedule;
-  schedule.add_crash(TimePoint(100), NodeId(1));
-  schedule.add_restart(TimePoint(200), NodeId(1));
-
-  auto fired = schedule.apply_until(TimePoint(150), net);
-  EXPECT_EQ(fired.size(), 1u);
-  EXPECT_TRUE(net.is_crashed(NodeId(1)));
-
-  fired = schedule.apply_until(TimePoint(300), net);
-  EXPECT_EQ(fired.size(), 1u);
-  EXPECT_FALSE(net.is_crashed(NodeId(1)));
-  EXPECT_TRUE(schedule.exhausted());
-}
-
-TEST(FailureSchedule, RandomScheduleRespectsWindowAndCount) {
-  Rng rng(3);
-  std::vector<NodeId> nodes{NodeId(1), NodeId(2), NodeId(3), NodeId(4)};
-  TimeInterval window{TimePoint(1000), TimePoint(2000)};
-  FailureSchedule schedule = FailureSchedule::random(
-      rng, nodes, 3, window, Duration::micros(50));
-  std::size_t crashes = 0;
-  for (const FailureEvent& e : schedule.events()) {
-    if (e.kind == FailureEvent::Kind::kCrash) {
-      ++crashes;
-      EXPECT_TRUE(window.contains(e.at));
-    }
-  }
-  EXPECT_EQ(crashes, 3u);
-  EXPECT_EQ(schedule.events().size(), 6u);  // crash + restart each
-}
-
-TEST(FailureSchedule, RandomWithNoCandidatesIsEmpty) {
-  Rng rng(3);
-  FailureSchedule schedule = FailureSchedule::random(
-      rng, {}, 3, {TimePoint(1000), TimePoint(2000)}, Duration::micros(50));
-  EXPECT_TRUE(schedule.events().empty());
-  EXPECT_TRUE(schedule.exhausted());
-}
-
-TEST(FailureSchedule, RandomWithZeroLengthWindowPinsEventsToStart) {
-  Rng rng(3);
-  std::vector<NodeId> nodes{NodeId(1), NodeId(2)};
-  TimeInterval window{TimePoint(1000), TimePoint(1000)};
-  FailureSchedule schedule = FailureSchedule::random(
-      rng, nodes, 2, window, Duration::micros(50));
-  std::size_t crashes = 0;
-  for (const FailureEvent& e : schedule.events()) {
-    if (e.kind == FailureEvent::Kind::kCrash) {
-      ++crashes;
-      EXPECT_EQ(e.at, TimePoint(1000));
-    }
-  }
-  EXPECT_EQ(crashes, 2u);
 }
 
 }  // namespace

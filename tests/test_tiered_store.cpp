@@ -4,7 +4,7 @@
 // positions and confidence to a documented quantum — so the reference
 // answer for every query shape is a naive scan over the store's own
 // decoded rows. Every kernel (fused scan-on-compressed, zone skipping,
-// k-NN through the grid index, snapshot round-trips, compaction adoption)
+// the store's best-first k-NN, snapshot round-trips, compaction adoption)
 // must agree with that reference exactly. The VaultDifferential suite holds
 // a worker's incrementally kept snapshot vault to the same standard: every
 // install must equal the full-image round trip of the captured store.
@@ -24,7 +24,6 @@
 #include "common/serialize.h"
 #include "core/worker.h"
 #include "index/detection_store.h"
-#include "index/grid_index.h"
 #include "reid/reid_engine.h"
 #include "trace/generator.h"
 
@@ -73,8 +72,7 @@ class TieredDifferential : public ::testing::TestWithParam<std::uint64_t> {
     store_.set_tier_config({true, 1});
     Rng rng(GetParam());
     for (std::uint64_t i = 1; i <= kRows; ++i) {
-      DetectionRef ref = store_.append(random_detection(rng, i));
-      index_.insert(store_, ref);
+      (void)store_.append(random_detection(rng, i));
     }
     ASSERT_GT(store_.cold_block_count(), 0u);
     ASSERT_LT(store_.cold_rows(), store_.size());  // hot tail remains
@@ -85,7 +83,6 @@ class TieredDifferential : public ::testing::TestWithParam<std::uint64_t> {
   }
 
   DetectionStore store_;
-  GridIndex index_{{Rect{{0, 0}, {kWorld, kWorld}}, 25.0}};
   std::vector<Detection> reference_;  // decoded mirror
 };
 
@@ -105,10 +102,7 @@ TEST_P(TieredDifferential, RangeMatchesReferenceScan) {
       }
     }
     EXPECT_EQ(ids_of(store_, store_.scan_range(region, interval)), expected)
-        << "store scan, trial " << trial;
-    EXPECT_EQ(ids_of(store_, index_.query_range(store_, region, interval)),
-              expected)
-        << "grid query, trial " << trial;
+        << "trial " << trial;
   }
 }
 
@@ -149,21 +143,33 @@ TEST_P(TieredDifferential, CameraMatchesReferenceScan) {
 
 TEST_P(TieredDifferential, KnnMatchesReferenceScan) {
   Rng rng(GetParam() + 63);
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 30; ++trial) {
     Point center{rng.uniform(-50, kWorld + 50), rng.uniform(-50, kWorld + 50)};
     std::size_t k = 1 + rng.uniform_index(25);
-    auto result = index_.query_knn(store_, center, k, TimeInterval::all());
-    ASSERT_EQ(result.size(), std::min(k, reference_.size()));
-    std::vector<double> brute;
-    brute.reserve(reference_.size());
+    // A third all-time; the rest windowed, half of those narrow enough
+    // (~2 rows) to hold fewer than k.
+    TimeInterval interval = TimeInterval::all();
+    if (trial % 3 != 0) {
+      std::int64_t begin = rng.uniform_int(0, 1'000'000);
+      std::int64_t width = trial % 3 == 1 ? 200 : 400'000;
+      interval = {TimePoint(begin), TimePoint(begin + width)};
+    }
+    // Brute force over the decoded mirror, by (squared distance, id).
+    std::vector<std::pair<double, std::uint64_t>> hits;
     for (const Detection& d : reference_) {
-      brute.push_back(distance(d.position, center));
+      if (interval.contains(d.time)) {
+        hits.emplace_back(squared_distance(d.position, center), d.id.value());
+      }
     }
-    std::sort(brute.begin(), brute.end());
-    for (std::size_t i = 0; i < result.size(); ++i) {
-      ASSERT_NEAR(result[i].second, brute[i], 1e-9)
-          << "trial " << trial << " rank " << i;
+    std::sort(hits.begin(), hits.end());
+    if (hits.size() > k) hits.resize(k);
+    std::vector<std::uint64_t> expected;
+    for (const auto& hit : hits) expected.push_back(hit.second);
+    std::vector<std::uint64_t> actual;
+    for (DetectionRef r : store_.scan_knn(center, k, interval)) {
+      actual.push_back(store_.id_of(r).value());
     }
+    EXPECT_EQ(actual, expected) << "trial " << trial;
   }
 }
 
@@ -499,7 +505,6 @@ class VaultDifferential
 
   static WorkerConfig config(bool tiered) {
     WorkerConfig c;
-    c.grid = {Rect{{0, 0}, {kWorld, kWorld}}, 50.0};
     c.world = {{0, 0}, {kWorld, kWorld}};
     c.send_heartbeats = false;
     c.summary_every_ticks = 0;

@@ -1,13 +1,13 @@
 // Differential tests for the vectorized morsel-driven scan layer.
 //
 // The scalar row-at-a-time scans (scan_*_scalar) define the expected
-// answer; the vectorized selection-vector path, the TaskPool-backed
-// MorselScanner, and the executor's selection-vector aggregation must all
-// agree exactly — on randomized data, on block-edge time ranges (queries
-// starting/ending exactly on a 4096-row morsel boundary), on
-// empty-selection morsels (zone overlaps, zero survivors), and on
-// positions clamped to region borders. Morsel accounting (zone fast path,
-// rows evaluated vs selected) is pinned on deterministic layouts.
+// answer; the vectorized selection-vector path and the executor's
+// selection-vector aggregation must agree exactly — on randomized data,
+// on block-edge time ranges (queries starting/ending exactly on a
+// 4096-row morsel boundary), on empty-selection morsels (zone overlaps,
+// zero survivors), and on positions clamped to region borders. Morsel
+// accounting (zone fast path, rows evaluated vs selected) is pinned on
+// deterministic layouts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/parallel.h"
 #include "index/detection_store.h"
 #include "query/executor.h"
 
@@ -56,7 +55,6 @@ class VectorizedDifferential : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(VectorizedDifferential, RangeMatchesScalar) {
   Rng rng(GetParam() + 101);
-  MorselScanner scanner(2);
   for (int trial = 0; trial < 40; ++trial) {
     Rect region =
         Rect::spanning({rng.uniform(0, kWorld), rng.uniform(0, kWorld)},
@@ -69,14 +67,11 @@ TEST_P(VectorizedDifferential, RangeMatchesScalar) {
     auto vectorized = store_.scan_range(region, interval, &ms);
     EXPECT_TRUE(vectorized == expected) << "trial " << trial;
     EXPECT_EQ(ms.rows_selected, expected.size()) << "trial " << trial;
-    auto parallel = scanner.scan_range(store_, region, interval);
-    EXPECT_TRUE(parallel == expected) << "parallel, trial " << trial;
   }
 }
 
 TEST_P(VectorizedDifferential, CircleMatchesScalar) {
   Rng rng(GetParam() + 211);
-  MorselScanner scanner(2);
   for (int trial = 0; trial < 40; ++trial) {
     Circle circle{{rng.uniform(-100, kWorld + 100),
                    rng.uniform(-100, kWorld + 100)},
@@ -86,14 +81,11 @@ TEST_P(VectorizedDifferential, CircleMatchesScalar) {
     auto expected = store_.scan_circle_scalar(circle, interval);
     auto vectorized = store_.scan_circle(circle, interval);
     EXPECT_TRUE(vectorized == expected) << "trial " << trial;
-    auto parallel = scanner.scan_circle(store_, circle, interval);
-    EXPECT_TRUE(parallel == expected) << "parallel, trial " << trial;
   }
 }
 
 TEST_P(VectorizedDifferential, CameraMatchesScalar) {
   Rng rng(GetParam() + 307);
-  MorselScanner scanner(2);
   for (int trial = 0; trial < 40; ++trial) {
     CameraId camera(1 + rng.uniform_index(40));
     TimeInterval interval{TimePoint(rng.uniform_int(0, 900'000)),
@@ -101,8 +93,6 @@ TEST_P(VectorizedDifferential, CameraMatchesScalar) {
     auto expected = store_.scan_camera_scalar(camera, interval);
     auto vectorized = store_.scan_camera(camera, interval);
     EXPECT_TRUE(vectorized == expected) << "trial " << trial;
-    auto parallel = scanner.scan_camera(store_, camera, interval);
-    EXPECT_TRUE(parallel == expected) << "parallel, trial " << trial;
   }
 }
 
@@ -193,8 +183,8 @@ TEST_F(MorselBoundary, CameraFastPathFiresOnSingleCameraBlocks) {
 }
 
 // Executor aggregation from selection vectors vs brute force over the raw
-// detections — count, group-by-camera, heatmap — through both access paths
-// (broad region ⇒ columnar morsel scan, small region ⇒ grid walk).
+// detections — count, group-by-camera, heatmap — over broad and small
+// regions.
 class VectorizedExecutor : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   void SetUp() override {
@@ -206,14 +196,14 @@ class VectorizedExecutor : public ::testing::TestWithParam<std::uint64_t> {
     }
   }
 
-  WorkerIndexes indexes_{{Rect{{0, 0}, {kWorld, kWorld}}, 25.0}};
+  WorkerIndexes indexes_;
   std::vector<Detection> reference_;
 };
 
-TEST_P(VectorizedExecutor, CountMatchesBruteForceOnBothAccessPaths) {
+TEST_P(VectorizedExecutor, CountMatchesBruteForce) {
   Rng rng(GetParam() + 401);
   for (int trial = 0; trial < 20; ++trial) {
-    // Alternate broad (columnar path) and small (grid path) regions.
+    // Alternate broad and small regions.
     Rect region;
     if (trial % 2 == 0) {
       region = Rect{{0, 0}, {rng.uniform(kWorld * 0.8, kWorld), kWorld}};
@@ -237,11 +227,9 @@ TEST_P(VectorizedExecutor, CountMatchesBruteForceOnBothAccessPaths) {
         indexes_, Query::count(QueryId(1), region, interval), &stats);
     ASSERT_EQ(plain.counts.size(), 1u) << "trial " << trial;
     EXPECT_EQ(plain.counts.at(0), expected) << "trial " << trial;
-    if (trial % 2 == 0) {
-      EXPECT_GT(stats.vectorized_morsels, 0u) << "trial " << trial;
-      EXPECT_GE(stats.rows_evaluated, stats.rows_selected);
-      EXPECT_EQ(stats.rows_selected, expected);
-    }
+    EXPECT_GT(stats.vectorized_morsels, 0u) << "trial " << trial;
+    EXPECT_GE(stats.rows_evaluated, stats.rows_selected);
+    EXPECT_EQ(stats.rows_selected, expected);
 
     QueryResult grouped = LocalExecutor::execute(
         indexes_,
@@ -250,7 +238,7 @@ TEST_P(VectorizedExecutor, CountMatchesBruteForceOnBothAccessPaths) {
   }
 }
 
-TEST_P(VectorizedExecutor, HeatmapMatchesBruteForceOnBothAccessPaths) {
+TEST_P(VectorizedExecutor, HeatmapMatchesBruteForce) {
   Rng rng(GetParam() + 503);
   for (int trial = 0; trial < 20; ++trial) {
     Rect region = trial % 2 == 0
@@ -271,9 +259,7 @@ TEST_P(VectorizedExecutor, HeatmapMatchesBruteForceOnBothAccessPaths) {
     ScanStats stats;
     QueryResult result = LocalExecutor::execute(indexes_, query, &stats);
     EXPECT_TRUE(result.counts == expected) << "trial " << trial;
-    if (trial % 2 == 0) {
-      EXPECT_GT(stats.vectorized_morsels, 0u) << "trial " << trial;
-    }
+    EXPECT_GT(stats.vectorized_morsels, 0u) << "trial " << trial;
   }
 }
 

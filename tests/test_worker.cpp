@@ -24,7 +24,6 @@ Detection make_detection(std::uint64_t id, Point pos, std::int64_t t,
 
 WorkerConfig worker_config() {
   WorkerConfig c;
-  c.grid = {Rect{{0, 0}, {1000, 1000}}, 50.0};
   c.world = {{0, 0}, {1000, 1000}};
   return c;
 }
