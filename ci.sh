@@ -10,6 +10,7 @@
 # bench_partitioning --quick must show the heat observatory catching the
 # zipf(1.1) camera skew (true hottest partition, >=3x load stddev vs the
 # uniform run, advisor improvement >=25%) and staying silent under uniform;
+# bench_summaries --quick must prune trajectory fan-out below broadcast;
 # perfbench must build and pass its oracle check on every workload.
 #
 # Usage: ./ci.sh [--skip-sanitize]
@@ -321,6 +322,20 @@ print("BENCH_gateway.json OK:",
       f"{int(scalars['cost_queries'])} queries attributed,",
       f"{len(by_tenant)} tenants conserve {int(total)} rows_evaluated,",
       f"{int(scalars['exemplar_buckets'])} exemplar buckets")
+PY
+
+echo "== trajectory pruning smoke (bench_summaries --quick) =="
+(cd "$SMOKE_DIR" && "$OLDPWD/build/bench/bench_summaries" --quick >/dev/null)
+python3 - "$SMOKE_DIR/BENCH_summaries.json" <<'PY'
+import json, sys
+scalars = json.load(open(sys.argv[1]))["scalars"]
+
+# Heartbeat summaries must prune trajectory fan-out below the direct-mode
+# broadcast: a coverage gate that never matches would tie the two rows.
+assert scalars["fanout_pruned"] < scalars["fanout_broadcast"], scalars
+print("BENCH_summaries.json OK:",
+      f"fan-out {scalars['fanout_pruned']:.2f} pruned",
+      f"vs {scalars['fanout_broadcast']:.2f} broadcast")
 PY
 
 echo "== flight recorder chaos bundle =="

@@ -86,6 +86,8 @@ class BinaryReader {
       : data_(data), size_(size) {}
 
   [[nodiscard]] bool failed() const { return failed_; }
+  /// Flags a field that read fine but holds a value no encoder writes.
+  void fail() { failed_ = true; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool at_end() const { return pos_ == size_ && !failed_; }
 

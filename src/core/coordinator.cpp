@@ -59,14 +59,12 @@ void Coordinator::dispatch(const Message& message, SimNetwork& network) {
       for (const PartitionHeat& ph : hb.heat) {
         heat_.ingest(hb.worker, ph, network.now());
       }
-      if (!hb.heat.empty()) refresh_heat_gauges(network.now());
-      break;
-    }
-    case MsgType::kObjectSummary: {
-      ObjectSummary summary = decode_object_summary(reader);
-      auto it = summaries_.find(summary.partition);
-      if (it == summaries_.end() || summary.as_of > it->second.as_of) {
-        summaries_.insert_or_assign(summary.partition, std::move(summary));
+      // A garbled filter could read "absent" for objects the partition
+      // holds, so a heartbeat that failed to decode installs none.
+      if (!reader.failed()) {
+        for (ObjectSummary& summary : hb.summaries) {
+          summaries_.insert_or_assign(summary.partition, std::move(summary));
+        }
       }
       break;
     }
@@ -167,23 +165,29 @@ std::vector<PartitionId> Coordinator::footprint(const Query& query) const {
     case QueryKind::kCameraWindow:
       return strategy_.partitions_for_camera(query.camera, query.interval);
     case QueryKind::kTrajectory: {
-      // No spatial footprint, but object-presence summaries prune: a
-      // partition can be skipped when its summary (a) is fresh enough to
-      // cover the whole query interval and (b) rules the object out.
-      // Bloom filters have no false negatives, so this is sound.
-      std::vector<PartitionId> pruned;
+      // No spatial footprint, but object-presence summaries prune: p is
+      // skipped only when its summary covers every batch this node routed
+      // there and no other source, nothing for p waits in the ingest
+      // buffer, and the filter rules the object out. Such a summary covers
+      // all of p's data, whatever the interval, and Bloom filters have no
+      // false negatives, so this is sound.
+      std::vector<PartitionId> asked;
       for (PartitionId p : strategy_.all_partitions()) {
-        auto it = summaries_.find(p);
-        bool must_ask = it == summaries_.end() ||
-                        query.interval.end > it->second.as_of ||
-                        it->second.objects.may_contain(query.object.value());
-        if (must_ask) {
-          pruned.push_back(p);
-        } else {
+        auto summary = summaries_.find(p);
+        auto buffer = ingest_buffers_.find(p.value());
+        auto pbid = ingest_pbids_.find(p.value());
+        Watermark routed;
+        if (pbid != ingest_pbids_.end()) routed[id_.value()] = pbid->second;
+        if (prune_trajectories_ && summary != summaries_.end() &&
+            summary->second.covers == routed &&
+            (buffer == ingest_buffers_.end() || buffer->second.empty()) &&
+            !summary->second.objects.may_contain(query.object.value())) {
           trajectory_partitions_pruned_.inc();
+        } else {
+          asked.push_back(p);
         }
       }
-      return pruned;
+      return asked;
     }
     case QueryKind::kKnn:
       // No bounded spatial footprint: must ask every partition.

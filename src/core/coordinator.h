@@ -156,6 +156,9 @@ class Coordinator final : public NetworkNode {
   [[nodiscard]] std::size_t summarized_partitions() const {
     return summaries_.size();
   }
+  /// Turns trajectory pruning off for good: direct-mode gateways write to
+  /// workers past this node, so no summary can be shown to cover them.
+  void stop_trajectory_pruning() { prune_trajectories_ = false; }
 
   /// Workers currently considered dead by the failure detector.
   [[nodiscard]] const std::unordered_set<WorkerId>& suspected_workers()
@@ -276,9 +279,9 @@ class Coordinator final : public NetworkNode {
   [[nodiscard]] const HeatMapSnapshot& heat() const { return heat_; }
 
   /// Recomputes the partition.* skew gauges (and the exemplar partition-id
-  /// labels) from the heat map. Runs on every heartbeat that carried heat
-  /// and at the head of the cluster's health-sampling pipeline, so the
-  /// gauges are fresh when the monitor samples them.
+  /// labels) from the heat map. Heartbeats only record heat; the cluster
+  /// calls this at the head of its health-sampling pipeline and before a
+  /// metrics snapshot, so the gauges are fresh whenever they are read.
   void refresh_heat_gauges(TimePoint now);
 
   /// Read-only placement advice over the current heat map (never mutates
@@ -432,8 +435,9 @@ class Coordinator final : public NetworkNode {
   std::unordered_map<WorkerId, TimePoint> last_heartbeat_;
   std::unordered_set<WorkerId> suspected_;
 
-  // Freshest object-presence summary per partition (trajectory pruning).
+  // Latest object-presence summary per partition (trajectory pruning).
   std::unordered_map<PartitionId, ObjectSummary> summaries_;
+  bool prune_trajectories_ = true;
 
   // Metric handles, each registered with its help string at construction.
   MetricsRegistry metrics_;

@@ -40,7 +40,6 @@ Cluster::Cluster(Rect world, std::unique_ptr<PartitionStrategy> strategy,
   worker_config.world = world;
   worker_config.monitor_tick = config_.monitor_tick;
   worker_config.retention = config_.retention;
-  worker_config.summary_every_ticks = config_.summary_every_ticks;
   worker_config.channel = config_.reliable;
   worker_config.snapshot_every_ticks = config_.snapshot_every_ticks;
   worker_config.replay_log_max_bytes = config_.replay_log_max_bytes;
@@ -291,7 +290,8 @@ Cluster::ExplainPathResult Cluster::explain_path(
   return out;
 }
 
-MetricsRegistry Cluster::metrics_snapshot() const {
+MetricsRegistry Cluster::metrics_snapshot() {
+  coordinator_->refresh_heat_gauges(network_.now());
   MetricsRegistry snapshot;
   network_.metrics().merge_into(snapshot, "net.");
   coordinator_->metrics().merge_into(snapshot, "coordinator.");

@@ -71,8 +71,6 @@ struct ClusterConfig {
   Duration monitor_tick = Duration::seconds(1);
   /// Worker-side retention window; Duration::max() disables eviction.
   Duration retention = Duration::max();
-  /// Object-presence summary cadence in monitor ticks (0 disables).
-  std::uint32_t summary_every_ticks = 5;
   /// Reliable-transport knobs, applied to the coordinator and every worker.
   ReliableChannelConfig reliable;
   /// Snapshot cadence in monitor ticks (0 disables the snapshot ticker).
@@ -143,8 +141,13 @@ class Cluster {
 
   /// Creates an edge gateway fleet attached to this cluster's network,
   /// seeded with a snapshot of the current partition map. See gateway.h.
+  /// A direct-mode fleet writes past the coordinator, which therefore stops
+  /// pruning trajectory queries by object-presence summaries.
   [[nodiscard]] GatewayFleet make_gateway_fleet(std::size_t gateway_count,
                                                 GatewayConfig config = {}) {
+    if (!config.relay_through_coordinator) {
+      coordinator_->stop_trajectory_pruning();
+    }
     return GatewayFleet(gateway_count, NodeId(kCoordinatorNode), *strategy_,
                         coordinator_->partition_map(), config, network_);
   }
@@ -252,8 +255,9 @@ class Cluster {
   /// One registry holding every node's metrics, namespaced: `net.*`,
   /// `coordinator.*`, `worker.*` (summed across workers). Counter-only
   /// node stats not yet on handles are imported too, so the snapshot is a
-  /// complete machine-readable view of the cluster.
-  [[nodiscard]] MetricsRegistry metrics_snapshot() const;
+  /// complete machine-readable view of the cluster. Refreshes the
+  /// coordinator's heat-skew gauges first.
+  [[nodiscard]] MetricsRegistry metrics_snapshot();
 
   /// Continuous health monitor over every node's registry. Sources and
   /// rules are wired at construction; sampling runs on the sim clock when

@@ -29,7 +29,7 @@ enum class MsgType : std::uint32_t {
   kSyncResponse = 8,    // backup → recovering worker
   kHeartbeat = 9,       // worker → coordinator: liveness
   kIngestForward = 10,   // gateway → coordinator: relay-mode ingest
-  kObjectSummary = 11,   // worker → coordinator: per-partition object Bloom
+  kObjectSummary = 11,   // retired (summaries ride kHeartbeat); tools name it
   kReliableData = 12,    // reliable-channel DATA frame (wraps another type)
   kReliableAck = 13,     // reliable-channel ACK frame
   kDeltaSyncRequest = 14,   // recovering worker → holder: post-watermark data
@@ -266,6 +266,15 @@ inline DeltaBatch decode_delta_batch(BinaryReader& r) {
 
 // -------------------------------------------------------------- heartbeat
 
+/// Per-partition Bloom filter of the object ids a worker holds, and the
+/// batches its data covers (the partition's contiguous watermark). See
+/// Coordinator::footprint for when it may prune a trajectory query.
+struct ObjectSummary {
+  PartitionId partition;
+  Watermark covers;
+  BloomFilter objects;
+};
+
 struct Heartbeat {
   WorkerId worker;
   std::uint64_t stored_detections = 0;  // piggybacked load signal
@@ -273,6 +282,8 @@ struct Heartbeat {
   /// on the liveness signal so the coordinator's HeatMapSnapshot stays
   /// fresh without a dedicated stats round-trip.
   std::vector<PartitionHeat> heat;
+  /// One object-presence summary per held partition.
+  std::vector<ObjectSummary> summaries;
 };
 
 inline std::vector<std::uint8_t> encode(const Heartbeat& hb) {
@@ -290,6 +301,11 @@ inline std::vector<std::uint8_t> encode(const Heartbeat& hb) {
     bw.write_u64(ph.wire_bytes_out);
     bw.write_u64(ph.store_memory_bytes);
     bw.write_double(ph.ewma_load_per_s);
+  });
+  w.write_vector(hb.summaries, [](BinaryWriter& bw, const ObjectSummary& s) {
+    bw.write_id(s.partition);
+    write_watermark(bw, s.covers);
+    s.objects.serialize_to(bw);
   });
   return w.take();
 }
@@ -312,35 +328,12 @@ inline Heartbeat decode_heartbeat(BinaryReader& r) {
     ph.ewma_load_per_s = br.read_double();
     return ph;
   });
+  hb.summaries = r.read_vector<ObjectSummary>([](BinaryReader& br) {
+    // Braced initializers evaluate left to right: wire order.
+    return ObjectSummary{br.read_id<PartitionIdTag>(), read_watermark(br),
+                         BloomFilter::deserialize_from(br)};
+  });
   return hb;
-}
-
-// --------------------------------------------------------- object summary
-
-/// Per-partition Bloom filter of object ids present, covering all data the
-/// worker held at `as_of`. The coordinator may prune a trajectory query
-/// away from this partition ONLY for query intervals ending before
-/// `as_of` — data arriving after the summary is not covered by it.
-struct ObjectSummary {
-  PartitionId partition;
-  TimePoint as_of;
-  BloomFilter objects;
-};
-
-inline std::vector<std::uint8_t> encode(const ObjectSummary& summary) {
-  BinaryWriter w;
-  w.write_id(summary.partition);
-  w.write_time(summary.as_of);
-  summary.objects.serialize_to(w);
-  return w.take();
-}
-
-inline ObjectSummary decode_object_summary(BinaryReader& r) {
-  ObjectSummary summary{PartitionId(0), TimePoint(0), BloomFilter(64, 1)};
-  summary.partition = r.read_id<PartitionIdTag>();
-  summary.as_of = r.read_time();
-  summary.objects = BloomFilter::deserialize_from(r);
-  return summary;
 }
 
 // ------------------------------------------------------------------- sync

@@ -143,29 +143,17 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
 
   if (config_.send_heartbeats) {
     // Best-effort on purpose: a heartbeat that needs retransmission is
-    // stale by the time it lands; the next tick supersedes it.
-    Heartbeat hb{id_, stored_detections(), heat_.snapshot()};
+    // stale by the time it lands; the next tick supersedes it. A lost one
+    // only costs a tick of pruning opportunity.
+    Heartbeat hb{id_, stored_detections(), heat_.snapshot(), {}};
+    for (const auto& [p, indexes] : partitions_) {
+      hb.summaries.push_back(
+          {p, watermark_of(p), indexes->trajectories.objects()});
+    }
+    summaries_published_.add(hb.summaries.size());
     network.send({node_id(), coordinator_,
                   static_cast<std::uint32_t>(MsgType::kHeartbeat),
                   encode(hb), network.now(), {}});
-  }
-
-  if (config_.summary_every_ticks > 0 &&
-      ++ticks_since_summary_ >= config_.summary_every_ticks) {
-    ticks_since_summary_ = 0;
-    for (const auto& [partition_id, indexes] : partitions_) {
-      ObjectSummary summary{partition_id, network.now(),
-                            BloomFilter(config_.summary_bloom_bits)};
-      for (ObjectId object : indexes->trajectories.object_ids()) {
-        summary.objects.insert(object.value());
-      }
-      // Best-effort: summaries are advisory pruning hints, refreshed
-      // periodically; a lost one only costs pruning opportunity.
-      network.send({node_id(), coordinator_,
-                    static_cast<std::uint32_t>(MsgType::kObjectSummary),
-                    encode(summary), network.now(), {}});
-      summaries_published_.inc();
-    }
   }
 
   if (config_.retention != Duration::max() &&

@@ -57,12 +57,8 @@ struct WorkerConfig {
   /// Compaction runs every this-many monitor ticks (when retention is on).
   std::uint32_t compaction_every_ticks = 30;
   /// Emit a liveness heartbeat to the coordinator on every monitor tick.
+  /// It carries each held partition's heat and object-presence summary.
   bool send_heartbeats = true;
-  /// Publish per-partition object-presence Bloom summaries every
-  /// `summary_every_ticks` monitor ticks (0 disables). The coordinator
-  /// uses them to prune trajectory-query fan-out.
-  std::uint32_t summary_every_ticks = 5;
-  std::size_t summary_bloom_bits = 2048;
   /// Snapshot every partition every this-many monitor ticks (0 disables
   /// the ticker; take_snapshots() can still be driven manually).
   std::uint32_t snapshot_every_ticks = 10;
@@ -348,7 +344,6 @@ class WorkerNode final : public NetworkNode {
   bool started_ = false;
   std::uint64_t tick_generation_ = 0;
   std::uint32_t ticks_since_compaction_ = 0;
-  std::uint32_t ticks_since_summary_ = 0;
   MetricsRegistry metrics_;
   Counter& ingested_primary_;
   Counter& ingested_replica_;
@@ -389,7 +384,8 @@ class WorkerNode final : public NetworkNode {
       "recovery_failed_partitions",
       "Partitions whose recovery gave up permanently");
   Counter& summaries_published_ = metrics_.counter(
-      "summaries_published", "Object-presence summaries published upstream");
+      "summaries_published",
+      "Object-presence summaries shipped on heartbeats");
   Counter& detections_evicted_ = metrics_.counter(
       "detections_evicted", "Detections dropped by retention compaction");
   Counter& compactions_ =

@@ -1,9 +1,9 @@
 // Bloom filter over 64-bit keys.
 //
-// Used for object-presence summaries: each worker periodically publishes,
-// per partition, a Bloom filter of the object ids it has seen. The
-// coordinator uses them to prune trajectory-query fan-out. Bloom filters
-// admit false positives (harmless: an extra partition is queried) but
+// Used for object-presence summaries: each partition's TrajectoryStore keeps
+// one over the object ids it holds, shipped on every heartbeat, and the
+// coordinator prunes trajectory-query fan-out with it. Bloom filters admit
+// false positives (harmless: an extra partition is queried) but
 // never false negatives (required: pruning must be sound).
 #pragma once
 
@@ -66,9 +66,6 @@ class BloomFilter {
     for (std::uint64_t w : words_) set += static_cast<std::size_t>(__builtin_popcountll(w));
     return static_cast<double>(set) / static_cast<double>(bit_count());
   }
-  [[nodiscard]] std::size_t wire_bytes() const {
-    return words_.size() * sizeof(std::uint64_t) + 8;
-  }
 
   void serialize_to(BinaryWriter& w) const {
     w.write_u32(static_cast<std::uint32_t>(words_.size()));
@@ -83,7 +80,8 @@ class BloomFilter {
     std::uint64_t inserted = r.read_u64();
     if (r.failed() || word_count == 0 || word_count > (1u << 20) ||
         hashes < 1 || hashes > 16) {
-      return BloomFilter(64, 1);  // reader already flagged failure
+      r.fail();  // the placeholder reads "absent" for every key
+      return BloomFilter(64, 1);
     }
     BloomFilter f(static_cast<std::size_t>(word_count) * 64, hashes);
     f.inserted_ = inserted;

@@ -4,6 +4,8 @@
 // trajectory reconstruction queries ("where was obj/42 between t1 and t2").
 // Tolerates mildly out-of-order arrival with sorted insert: near-time-ordered
 // arrival appends at the back in O(1).
+// It also keeps a Bloom filter of the object ids it holds (the partition's
+// object-presence summary), rebuilt with the store on compaction.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 
 #include "common/ids.h"
 #include "common/time.h"
+#include "index/bloom.h"
 #include "index/detection_store.h"
 
 namespace stcn {
@@ -20,7 +23,9 @@ class TrajectoryStore {
  public:
   void insert(const DetectionStore& store, DetectionRef ref) {
     TimePoint time = store.time_of(ref);
-    auto& track = tracks_[store.object_of(ref)];
+    auto [slot, opened] = tracks_.try_emplace(store.object_of(ref));
+    if (opened) objects_.insert(slot->first.value());
+    auto& track = slot->second;
     Entry entry{time, ref};
     if (track.empty() || track.back().time <= time) {
       track.push_back(entry);
@@ -53,13 +58,8 @@ class TrajectoryStore {
     return tracks_.contains(object);
   }
 
-  /// All object ids with at least one detection (for presence summaries).
-  [[nodiscard]] std::vector<ObjectId> object_ids() const {
-    std::vector<ObjectId> out;
-    out.reserve(tracks_.size());
-    for (const auto& [object, track] : tracks_) out.push_back(object);
-    return out;
-  }
+  /// Bloom filter of every object with at least one detection here.
+  [[nodiscard]] const BloomFilter& objects() const { return objects_; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t object_count() const { return tracks_.size(); }
 
@@ -68,7 +68,10 @@ class TrajectoryStore {
     TimePoint time;
     DetectionRef ref;
   };
+  static constexpr std::size_t kObjectFilterBits = 2048;
+
   std::unordered_map<ObjectId, std::vector<Entry>> tracks_;
+  BloomFilter objects_{kObjectFilterBits};
   std::size_t size_ = 0;
 };
 

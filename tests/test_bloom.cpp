@@ -89,8 +89,9 @@ TEST(BloomFilter, DeserializeRejectsGarbage) {
   w.write_u64(0);
   BinaryReader r(w.bytes());
   (void)BloomFilter::deserialize_from(r);
-  // Must not crash or allocate terabytes; reader state signals failure
-  // through the surrounding message decode.
+  // Must not crash or allocate terabytes, and must flag the reader: the
+  // placeholder filter it returns reads "absent" for every key.
+  EXPECT_TRUE(r.failed());
 }
 
 TEST(BloomFilter, FillRatioGrowsWithInsertions) {

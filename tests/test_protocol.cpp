@@ -181,12 +181,34 @@ TEST(Protocol, RecoveryDoneRoundTrip) {
   EXPECT_EQ(back.detections, 1234u);
 }
 
+Heartbeat heartbeat_with_summaries() {
+  Heartbeat hb{WorkerId(4), 777, {}, {}};
+  hb.summaries.push_back({PartitionId(2), {{1'000'000, 41}}, BloomFilter(2048)});
+  hb.summaries.push_back({PartitionId(5), {}, BloomFilter(2048)});
+  for (std::uint64_t object = 1; object <= 30; ++object) {
+    hb.summaries[0].objects.insert(object);
+  }
+  hb.summaries[1].covers[2'000'000] = 3;
+  hb.summaries[1].covers[1'000'000] = 9;
+  return hb;
+}
+
 TEST(Protocol, HeartbeatRoundTrip) {
-  auto bytes = encode(Heartbeat{WorkerId(3), 12345});
-  BinaryReader r(bytes);
-  Heartbeat back = decode_heartbeat(r);
-  EXPECT_EQ(back.worker, WorkerId(3));
-  EXPECT_EQ(back.stored_detections, 12345u);
+  for (const Heartbeat& hb :
+       {Heartbeat{WorkerId(3), 12345, {}, {}}, heartbeat_with_summaries()}) {
+    auto bytes = encode(hb);
+    BinaryReader r(bytes);
+    Heartbeat back = decode_heartbeat(r);
+    EXPECT_TRUE(r.at_end());
+    EXPECT_EQ(back.worker, hb.worker);
+    EXPECT_EQ(back.stored_detections, hb.stored_detections);
+    ASSERT_EQ(back.summaries.size(), hb.summaries.size());
+    for (std::size_t i = 0; i < hb.summaries.size(); ++i) {
+      EXPECT_EQ(back.summaries[i].partition, hb.summaries[i].partition);
+      EXPECT_EQ(back.summaries[i].covers, hb.summaries[i].covers);
+      EXPECT_EQ(back.summaries[i].objects, hb.summaries[i].objects);
+    }
+  }
 }
 
 TEST(Protocol, IngestForwardRoundTrip) {
@@ -273,6 +295,11 @@ TEST(ProtocolFuzz, SyncResponseDecoderRobust) {
   }
   fuzz_decoder(encode(response),
                [](BinaryReader& r) { return decode_sync_response(r); }, 5);
+}
+
+TEST(ProtocolFuzz, HeartbeatDecoderRobust) {
+  fuzz_decoder(encode(heartbeat_with_summaries()),
+               [](BinaryReader& r) { return decode_heartbeat(r); }, 7);
 }
 
 TEST(ProtocolFuzz, DeltaSyncResponseDecoderRobust) {

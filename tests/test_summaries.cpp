@@ -1,4 +1,6 @@
-// Object-presence summaries: trajectory-query fan-out pruning.
+// Object-presence summaries: trajectory-query fan-out pruning. Workers ship
+// each partition's object Bloom filter on every heartbeat; the coordinator
+// prunes only partitions whose summary covers every batch routed there.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -38,7 +40,7 @@ struct SummaryScenario {
         std::make_unique<SpatialGridStrategy>(world, 4, 4, trace.cameras),
         config);
     cluster->ingest_all(trace.detections);
-    // Let summary ticks publish (every 5 monitor ticks = 5 s).
+    // Let heartbeats carry summaries that cover every routed batch.
     cluster->advance_time(Duration::seconds(12));
   }
 };
@@ -108,20 +110,6 @@ TEST(ObjectSummaries, UnknownObjectPrunesEverywhereAndReturnsEmpty) {
   EXPECT_LE(fanout, 2u);
 }
 
-TEST(ObjectSummaries, IntervalBeyondWatermarkNeverPruned) {
-  SummaryScenario s;
-  // A query whose interval extends past every summary's as_of cannot be
-  // pruned — freshness gate (future data may exist the summary missed).
-  auto pruned0 = s.cluster->coordinator().metrics().counter_value(
-      "trajectory_partitions_pruned");
-  (void)s.cluster->execute(Query::trajectory(
-      s.cluster->next_query_id(), ObjectId(999'999), TimeInterval::all()));
-  auto pruned = s.cluster->coordinator().metrics().counter_value(
-                    "trajectory_partitions_pruned") -
-                pruned0;
-  EXPECT_EQ(pruned, 0u);
-}
-
 TEST(ObjectSummaries, FreshDataEventuallyCoveredByNewSummaries) {
   SummaryScenario s;
   // Ingest a brand-new object *after* the initial summaries.
@@ -134,16 +122,16 @@ TEST(ObjectSummaries, FreshDataEventuallyCoveredByNewSummaries) {
   std::vector<Detection> batch{fresh};
   s.cluster->ingest_all(batch);
 
-  // Immediately query with an interval ending after the old watermarks:
-  // no pruning applies, so the fresh detection is found.
+  // Query at once: either no summary covers the new batch yet (so its
+  // partition is asked), or one does and its filter holds object 500.
   TimeInterval whole{TimePoint::origin(), fresh.time + Duration::seconds(1)};
   QueryResult now = s.cluster->execute(Query::trajectory(
       s.cluster->next_query_id(), ObjectId(500), whole));
   ASSERT_EQ(now.detections.size(), 1u);
 
-  // After the next summary round, the same bounded query gets pruned
-  // routing yet still finds the detection (its partition's Bloom now
-  // contains object 500).
+  // After later heartbeats, the same bounded query gets pruned routing
+  // yet still finds the detection (its partition's Bloom now contains
+  // object 500).
   s.cluster->advance_time(Duration::seconds(12));
   QueryResult later = s.cluster->execute(Query::trajectory(
       s.cluster->next_query_id(), ObjectId(500), whole));
@@ -151,25 +139,141 @@ TEST(ObjectSummaries, FreshDataEventuallyCoveredByNewSummaries) {
   EXPECT_EQ(later.detections[0].id, fresh.id);
 }
 
-TEST(ObjectSummaries, CanBeDisabled) {
-  TraceConfig tc;
-  tc.roads.grid_cols = 5;
-  tc.roads.grid_rows = 5;
-  tc.cameras.camera_count = 12;
-  tc.mobility.object_count = 8;
-  tc.duration = Duration::minutes(2);
-  Trace trace = TraceGenerator::generate(tc);
+// A small 2×2 cluster for the coverage-gate cases: two workers, no
+// latency jitter, and hand-placed detections.
+struct GateScenario {
+  Trace trace = TraceGenerator::generate([] {
+    TraceConfig c;
+    c.roads.grid_cols = 5;
+    c.roads.grid_rows = 5;
+    c.cameras.camera_count = 12;
+    c.mobility.object_count = 4;
+    c.duration = Duration::minutes(1);
+    return c;
+  }());
   Rect world = trace.roads.bounds(120.0);
-  ClusterConfig config;
-  config.worker_count = 2;
-  config.summary_every_ticks = 0;  // disabled
-  Cluster cluster(
-      world,
-      std::make_unique<SpatialGridStrategy>(world, 2, 2, trace.cameras),
-      config);
-  cluster.ingest_all(trace.detections);
-  cluster.advance_time(Duration::seconds(20));
-  EXPECT_EQ(cluster.coordinator().summarized_partitions(), 0u);
+  std::unique_ptr<Cluster> cluster;
+  CentralizedIndex oracle{world};
+  std::uint64_t next_id = 1;
+
+  GateScenario() {
+    ClusterConfig config;
+    config.worker_count = 2;
+    config.network.latency_jitter = Duration::zero();
+    cluster = std::make_unique<Cluster>(
+        world,
+        std::make_unique<SpatialGridStrategy>(world, 2, 2, trace.cameras),
+        config);
+  }
+
+  /// Points inside the lower-left and upper-right tiles.
+  [[nodiscard]] Point tile_p() const {
+    return {world.min.x + world.width() / 4, world.min.y + world.height() / 4};
+  }
+  [[nodiscard]] Point tile_q() const {
+    return {world.max.x - world.width() / 4, world.max.y - world.height() / 4};
+  }
+
+  Detection at(std::uint64_t object, Point pos, Duration t) {
+    Detection d;
+    d.id = DetectionId(next_id++);
+    d.object = ObjectId(object);
+    d.camera = CameraId(1);
+    d.position = pos;
+    d.time = TimePoint::origin() + t;
+    return d;
+  }
+
+  std::uint64_t pruned() const {
+    return cluster->coordinator().metrics().counter_value(
+        "trajectory_partitions_pruned");
+  }
+
+  /// Routes rows of object 8 into tile p and lets heartbeats cover them,
+  /// then parks the clock half-way between two monitor ticks.
+  void cover_p_and_park() {
+    std::vector<Detection> rows;
+    for (int i = 0; i < 10; ++i) {
+      rows.push_back(at(8, tile_p(), Duration::millis(100 + i)));
+    }
+    cluster->ingest_all(rows);
+    cluster->advance_time(TimePoint::origin() + Duration::millis(3'500) -
+                          cluster->now());
+  }
+
+  /// Delivers what was just sent, well before the next tick.
+  void deliver() {
+    cluster->network().run_until(cluster->now() + Duration::millis(5));
+  }
+
+  QueryResult trajectory(std::uint64_t object) {
+    return cluster->execute(Query::trajectory(
+        cluster->next_query_id(), ObjectId(object), TimeInterval::all()));
+  }
+};
+
+TEST(ObjectSummaries, BufferedRowNotHiddenByEarlierSummary) {
+  GateScenario s;
+  const PartitionStrategy& grid = s.cluster->strategy();
+  ASSERT_NE(grid.partition_of(CameraId(1), s.tile_p(), TimePoint::origin()),
+            grid.partition_of(CameraId(1), s.tile_q(), TimePoint::origin()));
+  std::vector<Detection> rows;
+  // One full batch of object 8 in tile p, flushed at once...
+  for (int i = 0; i < 32; ++i) {
+    rows.push_back(s.at(8, s.tile_p(), Duration::millis(100 + i)));
+  }
+  // ...then one row of object 7 in p that waits in the ingest buffer while
+  // heartbeats summarize p without it...
+  rows.push_back(s.at(7, s.tile_p(), Duration::millis(500)));
+  // ...as object 9 keeps the clock moving in another tile.
+  for (int sec = 1; sec <= 12; ++sec) {
+    rows.push_back(s.at(9, s.tile_q(), Duration::seconds(sec)));
+  }
+  s.cluster->ingest_all(rows);
+  s.oracle.ingest_all(rows);
+
+  Query q = Query::trajectory(
+      s.cluster->next_query_id(), ObjectId(7),
+      TimeInterval{TimePoint::origin(),
+                   TimePoint::origin() + Duration::seconds(9)});
+  QueryResult expected = s.oracle.execute(q);
+  ASSERT_EQ(expected.detections.size(), 1u);
+  EXPECT_EQ(ids_of(s.cluster->execute(q)), ids_of(expected));
+}
+
+TEST(ObjectSummaries, UncoveredBatchNeverPruned) {
+  GateScenario s;
+  s.cover_p_and_park();
+  std::uint64_t pruned0 = s.pruned();
+  EXPECT_TRUE(s.trajectory(7).detections.empty());
+  ASSERT_GT(s.pruned(), pruned0) << "a covering summary must prune";
+
+  // Route and flush a row of object 7 into p, deliver it, and query before
+  // the next tick: p's summary no longer covers every routed batch.
+  Detection fresh = s.at(7, s.tile_p(), Duration::millis(3'500));
+  s.cluster->ingest(fresh);
+  s.cluster->flush_ingest();
+  s.deliver();
+  QueryResult r = s.trajectory(7);
+  ASSERT_EQ(r.detections.size(), 1u);
+  EXPECT_EQ(r.detections[0].id, fresh.id);
+}
+
+TEST(ObjectSummaries, DirectGatewayFleetStopsPruning) {
+  GateScenario s;
+  s.cover_p_and_park();
+  // A direct-mode gateway writes object 7 into p past the coordinator, so
+  // p's summary still matches every batch the coordinator routed.
+  GatewayFleet fleet = s.cluster->make_gateway_fleet(2);
+  Detection fresh = s.at(7, s.tile_p(), Duration::millis(3'500));
+  fleet.ingest(fresh, s.cluster->network());
+  fleet.flush(s.cluster->network());
+  s.deliver();
+  QueryResult r = s.trajectory(7);
+  ASSERT_EQ(r.detections.size(), 1u);
+  EXPECT_EQ(r.detections[0].id, fresh.id);
+  EXPECT_TRUE(s.trajectory(999'999).detections.empty());
+  EXPECT_EQ(s.pruned(), 0u);
 }
 
 }  // namespace

@@ -507,7 +507,6 @@ class VaultDifferential
     WorkerConfig c;
     c.world = {{0, 0}, {kWorld, kWorld}};
     c.send_heartbeats = false;
-    c.summary_every_ticks = 0;
     c.snapshot_every_ticks = 0;  // the test decides when snapshots run
     c.tiered_storage = tiered;
     c.hot_sealed_blocks = 1;
