@@ -1,12 +1,13 @@
-// Ablation A1 — adaptive k-NN planning vs broadcast.
+// Ablation A1 — planned k-NN vs broadcast.
 //
 // DESIGN.md calls out footprint pruning as the load-bearing design choice;
 // k-NN is the query type with *no* static footprint. This ablation measures
-// what the selectivity-estimator-driven planner recovers: worker fan-out,
-// messages, and bytes per k-NN, planned vs broadcast, as the estimator
-// warms up. Expected shape: once warm, planned k-NN touches a small corner
-// of the fleet; cold (dark estimator) it degenerates to broadcast cost but
-// never loses exactness.
+// what the selectivity-estimator-driven planner recovers on the one k-NN
+// path (Cluster::execute): worker fan-out, messages, and bytes per k-NN,
+// with the estimator dark and warm. A dark estimator degenerates every
+// plan to one round over every partition, which is the broadcast; once
+// warm, k-NN asks the partitions of the planned circle and falls back to
+// the broadcast only when the answer could lie outside them.
 #include <cinttypes>
 #include <memory>
 
@@ -57,11 +58,6 @@ void run() {
       config);
   cluster.ingest_all(trace.detections);
 
-  bench::print_header(
-      "A1 adaptive k-NN planner",
-      "16 workers, " + std::to_string(trace.detections.size()) +
-          " detections, 40 k-NN queries per row");
-
   Rng rng(5);
   std::vector<Point> centers;
   int center_count = bench::quick() ? 10 : 40;
@@ -70,19 +66,29 @@ void run() {
                        rng.uniform(world.min.y, world.max.y)});
   }
 
-  std::printf("%-22s %10s %10s %12s\n", "plan", "fanout", "msgs/q",
-              "bytes/q");
+  bench::print_header(
+      "A1 planned k-NN",
+      "16 workers, " + std::to_string(trace.detections.size()) +
+          " detections, " + std::to_string(centers.size()) +
+          " k-NN queries per row");
 
-  // Cold planner: estimator dark, every plan degenerates.
-  Cost cold = measure(cluster, centers.size(), [&] {
+  const MetricsRegistry& coord = cluster.coordinator().metrics();
+  auto run_knn = [&] {
     for (Point c : centers) {
-      (void)cluster.execute_knn_adaptive(c, 5, TimeInterval::all());
+      (void)cluster.execute(Query::knn(cluster.next_query_id(), c, 5,
+                                       TimeInterval::all()));
     }
-  });
-  std::printf("%-22s %10.2f %10.1f %12.0f\n", "adaptive (cold)", cold.fanout,
-              cold.msgs, cold.bytes);
+  };
+  std::printf("%-22s %10s %10s %12s %10s\n", "plan", "fanout", "msgs/q",
+              "bytes/q", "fallbacks");
 
-  // Warm the estimator with range-query feedback.
+  // Dark estimator: every plan degenerates to the broadcast.
+  Cost broadcast = measure(cluster, centers.size(), run_knn);
+  std::printf("%-22s %10.2f %10.1f %12.0f %10s\n", "broadcast (dark)",
+              broadcast.fanout, broadcast.msgs, broadcast.bytes, "-");
+
+  // Warm the estimator with range-query feedback (k-NN rounds do not feed
+  // it).
   for (int i = 0; i < 60; ++i) {
     Rect region = Rect::centered(
         {rng.uniform(world.min.x, world.max.x),
@@ -92,43 +98,30 @@ void run() {
         Query::range(cluster.next_query_id(), region, TimeInterval::all()));
   }
 
-  Cost warm = measure(cluster, centers.size(), [&] {
-    for (Point c : centers) {
-      (void)cluster.execute_knn_adaptive(c, 5, TimeInterval::all());
-    }
-  });
-  std::printf("%-22s %10.2f %10.1f %12.0f\n", "adaptive (warm)", warm.fanout,
-              warm.msgs, warm.bytes);
-
-  Cost broadcast = measure(cluster, centers.size(), [&] {
-    for (Point c : centers) {
-      (void)cluster.execute(Query::knn(cluster.next_query_id(), c, 5,
-                                       TimeInterval::all()));
-    }
-  });
-  std::printf("%-22s %10.2f %10.1f %12.0f\n", "broadcast k-NN",
-              broadcast.fanout, broadcast.msgs, broadcast.bytes);
+  auto rounds0 = coord.counter_value("knn_adaptive_rounds");
+  auto plans0 = coord.counter_value("knn_adaptive_plans");
+  Cost warm = measure(cluster, centers.size(), run_knn);
+  auto fallbacks = (coord.counter_value("knn_adaptive_rounds") - rounds0) -
+                   (coord.counter_value("knn_adaptive_plans") - plans0);
+  std::printf("%-22s %10.2f %10.1f %12.0f %10" PRIu64 "\n", "planned (warm)",
+              warm.fanout, warm.msgs, warm.bytes,
+              static_cast<std::uint64_t>(fallbacks));
 
   bench::BenchReport report("planner");
   report.set("detections", static_cast<double>(trace.detections.size()));
-  report.set("fanout_cold", cold.fanout);
   report.set("fanout_warm", warm.fanout);
   report.set("fanout_broadcast", broadcast.fanout);
-  report.set("bytes_per_query_cold", cold.bytes);
   report.set("bytes_per_query_warm", warm.bytes);
   report.set("bytes_per_query_broadcast", broadcast.bytes);
+  report.set("fallbacks_warm", static_cast<double>(fallbacks));
   report.add_histogram("query_latency_us",
-                       *cluster.coordinator().metrics().histograms().at(
-                           "query_latency_us"));
+                       *coord.histograms().at("query_latency_us"));
   report.add_registry(cluster.metrics_snapshot());
   report.write();
 
   std::printf(
-      "\nexpected shape: warm adaptive fan-out and bytes well below\n"
-      "broadcast. The cold planner's FIRST query degenerates to a\n"
-      "world-sized circle (broadcast cost), but that circle's own feedback\n"
-      "lights the estimator, so even the cold row self-warms after one\n"
-      "query — correctness never depends on the estimate either way.\n");
+      "\nexpected shape: warm fan-out and bytes well below the broadcast,\n"
+      "with few fallback rounds; answers are exact in both rows.\n");
 }
 
 }  // namespace

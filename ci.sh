@@ -11,6 +11,8 @@
 # zipf(1.1) camera skew (true hottest partition, >=3x load stddev vs the
 # uniform run, advisor improvement >=25%) and staying silent under uniform;
 # bench_summaries --quick must prune trajectory fan-out below broadcast;
+# bench_planner --quick must keep warm k-NN fan-out and bytes below the
+# broadcast row's;
 # perfbench must build and pass its oracle check on every workload.
 #
 # Usage: ./ci.sh [--skip-sanitize]
@@ -336,6 +338,26 @@ assert scalars["fanout_pruned"] < scalars["fanout_broadcast"], scalars
 print("BENCH_summaries.json OK:",
       f"fan-out {scalars['fanout_pruned']:.2f} pruned",
       f"vs {scalars['fanout_broadcast']:.2f} broadcast")
+PY
+
+echo "== planned k-NN smoke (bench_planner --quick) =="
+(cd "$SMOKE_DIR" && "$OLDPWD/build/bench/bench_planner" --quick >/dev/null)
+python3 - "$SMOKE_DIR/BENCH_planner.json" <<'PY'
+import json, sys
+scalars = json.load(open(sys.argv[1]))["scalars"]
+
+# With the estimator warm, k-NN must ask fewer workers and ship fewer bytes
+# than the dark-estimator row, which is the broadcast: a planner or
+# coverage check that always fell back would tie the two rows.
+assert scalars["fanout_warm"] < scalars["fanout_broadcast"], scalars
+assert scalars["bytes_per_query_warm"] < \
+    scalars["bytes_per_query_broadcast"], scalars
+print("BENCH_planner.json OK:",
+      f"fan-out {scalars['fanout_warm']:.2f} warm",
+      f"vs {scalars['fanout_broadcast']:.2f} broadcast,",
+      f"{scalars['bytes_per_query_warm']:.0f}",
+      f"vs {scalars['bytes_per_query_broadcast']:.0f} B/query,",
+      f"{int(scalars['fallbacks_warm'])} fallbacks")
 PY
 
 echo "== flight recorder chaos bundle =="

@@ -160,6 +160,9 @@ std::vector<PartitionId> Coordinator::footprint(const Query& query) const {
     case QueryKind::kHeatmap:
       return strategy_.partitions_for_region(query.region, query.interval);
     case QueryKind::kCircle:
+    case QueryKind::kKnn:
+      // A k-NN asks the partitions its search circle touches; Cluster
+      // checks afterwards that the answer could not lie outside them.
       return strategy_.partitions_for_region(query.circle.bounding_box(),
                                              query.interval);
     case QueryKind::kCameraWindow:
@@ -189,9 +192,6 @@ std::vector<PartitionId> Coordinator::footprint(const Query& query) const {
       }
       return asked;
     }
-    case QueryKind::kKnn:
-      // No bounded spatial footprint: must ask every partition.
-      return strategy_.all_partitions();
   }
   return strategy_.all_partitions();
 }

@@ -118,9 +118,6 @@ class Coordinator final : public NetworkNode {
         estimate_q_error_x100_(metrics_.histogram(
             "estimate_q_error_x100",
             "Selectivity q-error per realized estimate, x100")),
-        knn_plan_q_error_x100_(metrics_.histogram(
-            "knn_plan_q_error_x100",
-            "kNN planner initial-radius q-error per plan, x100")),
         heat_(config.heat),
         partition_load_relative_stddev_(metrics_.gauge(
             "partition.load_relative_stddev",
@@ -242,8 +239,12 @@ class Coordinator final : public NetworkNode {
   /// failover leaves a partition with primary == backup).
   [[nodiscard]] PartitionMap& mutable_partition_map() { return map_; }
 
-  /// Events the Cluster drives (crash/restart orchestration and adaptive
-  /// kNN planning), accounted on this node's registry.
+  /// Partitions `query` is sent to: the one owner of each query kind's
+  /// partition set.
+  [[nodiscard]] std::vector<PartitionId> footprint(const Query& query) const;
+
+  /// Events the Cluster drives (crash/restart orchestration and k-NN
+  /// planning), accounted on this node's registry.
   struct ClusterEvents {
     Counter& workers_crashed;
     Counter& workers_restarted;
@@ -297,12 +298,9 @@ class Coordinator final : public NetworkNode {
   void set_profiler(QueryProfiler* profiler) { profiler_ = profiler; }
 
   /// Feeds a realized estimate-vs-actual pair into the planner-calibration
-  /// histograms (stored as q-error × 100 for bucket resolution).
+  /// histogram (stored as q-error × 100 for bucket resolution).
   void observe_estimate_error(double estimated, double actual) {
     estimate_q_error_x100_.observe(q_error(estimated, actual) * 100.0);
-  }
-  void observe_knn_plan_error(double estimated, double actual) {
-    knn_plan_q_error_x100_.observe(q_error(estimated, actual) * 100.0);
   }
 
   /// Reliable-transport state: frames sent but not yet acked. 0 means every
@@ -391,9 +389,6 @@ class Coordinator final : public NetworkNode {
   /// Re-routes a timed-out request's unanswered partitions to backups.
   void failover_retry(std::uint64_t request_id, SimNetwork& network);
 
-  /// Workers whose partitions overlap `region` footprint partitions.
-  [[nodiscard]] std::vector<PartitionId> footprint(const Query& query) const;
-
   NodeId id_;
   const PartitionStrategy& strategy_;
   PartitionMap map_;
@@ -456,7 +451,6 @@ class Coordinator final : public NetworkNode {
   Counter& trajectory_partitions_pruned_;
   // Planner calibration: q-error × 100 per realized estimate.
   LatencyHistogram& estimate_q_error_x100_;
-  LatencyHistogram& knn_plan_q_error_x100_;
   // Cluster-wide per-partition heat, fed from heartbeat piggybacks; the
   // skew rollups are exported through the gauges below.
   HeatMapSnapshot heat_;
@@ -514,9 +508,10 @@ class Coordinator final : public NetworkNode {
                        "kNN queries planned with the adaptive radius ladder"),
       metrics_.counter(
           "knn_adaptive_degenerate",
-          "Adaptive kNN plans that fell back to a full-space probe"),
+          "kNN plans that fell back to asking every partition"),
       metrics_.counter("knn_adaptive_rounds",
-                       "Radius-expansion rounds issued by adaptive kNN")};
+                       "kNN rounds issued; rounds minus plans = coverage "
+                       "fallbacks")};
 
   Tracer* tracer_ = nullptr;
   SlowQueryLog slow_log_;

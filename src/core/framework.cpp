@@ -1,6 +1,8 @@
 #include "core/framework.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace stcn {
 
@@ -123,7 +125,17 @@ QueryResult Cluster::execute(const Query& query) {
     root = tracer_.start_trace("gateway.execute", 0, network_.now());
     last_trace_id_ = root.trace_id;
   }
+  QueryResult result = query.kind == QueryKind::kKnn
+                           ? execute_knn(query, root)
+                           : submit_and_wait(query, root);
+  if (root.valid()) {
+    tracer_.tag(root, "results", std::to_string(result.detections.size()));
+    tracer_.end_span(root, network_.now());
+  }
+  return result;
+}
 
+QueryResult Cluster::submit_and_wait(const Query& query, TraceContext root) {
   // Pre-submit cardinality estimate for the kinds the feedback loop also
   // observes, so every such query yields an estimate-vs-actual pair for
   // the planner-calibration histograms (and an EXPLAIN stage when
@@ -165,10 +177,6 @@ QueryResult Cluster::execute(const Query& query) {
   }
   auto result = coordinator_->poll(request);
   STCN_CHECK(result.has_value());
-  if (root.valid()) {
-    tracer_.tag(root, "results", std::to_string(result->detections.size()));
-    tracer_.end_span(root, network_.now());
-  }
 
   double actual = query.kind == QueryKind::kHeatmap
                       ? static_cast<double>(result->total_count())
@@ -203,63 +211,76 @@ QueryResult Cluster::execute(const Query& query) {
   return std::move(*result);
 }
 
-QueryResult Cluster::execute_knn_adaptive(Point center, std::uint32_t k,
-                                          const TimeInterval& interval) {
+namespace {
+
+/// Relative slack on the k-th answer's distance in the k-NN coverage check,
+/// so rounding never drops a row at exactly that distance from the square.
+constexpr double kKnnReachSlack = 1e-9;
+
+}  // namespace
+
+QueryResult Cluster::execute_knn(const Query& query, TraceContext root) {
   bool profiling = profiler_.active();
   if (profiling) profiler_.set_time(network_.now());
-  KnnPlanner planner(estimator_, world_);
-  KnnPlan plan =
-      planner.plan(center, k, interval, profiling ? &profiler_ : nullptr);
+  Point center = query.circle.center;
+  KnnPlan plan = KnnPlanner(estimator_, world_)
+                     .plan(center, query.k, query.interval,
+                           profiling ? &profiler_ : nullptr);
   Coordinator::ClusterEvents& events = coordinator_->cluster_events();
   events.knn_adaptive_plans.inc();
   if (plan.degenerate) events.knn_adaptive_degenerate.inc();
 
-  double radius = plan.initial_radius;
-  bool first_round = true;
-  for (;;) {
+  // Round 1 asks the partitions of the planned circle, each for its own k
+  // nearest. Every row nearer than the merged k-th answer lies in the
+  // square around the circle through that answer, so when the square's
+  // partitions were all asked the answer is exact, ties included. Else
+  // one round over every partition (radius ∞) answers.
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+  Query round = query;
+  round.circle.radius = plan.initial_radius;
+  for (bool first = true;; first = false) {
     events.knn_adaptive_rounds.inc();
-    std::size_t round_stage = QueryProfiler::kNoStage;
+    std::size_t stage = QueryProfiler::kNoStage;
     if (profiling) {
-      round_stage = profiler_.open_stage("knn.round", network_.now());
-      ExplainStage& s = profiler_.stage(round_stage);
-      s.estimated = first_round ? plan.estimated_count
-                                : estimator_.estimate(
-                                      Rect::centered(center, radius),
-                                      interval);
-      s.note("radius", std::to_string(radius));
+      stage = profiler_.open_stage("knn.round", network_.now());
+      ExplainStage& s = profiler_.stage(stage);
+      if (first) {
+        s.estimated =
+            std::min(static_cast<double>(query.k), plan.estimated_count);
+      }
+      s.note("radius", std::to_string(round.circle.radius));
       profiler_.push_depth();
     }
-    QueryResult candidates = execute(Query::circle_query(
-        next_query_id(), {center, radius}, interval));
-    if (round_stage != QueryProfiler::kNoStage) {
+    QueryResult result = submit_and_wait(round, root);
+
+    // An unbounded round asked every partition that can hold a match.
+    bool covered = std::isinf(round.circle.radius);
+    if (!covered) {
+      Query reach = round;
+      reach.circle.radius = kUnbounded;
+      if (result.detections.size() >= query.k) {
+        reach.circle.radius =
+            query.k == 0
+                ? 0.0
+                : distance(result.detections.back().position, center) *
+                      (1.0 + kKnnReachSlack);
+      }
+      std::vector<PartitionId> asked = coordinator_->footprint(round);
+      std::vector<PartitionId> needed = coordinator_->footprint(reach);
+      std::sort(asked.begin(), asked.end());
+      std::sort(needed.begin(), needed.end());
+      covered = std::includes(asked.begin(), asked.end(), needed.begin(),
+                              needed.end());
+    }
+    if (stage != QueryProfiler::kNoStage) {
       profiler_.pop_depth();
-      ExplainStage& s = profiler_.stage(round_stage);
-      s.actual = static_cast<std::int64_t>(candidates.detections.size());
-      profiler_.close_stage(round_stage, network_.now());
+      ExplainStage& s = profiler_.stage(stage);
+      s.actual = static_cast<std::int64_t>(result.detections.size());
+      s.note("covered", covered ? "true" : "false");
+      profiler_.close_stage(stage, network_.now());
     }
-    if (first_round) {
-      // Plan calibration: how close was the planner's estimate for its
-      // chosen initial radius to what that circle actually held?
-      coordinator_->observe_knn_plan_error(
-          plan.estimated_count,
-          static_cast<double>(candidates.detections.size()));
-      first_round = false;
-    }
-    bool covers_world = radius >= planner.world_radius();
-    if (candidates.detections.size() >= k || covers_world) {
-      // The k nearest within the circle are the global k nearest (every
-      // point outside is farther than every point inside).
-      std::sort(candidates.detections.begin(), candidates.detections.end(),
-                [center](const Detection& a, const Detection& b) {
-                  double da = squared_distance(a.position, center);
-                  double db = squared_distance(b.position, center);
-                  if (da != db) return da < db;
-                  return a.id < b.id;
-                });
-      if (candidates.detections.size() > k) candidates.detections.resize(k);
-      return candidates;
-    }
-    radius = planner.grow(radius);
+    if (covered) return result;
+    round.circle.radius = kUnbounded;
   }
 }
 
@@ -267,10 +288,7 @@ Cluster::ExplainResult Cluster::explain(const Query& query) {
   profiler_.begin(std::string("query kind=") + query_kind_name(query.kind),
                   network_.now());
   ExplainResult out;
-  out.result =
-      query.kind == QueryKind::kKnn
-          ? execute_knn_adaptive(query.center, query.k, query.interval)
-          : execute(query);
+  out.result = execute(query);
   out.profile = profiler_.finish(network_.now());
   // The slow-query log records by request id in maybe_finish; if this query
   // qualified, enrich its entry with the plan profile.

@@ -157,15 +157,11 @@ class Cluster {
 
   /// Executes a query to completion (synchronous over the virtual clock).
   /// Range/circle/heatmap results feed the selectivity estimator as a side
-  /// effect (the framework's query-feedback loop).
+  /// effect (the framework's query-feedback loop). A k-NN asks only the
+  /// partitions of the circle the planner picks, and asks every partition
+  /// once more only when the answer could lie outside them; it is exact
+  /// either way.
   QueryResult execute(const Query& query);
-
-  /// Planner-assisted k-NN: uses the selectivity estimator to run bounded
-  /// circle queries (prunable) instead of a cluster-wide broadcast,
-  /// expanding the radius only when the estimate under-shot. Exact: returns
-  /// the same answer as the broadcast plan.
-  QueryResult execute_knn_adaptive(Point center, std::uint32_t k,
-                                   const TimeInterval& interval);
 
   // ------------------------------------------------------ EXPLAIN/ANALYZE
   struct ExplainResult {
@@ -179,9 +175,8 @@ class Cluster {
 
   /// Executes `query` with the profiler armed: the returned profile holds
   /// every planning/execution stage with estimated vs actual cardinalities.
-  /// k-NN queries route through the adaptive planner (that is the plan
-  /// worth explaining). The profile is also attached to the slow-query log
-  /// entry when the query qualified.
+  /// The profile is also attached to the slow-query log entry when the
+  /// query qualified.
   ExplainResult explain(const Query& query);
 
   /// Profiled multi-hop path reconstruction: per-hop stages with the
@@ -312,6 +307,12 @@ class Cluster {
   static constexpr std::uint64_t kCoordinatorNode = 1'000'000;
   // Gateways occupy [2'000'000, …); the health ticker sits above them.
   static constexpr std::uint64_t kHealthNode = 3'000'000;
+
+  /// One coordinator round of `query`: submit, pump until complete, poll,
+  /// and feed the estimator.
+  QueryResult submit_and_wait(const Query& query, TraceContext root);
+  /// The k-NN plan: a bounded round, then the coverage check.
+  QueryResult execute_knn(const Query& query, TraceContext root);
 
   /// The full sampling pipeline behind sample_health() and the ticker.
   void sample_health_at(TimePoint now);

@@ -4,6 +4,20 @@
 
 namespace stcn {
 
+namespace {
+
+/// Tile index of coordinate `v` on an axis starting at `lo`, `extent` long
+/// and cut into `tiles` tiles. Clamped in floating point before the cast
+/// (converting an out-of-range double to an integer is undefined), so huge
+/// and infinite coordinates land on the edge tiles.
+std::size_t tile_index(double v, double lo, double extent, std::size_t tiles) {
+  double t = std::floor((v - lo) / extent * static_cast<double>(tiles));
+  double last = static_cast<double>(tiles - 1);
+  return static_cast<std::size_t>(t >= 0.0 ? std::min(t, last) : 0.0);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- spatial
 
 SpatialGridStrategy::SpatialGridStrategy(Rect world, std::size_t tiles_x,
@@ -18,19 +32,11 @@ SpatialGridStrategy::SpatialGridStrategy(Rect world, std::size_t tiles_x,
 }
 
 std::size_t SpatialGridStrategy::tile_x(double x) const {
-  auto t = static_cast<std::ptrdiff_t>(
-      std::floor((x - world_.min.x) / world_.width() *
-                 static_cast<double>(tiles_x_)));
-  return static_cast<std::size_t>(
-      std::clamp<std::ptrdiff_t>(t, 0, static_cast<std::ptrdiff_t>(tiles_x_) - 1));
+  return tile_index(x, world_.min.x, world_.width(), tiles_x_);
 }
 
 std::size_t SpatialGridStrategy::tile_y(double y) const {
-  auto t = static_cast<std::ptrdiff_t>(
-      std::floor((y - world_.min.y) / world_.height() *
-                 static_cast<double>(tiles_y_)));
-  return static_cast<std::size_t>(
-      std::clamp<std::ptrdiff_t>(t, 0, static_cast<std::ptrdiff_t>(tiles_y_) - 1));
+  return tile_index(y, world_.min.y, world_.height(), tiles_y_);
 }
 
 PartitionId SpatialGridStrategy::partition_of(CameraId, Point position,
@@ -123,19 +129,16 @@ HybridStrategy::HybridStrategy(Rect world, const CameraNetwork& cameras,
   }
 }
 
+std::size_t HybridStrategy::tile_x(double x) const {
+  return tile_index(x, world_.min.x, world_.width(), config_.tiles_x);
+}
+
+std::size_t HybridStrategy::tile_y(double y) const {
+  return tile_index(y, world_.min.y, world_.height(), config_.tiles_y);
+}
+
 std::size_t HybridStrategy::tile_of(Point p) const {
-  auto tx = static_cast<std::ptrdiff_t>(
-      std::floor((p.x - world_.min.x) / world_.width() *
-                 static_cast<double>(config_.tiles_x)));
-  auto ty = static_cast<std::ptrdiff_t>(
-      std::floor((p.y - world_.min.y) / world_.height() *
-                 static_cast<double>(config_.tiles_y)));
-  tx = std::clamp<std::ptrdiff_t>(
-      tx, 0, static_cast<std::ptrdiff_t>(config_.tiles_x) - 1);
-  ty = std::clamp<std::ptrdiff_t>(
-      ty, 0, static_cast<std::ptrdiff_t>(config_.tiles_y) - 1);
-  return static_cast<std::size_t>(ty) * config_.tiles_x +
-         static_cast<std::size_t>(tx);
+  return tile_y(p.y) * config_.tiles_x + tile_x(p.x);
 }
 
 void HybridStrategy::tile_partitions(std::size_t tile,
@@ -158,17 +161,10 @@ std::vector<PartitionId> HybridStrategy::partitions_for_region(
     const Rect& region, const TimeInterval&) const {
   std::vector<PartitionId> out;
   if (region.is_empty()) return out;
-  auto clamp_tile = [](double v, std::size_t n) {
-    auto t = static_cast<std::ptrdiff_t>(v);
-    return static_cast<std::size_t>(
-        std::clamp<std::ptrdiff_t>(t, 0, static_cast<std::ptrdiff_t>(n) - 1));
-  };
-  double fx = static_cast<double>(config_.tiles_x) / world_.width();
-  double fy = static_cast<double>(config_.tiles_y) / world_.height();
-  std::size_t x0 = clamp_tile((region.min.x - world_.min.x) * fx, config_.tiles_x);
-  std::size_t x1 = clamp_tile((region.max.x - world_.min.x) * fx, config_.tiles_x);
-  std::size_t y0 = clamp_tile((region.min.y - world_.min.y) * fy, config_.tiles_y);
-  std::size_t y1 = clamp_tile((region.max.y - world_.min.y) * fy, config_.tiles_y);
+  std::size_t x0 = tile_x(region.min.x);
+  std::size_t x1 = tile_x(region.max.x);
+  std::size_t y0 = tile_y(region.min.y);
+  std::size_t y1 = tile_y(region.max.y);
   for (std::size_t y = y0; y <= y1; ++y) {
     for (std::size_t x = x0; x <= x1; ++x) {
       tile_partitions(y * config_.tiles_x + x, out);

@@ -148,6 +148,8 @@ class HybridStrategy final : public PartitionStrategy {
   [[nodiscard]] std::size_t hot_tile_count() const { return hot_tiles_; }
 
  private:
+  [[nodiscard]] std::size_t tile_x(double x) const;
+  [[nodiscard]] std::size_t tile_y(double y) const;
   [[nodiscard]] std::size_t tile_of(Point p) const;
   /// Partitions backing one tile: [first_partition[tile],
   /// first_partition[tile] + width[tile]).

@@ -127,7 +127,8 @@ class LocalExecutor {
         refs = store.scan_circle(query.circle, query.interval, &ms);
         break;
       case QueryKind::kKnn:
-        refs = store.scan_knn(query.center, query.k, query.interval, &ms);
+        refs = store.scan_knn(query.circle.center, query.k, query.interval,
+                              &ms);
         break;
       case QueryKind::kTrajectory:
         refs = indexes.trajectories.query(query.object, query.interval);

@@ -3,17 +3,18 @@
 // k-NN has no a-priori spatial footprint, so the naive plan broadcasts to
 // every partition. The planner uses the feedback-built selectivity
 // histogram to bound the search: pick the smallest radius whose estimated
-// detection count comfortably exceeds k, run a *circle* query (which the
-// partition strategy can prune), and expand the radius only if the guess
-// under-shot.
+// detection count comfortably exceeds k. Cluster::execute then asks only
+// the partitions that circle touches.
 //
-// Correctness does not depend on the estimate: if a circle of radius R
-// returns ≥ k detections, the true k nearest all lie within R (anything
-// outside is farther than everything inside), so the answer equals the
-// broadcast k-NN. The estimate only controls how often we expand.
+// Correctness does not depend on the estimate: after the round, the circle
+// through the k-th nearest answer must touch no partition that was not
+// asked, or the query runs once more over every partition. The estimate
+// only controls how often that fallback happens.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/geometry.h"
@@ -24,28 +25,27 @@
 namespace stcn {
 
 struct KnnPlan {
+  /// Search radius; ∞ when the plan is degenerate.
   double initial_radius = 0.0;
   /// Estimated detections within the initial radius.
   double estimated_count = 0.0;
-  /// True when the planner fell back to a whole-world radius (estimator
-  /// dark or k larger than the estimated population).
+  /// True when no radius below the world's size reached the target
+  /// (estimator dark or k larger than the estimated population), so every
+  /// partition is asked.
   bool degenerate = false;
-};
-
-struct KnnPlannerParams {
-  /// Target estimate = k × this factor (headroom for estimator error).
-  double overshoot_factor = 3.0;
-  /// Smallest radius ever planned (below this, fixed costs dominate).
-  double min_radius = 50.0;
-  /// Radius growth per expansion round.
-  double growth = 2.0;
 };
 
 class KnnPlanner {
  public:
-  KnnPlanner(const SelectivityEstimator& estimator, Rect world,
-             KnnPlannerParams params = {})
-      : estimator_(estimator), world_(world), params_(params) {}
+  /// Target estimate = k × this factor (headroom for estimator error).
+  static constexpr double kOvershoot = 3.0;
+  /// Smallest radius ever planned (below this, fixed costs dominate).
+  static constexpr double kMinRadius = 50.0;
+  /// Radius growth per planning guess.
+  static constexpr double kGrowth = 2.0;
+
+  KnnPlanner(const SelectivityEstimator& estimator, Rect world)
+      : estimator_(estimator), world_(world) {}
 
   /// Plans the initial radius for a k-NN at `center` over `interval`. When
   /// `profiler` is profiling, the radius ladder is recorded as a
@@ -62,8 +62,8 @@ class KnnPlanner {
     }
     double world_radius =
         std::max(world_.width(), world_.height());
-    double target = static_cast<double>(k) * params_.overshoot_factor;
-    double radius = params_.min_radius;
+    double target = static_cast<double>(k) * kOvershoot;
+    double radius = kMinRadius;
     int guesses = 0;
     while (radius < world_radius) {
       plan.estimated_count =
@@ -76,11 +76,11 @@ class KnnPlanner {
                 " est=" + std::to_string(plan.estimated_count));
       }
       if (plan.estimated_count >= target) break;
-      radius *= params_.growth;
+      radius *= kGrowth;
     }
     if (radius >= world_radius) {
       plan.degenerate = true;
-      radius = world_radius;
+      radius = std::numeric_limits<double>::infinity();
     }
     plan.initial_radius = radius;
     if (stage != QueryProfiler::kNoStage) {
@@ -95,17 +95,9 @@ class KnnPlanner {
     return plan;
   }
 
-  [[nodiscard]] double grow(double radius) const {
-    return radius * params_.growth;
-  }
-  [[nodiscard]] double world_radius() const {
-    return std::max(world_.width(), world_.height());
-  }
-
  private:
   const SelectivityEstimator& estimator_;
   Rect world_;
-  KnnPlannerParams params_;
 };
 
 }  // namespace stcn

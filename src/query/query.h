@@ -7,7 +7,8 @@
 // Kinds:
 //   kRange      — detections with position ∈ region, time ∈ interval
 //   kCircle     — detections within a circle during interval
-//   kKnn        — k detections nearest `center` during interval
+//   kKnn        — k detections nearest `circle.center` during interval;
+//                 `circle.radius` bounds the partitions asked (∞ = all)
 //   kTrajectory — detections of one object during interval, time-ordered
 //   kCount      — count of detections in region/interval, optionally
 //                 grouped by camera
@@ -19,6 +20,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/geometry.h"
 #include "common/ids.h"
@@ -62,10 +64,10 @@ struct Query {
 
   // kRange / kCount footprint.
   Rect region;
-  // kCircle footprint.
+  // kCircle footprint; for kKnn, the centre and the search area whose
+  // partitions are asked (radius ∞ asks every partition).
   Circle circle;
-  // kKnn parameters.
-  Point center;
+  // kKnn result size.
   std::uint32_t k = 0;
   // kTrajectory parameter.
   ObjectId object;
@@ -122,7 +124,7 @@ struct Query {
     Query q;
     q.id = id;
     q.kind = QueryKind::kKnn;
-    q.center = center;
+    q.circle = {center, std::numeric_limits<double>::infinity()};
     q.k = k;
     q.interval = interval;
     return q;
@@ -180,30 +182,6 @@ struct Query {
     auto cy = static_cast<std::uint64_t>((p.y - region.min.y) / cell_size);
     return cy * heatmap_cols() + cx;
   }
-
-  /// Conservative spatial footprint, or an empty rect when the query has no
-  /// spatial constraint (trajectory queries).
-  [[nodiscard]] Rect spatial_footprint() const {
-    switch (kind) {
-      case QueryKind::kRange:
-      case QueryKind::kCount:
-      case QueryKind::kHeatmap:
-        return region;
-      case QueryKind::kCircle:
-        return circle.bounding_box();
-      case QueryKind::kKnn:
-        return Rect::empty();  // unbounded: nearest may be anywhere
-      case QueryKind::kTrajectory:
-      case QueryKind::kCameraWindow:
-        return Rect::empty();
-    }
-    return Rect::empty();
-  }
-
-  [[nodiscard]] bool has_spatial_footprint() const {
-    return kind == QueryKind::kRange || kind == QueryKind::kCount ||
-           kind == QueryKind::kCircle || kind == QueryKind::kHeatmap;
-  }
 };
 
 inline void serialize(BinaryWriter& w, const Query& q) {
@@ -218,8 +196,10 @@ inline void serialize(BinaryWriter& w, const Query& q) {
   w.write_double(q.circle.center.x);
   w.write_double(q.circle.center.y);
   w.write_double(q.circle.radius);
-  w.write_double(q.center.x);
-  w.write_double(q.center.y);
+  // Reserved, always zero: keeps the encoded size, and so the wire byte
+  // counts benchmarks compare across versions, stable.
+  w.write_double(0.0);
+  w.write_double(0.0);
   w.write_u32(q.k);
   w.write_id(q.object);
   w.write_id(q.camera);
@@ -242,8 +222,8 @@ inline Query deserialize_query(BinaryReader& r) {
   q.circle.center.x = r.read_double();
   q.circle.center.y = r.read_double();
   q.circle.radius = r.read_double();
-  q.center.x = r.read_double();
-  q.center.y = r.read_double();
+  (void)r.read_double();  // reserved
+  (void)r.read_double();
   q.k = r.read_u32();
   q.object = r.read_id<ObjectIdTag>();
   q.camera = r.read_id<CameraIdTag>();

@@ -90,10 +90,11 @@ class ResultMerger {
   [[nodiscard]] QueryResult take() {
     auto& ds = merged_.detections;
     if (query_.kind == QueryKind::kKnn) {
+      Point center = query_.circle.center;
       std::sort(ds.begin(), ds.end(),
-                [this](const Detection& a, const Detection& b) {
-                  double da = squared_distance(a.position, query_.center);
-                  double db = squared_distance(b.position, query_.center);
+                [center](const Detection& a, const Detection& b) {
+                  double da = squared_distance(a.position, center);
+                  double db = squared_distance(b.position, center);
                   if (da != db) return da < db;
                   return a.id < b.id;
                 });

@@ -96,6 +96,31 @@ TEST(Coordinator, RangeQueryFansOutOnlyToFootprint) {
       8u);
 }
 
+TEST(Coordinator, KnnFootprintIsItsSearchCircle) {
+  TestWorld tw;
+  Cluster cluster(
+      tw.world,
+      std::make_unique<SpatialGridStrategy>(tw.world, 4, 4, tw.trace.cameras),
+      cluster_config(4));
+  const Coordinator& coordinator = cluster.coordinator();
+  Point c = tw.world.center();  // the corner of four tiles
+
+  // Query::knn builds radius ∞: every partition.
+  Query knn = Query::knn(QueryId(1), c, 5, TimeInterval::all());
+  EXPECT_EQ(coordinator.footprint(knn).size(), 16u);
+
+  // A bounded k-NN asks what a circle query of its circle asks.
+  knn.circle.radius = 10.0;
+  Query circle =
+      Query::circle_query(QueryId(2), {c, 10.0}, TimeInterval::all());
+  EXPECT_EQ(coordinator.footprint(knn), coordinator.footprint(circle));
+  EXPECT_EQ(coordinator.footprint(knn).size(), 4u);
+
+  // Off the corner, a small circle stays inside one tile.
+  knn.circle.center = {c.x + 50.0, c.y + 50.0};
+  EXPECT_EQ(coordinator.footprint(knn).size(), 1u);
+}
+
 TEST(Coordinator, QueryResultsMatchAcrossStrategies) {
   TestWorld tw;
   auto collect_ids = [&](Cluster& cluster, const Rect& region) {

@@ -213,7 +213,7 @@ TEST(EdgeCases, CoLocationWithIdenticalPositions) {
 // Detections 9 (t=1000, at (10,10)) and 3 (t=2000, at (30,10)) tie at
 // distance 10 from (20,10). k=1 must keep id 3: k-NN answers are ordered by
 // (distance, detection id), whatever order the rows arrived in — the order
-// ResultMerger and the adaptive path (explain) finalize by.
+// ResultMerger finalizes by, through execute and explain alike.
 std::vector<Detection> knn_tie_pair() {
   return {make_detection(9, {10, 10}, 1000), make_detection(3, {30, 10}, 2000)};
 }
@@ -247,13 +247,13 @@ TEST(EdgeCases, KnnTieKeepsSmallerIdCluster) {
   cluster.ingest_all(knn_tie_pair());
   Query knn =
       Query::knn(cluster.next_query_id(), {20, 10}, 1, TimeInterval::all());
-  QueryResult broadcast = cluster.execute(knn);
-  ASSERT_EQ(broadcast.detections.size(), 1u);
-  EXPECT_EQ(broadcast.detections[0].id, DetectionId(3));
+  QueryResult executed = cluster.execute(knn);
+  ASSERT_EQ(executed.detections.size(), 1u);
+  EXPECT_EQ(executed.detections[0].id, DetectionId(3));
   knn.id = cluster.next_query_id();
-  QueryResult adaptive = cluster.explain(knn).result;
-  ASSERT_EQ(adaptive.detections.size(), 1u);
-  EXPECT_EQ(adaptive.detections[0].id, DetectionId(3));
+  QueryResult explained = cluster.explain(knn).result;
+  ASSERT_EQ(explained.detections.size(), 1u);
+  EXPECT_EQ(explained.detections[0].id, DetectionId(3));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -103,6 +104,60 @@ TEST(SpatialGridStrategy, CameraFootprintCoversCameraPartitions) {
   }
 }
 
+// Regions and positions far outside the world, up to ±∞ (an unbounded
+// k-NN round asks the infinite square), clamp to the edge tiles.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const Rect kWorld1km{{0, 0}, {1000, 1000}};
+
+std::vector<Rect> far_regions() {
+  return {Rect{{-1e30, -1e30}, {1e30, 1e30}},
+          Rect::centered({500, 500}, kInf),
+          Rect::centered({-1e6, 2e6}, kInf)};
+}
+
+std::vector<Point> far_positions() {
+  return {{-1e30, 500}, {1e30, 500}, {500, -1e30}, {500, 1e30},
+          {-kInf, 500}, {kInf, 500}, {500, -kInf}, {500, kInf}};
+}
+
+/// A position just inside the world on the edge tile `far` clamps to.
+Point edge_twin(Point far) {
+  auto inside = [](double v) {
+    return v < 0 ? 1.0 : (v > 1000 ? 999.0 : v);
+  };
+  return {inside(far.x), inside(far.y)};
+}
+
+TEST(SpatialGridStrategy, HugeAndInfiniteRegionsSelectEveryPartition) {
+  World world = make_world();
+  SpatialGridStrategy strategy(kWorld1km, 4, 4, world.cameras);
+  for (const Rect& region : far_regions()) {
+    EXPECT_EQ(strategy.partitions_for_region(region, TimeInterval::all())
+                  .size(),
+              16u)
+        << region;
+  }
+}
+
+TEST(SpatialGridStrategy, FarPositionsMapToEdgeTiles) {
+  World world = make_world();
+  SpatialGridStrategy strategy(kWorld1km, 4, 4, world.cameras);
+  // Row 2 / column 2 hold y = 500 / x = 500.
+  EXPECT_EQ(strategy.partition_of(CameraId(1), {-1e30, 500}, TimePoint(0)),
+            PartitionId(8));
+  EXPECT_EQ(strategy.partition_of(CameraId(1), {1e30, 500}, TimePoint(0)),
+            PartitionId(11));
+  EXPECT_EQ(strategy.partition_of(CameraId(1), {500, -1e30}, TimePoint(0)),
+            PartitionId(2));
+  EXPECT_EQ(strategy.partition_of(CameraId(1), {500, 1e30}, TimePoint(0)),
+            PartitionId(14));
+  for (Point far : far_positions()) {
+    EXPECT_EQ(strategy.partition_of(CameraId(1), far, TimePoint(0)),
+              strategy.partition_of(CameraId(1), edge_twin(far), TimePoint(0)))
+        << far;
+  }
+}
+
 TEST(HashStrategy, SoundAndBalanced) {
   World world = make_world();
   HashStrategy strategy(16);
@@ -189,6 +244,34 @@ TEST(HybridStrategy, SoundFootprints) {
   config.hot_split_factor = 3;
   HybridStrategy strategy(world.bounds, world.cameras, config);
   check_soundness(strategy, world, 40);
+}
+
+TEST(HybridStrategy, HugeAndInfiniteRegionsSelectEveryPartition) {
+  World world = make_world();
+  HybridStrategy::Config config;
+  config.hot_camera_threshold = 0;  // every tile with a camera splits
+  config.hot_split_factor = 2;
+  HybridStrategy strategy(kWorld1km, world.cameras, config);
+  for (const Rect& region : far_regions()) {
+    EXPECT_EQ(strategy.partitions_for_region(region, TimeInterval::all())
+                  .size(),
+              strategy.partition_count())
+        << region;
+  }
+}
+
+TEST(HybridStrategy, FarPositionsMapToEdgeTiles) {
+  World world = make_world();
+  HybridStrategy::Config config;
+  HybridStrategy strategy(kWorld1km, world.cameras, config);
+  for (Point far : far_positions()) {
+    for (std::uint64_t cam = 1; cam <= 4; ++cam) {
+      EXPECT_EQ(strategy.partition_of(CameraId(cam), far, TimePoint(0)),
+                strategy.partition_of(CameraId(cam), edge_twin(far),
+                                      TimePoint(0)))
+          << far;
+    }
+  }
 }
 
 TEST(HybridStrategy, CameraFootprintRefinesToSubPartition) {

@@ -172,7 +172,8 @@ TEST_P(PipelineProperty, QueryCodecFuzz) {
                   TimePoint(rng.uniform_int(-1000, 1000))};
     q.region = Rect::spanning({rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)},
                               {rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)});
-    q.center = {rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)};
+    q.circle = {{rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)},
+                rng.uniform(0.0, 1e6)};
     q.k = static_cast<std::uint32_t>(rng.uniform_index(1000));
     q.object = ObjectId(rng.next_u64());
     q.camera = CameraId(rng.next_u64());

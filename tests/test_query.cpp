@@ -177,23 +177,6 @@ TEST(LocalExecutorKnn, FarQuerySkipsEarlyBlocksInScanStats) {
   EXPECT_EQ(stats.rows_scanned, 5u);
 }
 
-TEST(QueryModel, SpatialFootprints) {
-  Query range = Query::range(QueryId(1), {{0, 0}, {5, 5}},
-                             TimeInterval::all());
-  EXPECT_TRUE(range.has_spatial_footprint());
-  EXPECT_EQ(range.spatial_footprint(), (Rect{{0, 0}, {5, 5}}));
-
-  Query circ =
-      Query::circle_query(QueryId(2), {{5, 5}, 2.0}, TimeInterval::all());
-  EXPECT_TRUE(circ.has_spatial_footprint());
-  EXPECT_EQ(circ.spatial_footprint(), (Rect{{3, 3}, {7, 7}}));
-
-  Query knn = Query::knn(QueryId(3), {0, 0}, 5, TimeInterval::all());
-  EXPECT_FALSE(knn.has_spatial_footprint());
-  Query traj = Query::trajectory(QueryId(4), ObjectId(1), TimeInterval::all());
-  EXPECT_FALSE(traj.has_spatial_footprint());
-}
-
 TEST(ResultMerger, DedupsDuplicateDetections) {
   Query q = Query::range(QueryId(9), {{0, 0}, {100, 100}},
                          TimeInterval::all());

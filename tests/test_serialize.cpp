@@ -135,7 +135,8 @@ TEST(QuerySerialization, RoundTripAllKinds) {
     EXPECT_EQ(back.kind, q.kind);
     EXPECT_EQ(back.interval, q.interval);
     EXPECT_EQ(back.region, q.region);
-    EXPECT_EQ(back.center, q.center);
+    EXPECT_EQ(back.circle.center, q.circle.center);
+    EXPECT_EQ(back.circle.radius, q.circle.radius);
     EXPECT_EQ(back.k, q.k);
     EXPECT_EQ(back.object, q.object);
     EXPECT_EQ(back.camera, q.camera);
