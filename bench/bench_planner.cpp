@@ -6,8 +6,8 @@
 // path (Cluster::execute): worker fan-out, messages, and bytes per k-NN,
 // with the estimator dark and warm. A dark estimator degenerates every
 // plan to one round over every partition, which is the broadcast; once
-// warm, k-NN asks the partitions of the planned circle and falls back to
-// the broadcast only when the answer could lie outside them.
+// warm, k-NN asks the partitions of the planned circle, and a second round
+// asks only those the answer could lie in that the first did not ask.
 #include <cinttypes>
 #include <memory>
 

@@ -67,6 +67,14 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ./build-asan/tests/test_tiered_store \
       --gtest_filter='*TieredDifferential.*:*VaultDifferential.*:QuantizedAppearance.*' \
       >/dev/null
+  echo "== sanitizer merge rerun =="
+  # The merger moves fragments in rather than copying them; hedge answers,
+  # duplicated messages and k-NN fallback rounds feed it duplicate rows and
+  # moved-from fragments. A use after move shows up here under ASan+UBSan.
+  ./build-asan/tests/test_query --gtest_filter='ResultMerger*' >/dev/null
+  ./build-asan/tests/test_reliable_channel \
+      --gtest_filter='ReliableChannelE2E.*' >/dev/null
+  ./build-asan/tests/test_planner --gtest_filter='KnnCoverage.*' >/dev/null
 fi
 
 echo "== columnar scan smoke (Release -O3, bench_index_micro --quick) =="

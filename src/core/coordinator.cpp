@@ -208,9 +208,10 @@ std::size_t Coordinator::send_query_to(
   return bytes;
 }
 
-std::uint64_t Coordinator::submit(const Query& query, SimNetwork& network,
-                                  TraceContext parent,
-                                  double estimated_rows) {
+std::uint64_t Coordinator::submit_to(std::vector<PartitionId> partitions,
+                                     const Query& query, SimNetwork& network,
+                                     TraceContext parent,
+                                     double estimated_rows) {
   std::uint64_t request_id = next_request_id_++;
   PendingQuery pending;
   pending.query = query;
@@ -223,9 +224,8 @@ std::uint64_t Coordinator::submit(const Query& query, SimNetwork& network,
     tracer_->tag(pending.root, "request_id", std::to_string(request_id));
   }
 
-  std::vector<PartitionId> selected = footprint(query);
   std::unordered_map<NodeId, std::vector<PartitionId>> assignment;
-  for (PartitionId p : selected) {
+  for (PartitionId p : partitions) {
     assignment[worker_node(map_.primary(p))].push_back(p);
   }
   queries_submitted_.inc();
@@ -242,12 +242,18 @@ std::uint64_t Coordinator::submit(const Query& query, SimNetwork& network,
                                               network.now());
     ExplainStage& s = profiler_->stage(stage);
     s.considered = map_.partition_count();
-    s.actual = static_cast<std::int64_t>(selected.size());
-    s.pruned = map_.partition_count() >= selected.size()
-                   ? map_.partition_count() - selected.size()
+    s.actual = static_cast<std::int64_t>(partitions.size());
+    s.pruned = map_.partition_count() >= partitions.size()
+                   ? map_.partition_count() - partitions.size()
                    : 0;
     s.note("kind", query_kind_name(query.kind));
     s.note("fanout", std::to_string(assignment.size()));
+    std::string ids;
+    for (PartitionId p : partitions) {
+      if (!ids.empty()) ids += ' ';
+      ids += std::to_string(p.value());
+    }
+    s.note("asked", std::move(ids));
     profiler_->close_stage(stage, network.now());
   }
 
@@ -309,9 +315,8 @@ void Coordinator::maybe_finish(std::uint64_t request_id,
     // Retransmits are recorded as instant spans under the frames that
     // carried this query's fragments, so the trace is the per-query view
     // of what the channel-level counter only shows in aggregate.
-    for (const SpanRecord& s : tracer_->trace(pending.root.trace_id)) {
-      if (s.name == "net.retransmit") ++pending.cost.retransmits;
-    }
+    pending.cost.retransmits +=
+        tracer_->count_spans(pending.root.trace_id, "net.retransmit");
   }
   CostRecord rec;
   rec.request_id = request_id;
@@ -322,9 +327,16 @@ void Coordinator::maybe_finish(std::uint64_t request_id,
   if (pending.query.kind == QueryKind::kCameraWindow) {
     rec.hottest_camera = pending.query.camera.value();
   } else {
+    // Every row that arrived counts, duplicates included.
+    std::unordered_map<std::uint64_t, std::uint64_t> camera_counts;
+    for (const QueryResult& fragment : pending.results) {
+      for (const Detection& d : fragment.detections) {
+        ++camera_counts[d.camera.value()];
+      }
+    }
     std::uint64_t best_cam = CostRecord::kNoCamera;
     std::uint64_t best_n = 0;
-    for (const auto& [cam, n] : pending.camera_counts) {
+    for (const auto& [cam, n] : camera_counts) {
       // Smallest id wins ties, keeping attribution deterministic across
       // unordered_map iteration orders.
       if (n > best_n || (n == best_n && n > 0 && cam < best_cam)) {
@@ -361,28 +373,30 @@ void Coordinator::maybe_finish(std::uint64_t request_id,
   }
 }
 
-void Coordinator::on_response(const QueryResponse& response,
-                              std::size_t wire_bytes, TimePoint now) {
+void Coordinator::on_response(QueryResponse response, std::size_t wire_bytes,
+                              TimePoint now) {
   auto it = pending_.find(response.request_id);
   if (it == pending_.end()) return;  // late response after completion
   PendingQuery& pending = it->second;
+  const std::size_t rows_returned = response.result.detections.size();
+  const std::uint64_t rows_answered =
+      rows_returned == 0 && !response.result.counts.empty()
+          ? response.result.total_count()
+          : rows_returned;
   // Keep every fragment result — even from a fragment already retired by a
   // faster hedge or failover re-issue: the merger dedups detections.
-  pending.results.push_back(response.result);
+  pending.results.push_back(std::move(response.result));
 
   // Cost accrues for every answer that arrived, retired fragment or not:
   // a hedged-over primary's scan still happened and still gets billed.
   pending.cost.rows_scanned += response.rows_scanned;
-  pending.cost.rows_returned += response.result.detections.size();
+  pending.cost.rows_returned += rows_returned;
   pending.cost.blocks_scanned += response.blocks_scanned;
   pending.cost.blocks_skipped += response.blocks_skipped;
   pending.cost.rows_evaluated += response.rows_evaluated;
   pending.cost.morsels += response.vectorized_morsels;
   pending.cost.scan_wall_us += response.scan_wall_us;
   pending.cost.bytes_in += wire_bytes;
-  for (const Detection& d : response.result.detections) {
-    ++pending.camera_counts[d.camera.value()];
-  }
 
   auto frag = pending.fragments.find(response.sub_id);
   if (frag == pending.fragments.end()) return;  // pre-sub_id sender (tests)
@@ -401,10 +415,7 @@ void Coordinator::on_response(const QueryResponse& response,
     std::size_t stage = profiler_->open_stage("worker.scan", now);
     ExplainStage& s = profiler_->stage(stage);
     if (frag->second.est_rows >= 0.0) s.estimated = frag->second.est_rows;
-    s.actual = static_cast<std::int64_t>(
-        response.result.detections.empty() && !response.result.counts.empty()
-            ? response.result.total_count()
-            : response.result.detections.size());
+    s.actual = static_cast<std::int64_t>(rows_answered);
     s.considered = response.rows_scanned;
     s.pruned = response.rows_scanned >= static_cast<std::uint64_t>(s.actual)
                    ? response.rows_scanned -
@@ -479,8 +490,8 @@ std::optional<QueryResult> Coordinator::poll(std::uint64_t request_id) {
   PendingQuery& pending = it->second;
   if (pending.outstanding > 0) return std::nullopt;
   ResultMerger merger(pending.query);
-  for (const QueryResult& fragment : pending.results) {
-    merger.add(fragment);
+  for (QueryResult& fragment : pending.results) {
+    merger.add(std::move(fragment));
   }
   QueryResult result = merger.take();
   pending_.erase(it);

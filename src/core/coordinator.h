@@ -180,7 +180,16 @@ class Coordinator final : public NetworkNode {
   /// scan stages carry estimated-vs-actual pairs.
   std::uint64_t submit(const Query& query, SimNetwork& network,
                        TraceContext parent = {},
-                       double estimated_rows = -1.0);
+                       double estimated_rows = -1.0) {
+    return submit_to(footprint(query), query, network, parent,
+                     estimated_rows);
+  }
+  /// `submit` to exactly `partitions` instead of the query's footprint
+  /// (a k-NN fallback round asks only what its first round did not).
+  std::uint64_t submit_to(std::vector<PartitionId> partitions,
+                          const Query& query, SimNetwork& network,
+                          TraceContext parent = {},
+                          double estimated_rows = -1.0);
 
   /// Result if the request completed (all fragments in, or retries
   /// exhausted → partial). nullopt while still pending.
@@ -350,8 +359,6 @@ class Coordinator final : public NetworkNode {
     bool finished = false;  // latency observed, root span ended
     /// Resource-cost accumulator, committed to the ledger at finish.
     CostVector cost;
-    /// Detections returned per camera, for hottest-camera attribution.
-    std::unordered_map<std::uint64_t, std::uint64_t> camera_counts;
   };
 
   static NodeId worker_node(WorkerId w) { return NodeId(w.value()); }
@@ -377,7 +384,8 @@ class Coordinator final : public NetworkNode {
                             const std::vector<PartitionId>& partitions,
                             SimNetwork& network, TraceContext ctx);
   /// `wire_bytes` is the response payload size as it arrived off the wire.
-  void on_response(const QueryResponse& response, std::size_t wire_bytes,
+  /// Takes the decoded response by value so its rows move into `results`.
+  void on_response(QueryResponse response, std::size_t wire_bytes,
                    TimePoint now);
   /// Ends the root span and observes latency once all fragments resolve.
   void maybe_finish(std::uint64_t request_id, PendingQuery& pending,

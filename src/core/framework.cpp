@@ -1,7 +1,7 @@
 #include "core/framework.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <limits>
 
 namespace stcn {
@@ -135,7 +135,9 @@ QueryResult Cluster::execute(const Query& query) {
   return result;
 }
 
-QueryResult Cluster::submit_and_wait(const Query& query, TraceContext root) {
+QueryResult Cluster::submit_and_wait(
+    const Query& query, TraceContext root,
+    std::optional<std::vector<PartitionId>> partitions) {
   // Pre-submit cardinality estimate for the kinds the feedback loop also
   // observes, so every such query yields an estimate-vs-actual pair for
   // the planner-calibration histograms (and an EXPLAIN stage when
@@ -171,7 +173,9 @@ QueryResult Cluster::submit_and_wait(const Query& query, TraceContext root) {
   }
 
   std::uint64_t request =
-      coordinator_->submit(query, network_, root, estimated);
+      partitions ? coordinator_->submit_to(std::move(*partitions), query,
+                                           network_, root, estimated)
+                 : coordinator_->submit(query, network_, root, estimated);
   while (!coordinator_->is_complete(request)) {
     if (!network_.step()) break;  // should not happen: timers pend
   }
@@ -230,58 +234,66 @@ QueryResult Cluster::execute_knn(const Query& query, TraceContext root) {
   events.knn_adaptive_plans.inc();
   if (plan.degenerate) events.knn_adaptive_degenerate.inc();
 
-  // Round 1 asks the partitions of the planned circle, each for its own k
-  // nearest. Every row nearer than the merged k-th answer lies in the
-  // square around the circle through that answer, so when the square's
-  // partitions were all asked the answer is exact, ties included. Else
-  // one round over every partition (radius ∞) answers.
-  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
-  Query round = query;
-  round.circle.radius = plan.initial_radius;
-  for (bool first = true;; first = false) {
+  // One round asks `partitions`, each for its own k nearest, under a
+  // knn.round stage; returns its rows and that stage.
+  auto run_round = [&](const Query& round,
+                       std::vector<PartitionId> partitions,
+                       double estimated) {
     events.knn_adaptive_rounds.inc();
     std::size_t stage = QueryProfiler::kNoStage;
     if (profiling) {
       stage = profiler_.open_stage("knn.round", network_.now());
       ExplainStage& s = profiler_.stage(stage);
-      if (first) {
-        s.estimated =
-            std::min(static_cast<double>(query.k), plan.estimated_count);
-      }
+      s.estimated = estimated;
       s.note("radius", std::to_string(round.circle.radius));
       profiler_.push_depth();
     }
-    QueryResult result = submit_and_wait(round, root);
-
-    // An unbounded round asked every partition that can hold a match.
-    bool covered = std::isinf(round.circle.radius);
-    if (!covered) {
-      Query reach = round;
-      reach.circle.radius = kUnbounded;
-      if (result.detections.size() >= query.k) {
-        reach.circle.radius =
-            query.k == 0
-                ? 0.0
-                : distance(result.detections.back().position, center) *
-                      (1.0 + kKnnReachSlack);
-      }
-      std::vector<PartitionId> asked = coordinator_->footprint(round);
-      std::vector<PartitionId> needed = coordinator_->footprint(reach);
-      std::sort(asked.begin(), asked.end());
-      std::sort(needed.begin(), needed.end());
-      covered = std::includes(asked.begin(), asked.end(), needed.begin(),
-                              needed.end());
-    }
+    QueryResult result = submit_and_wait(round, root, std::move(partitions));
     if (stage != QueryProfiler::kNoStage) {
       profiler_.pop_depth();
-      ExplainStage& s = profiler_.stage(stage);
-      s.actual = static_cast<std::int64_t>(result.detections.size());
-      s.note("covered", covered ? "true" : "false");
+      profiler_.stage(stage).actual =
+          static_cast<std::int64_t>(result.detections.size());
       profiler_.close_stage(stage, network_.now());
     }
-    if (covered) return result;
-    round.circle.radius = kUnbounded;
+    return std::pair{std::move(result), stage};
+  };
+
+  // Round 1 asks the partitions of the planned circle. Every row nearer
+  // than the merged k-th answer lies in the square around the circle
+  // through that answer (all of the world when fewer than k came back).
+  // The partitions of that square round 1 did not ask are the only ones
+  // that can hold a nearer row; one more round asks exactly those, and
+  // merging both rounds' rows is then exact, ties included.
+  Query round = query;
+  round.circle.radius = plan.initial_radius;
+  std::vector<PartitionId> asked = coordinator_->footprint(round);
+  auto [result, stage] = run_round(
+      round, asked,
+      std::min(static_cast<double>(query.k), plan.estimated_count));
+
+  Query reach = query;
+  reach.circle.radius = std::numeric_limits<double>::infinity();
+  if (result.detections.size() >= query.k) {
+    reach.circle.radius =
+        query.k == 0 ? 0.0
+                     : distance(result.detections.back().position, center) *
+                           (1.0 + kKnnReachSlack);
   }
+  std::vector<PartitionId> needed = coordinator_->footprint(reach);
+  std::sort(asked.begin(), asked.end());
+  std::sort(needed.begin(), needed.end());
+  std::vector<PartitionId> missing;
+  std::set_difference(needed.begin(), needed.end(), asked.begin(),
+                      asked.end(), std::back_inserter(missing));
+  if (stage != QueryProfiler::kNoStage) {
+    profiler_.stage(stage).note("covered", missing.empty() ? "true" : "false");
+  }
+  if (missing.empty()) return result;
+
+  ResultMerger merger(query);
+  merger.add(std::move(result));
+  merger.add(run_round(reach, std::move(missing), -1.0).first);
+  return merger.take();
 }
 
 Cluster::ExplainResult Cluster::explain(const Query& query) {

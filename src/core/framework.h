@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -308,10 +309,14 @@ class Cluster {
   // Gateways occupy [2'000'000, …); the health ticker sits above them.
   static constexpr std::uint64_t kHealthNode = 3'000'000;
 
-  /// One coordinator round of `query`: submit, pump until complete, poll,
-  /// and feed the estimator.
-  QueryResult submit_and_wait(const Query& query, TraceContext root);
-  /// The k-NN plan: a bounded round, then the coverage check.
+  /// One coordinator round of `query`: submit (to `partitions` when given,
+  /// else the query's footprint), pump until complete, poll, and feed the
+  /// estimator.
+  QueryResult submit_and_wait(
+      const Query& query, TraceContext root,
+      std::optional<std::vector<PartitionId>> partitions = std::nullopt);
+  /// The k-NN plan: a bounded round, the coverage check, and a fallback
+  /// round over the partitions the first one missed.
   QueryResult execute_knn(const Query& query, TraceContext root);
 
   /// The full sampling pipeline behind sample_health() and the ticker.

@@ -68,6 +68,15 @@ std::vector<SpanRecord> Tracer::trace(std::uint64_t trace_id) const {
   return it == traces_.end() ? std::vector<SpanRecord>{} : it->second.spans;
 }
 
+std::size_t Tracer::count_spans(std::uint64_t trace_id,
+                                std::string_view name) const {
+  auto it = traces_.find(trace_id);
+  if (it == traces_.end()) return 0;
+  return static_cast<std::size_t>(
+      std::count_if(it->second.spans.begin(), it->second.spans.end(),
+                    [name](const SpanRecord& s) { return s.name == name; }));
+}
+
 std::string Tracer::to_chrome_json(std::uint64_t trace_id) const {
   obs::JsonWriter w;
   w.begin_object();

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -95,6 +96,10 @@ class Tracer {
 
   /// All spans of a trace, in creation order (includes still-open spans).
   [[nodiscard]] std::vector<SpanRecord> trace(std::uint64_t trace_id) const;
+
+  /// Spans of a trace with the given name, counted in place.
+  [[nodiscard]] std::size_t count_spans(std::uint64_t trace_id,
+                                        std::string_view name) const;
 
   [[nodiscard]] bool has_trace(std::uint64_t trace_id) const {
     return traces_.contains(trace_id);

@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/serialize.h"
@@ -61,27 +61,37 @@ inline QueryResult deserialize_query_result(BinaryReader& r) {
 }
 
 /// Merges worker fragments into the final result for `query`.
+///
+/// Fragments are moved in, never copied. Duplicates (hedge answers,
+/// failover re-issues, duplicated messages) carry the same detection id and
+/// are dropped by `take()` after a sort makes them adjacent.
 class ResultMerger {
  public:
   explicit ResultMerger(const Query& query) : query_(query) {
     merged_.query = query.id;
   }
 
-  void add(const QueryResult& fragment) {
-    for (const Detection& d : fragment.detections) {
-      if (seen_.insert(d.id.value()).second) {
-        merged_.detections.push_back(d);
-      }
+  void add(QueryResult fragment) {
+    auto& ds = merged_.detections;
+    if (ds.empty()) {
+      ds = std::move(fragment.detections);
+    } else {
+      ds.insert(ds.end(), std::make_move_iterator(fragment.detections.begin()),
+                std::make_move_iterator(fragment.detections.end()));
     }
-    for (const auto& [key, n] : fragment.counts) {
-      merged_.counts[key] += n;
+    if (merged_.counts.empty()) {
+      merged_.counts = std::move(fragment.counts);
+    } else {
+      for (const auto& [key, n] : fragment.counts) merged_.counts[key] += n;
     }
   }
 
   /// Finalizes ordering / truncation by query kind:
-  ///  * kKnn      — nearest-first, truncated to k
+  ///  * kKnn      — nearest-first (ties by detection id), truncated to k
   ///  * others    — time-ordered (ties by detection id), truncated to the
   ///                query's `limit` when one is set.
+  /// Copies of one row are made adjacent by a sort whose key ends in the
+  /// detection id, and all but the first are removed before the cut.
   ///
   /// Limit semantics compose across merge levels: the earliest `limit`
   /// detections of a union are always among the union of each fragment's
@@ -90,6 +100,15 @@ class ResultMerger {
   [[nodiscard]] QueryResult take() {
     auto& ds = merged_.detections;
     if (query_.kind == QueryKind::kKnn) {
+      // Copies of one row can differ in position by the cold tier's
+      // quantum when one holder has demoted its block and the other has
+      // not, and a row between them in distance would part them. So k-NN
+      // drops duplicates in id order; its rows number k per partition.
+      std::sort(ds.begin(), ds.end(),
+                [](const Detection& a, const Detection& b) {
+                  return a.id < b.id;
+                });
+      drop_adjacent_duplicates(ds);
       Point center = query_.circle.center;
       std::sort(ds.begin(), ds.end(),
                 [center](const Detection& a, const Detection& b) {
@@ -104,6 +123,7 @@ class ResultMerger {
         if (a.time != b.time) return a.time < b.time;
         return a.id < b.id;
       });
+      drop_adjacent_duplicates(ds);
       if (query_.limit > 0 && ds.size() > query_.limit) {
         ds.resize(query_.limit);
       }
@@ -112,9 +132,16 @@ class ResultMerger {
   }
 
  private:
+  static void drop_adjacent_duplicates(std::vector<Detection>& ds) {
+    ds.erase(std::unique(ds.begin(), ds.end(),
+                         [](const Detection& a, const Detection& b) {
+                           return a.id == b.id;
+                         }),
+             ds.end());
+  }
+
   Query query_;
   QueryResult merged_;
-  std::unordered_set<std::uint64_t> seen_;
 };
 
 }  // namespace stcn

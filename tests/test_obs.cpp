@@ -345,6 +345,8 @@ TEST(Tracer, SpanTreeStructureAndTags) {
   auto retransmits = tree.named("net.retransmit");
   ASSERT_EQ(retransmits.size(), 1u);
   EXPECT_EQ(retransmits[0]->duration(), Duration::zero());
+  EXPECT_EQ(tracer.count_spans(root.trace_id, "net.retransmit"), 1u);
+  EXPECT_EQ(tracer.count_spans(root.trace_id, "net"), 0u);
 
   EXPECT_FALSE(tree.render().empty());
 }
@@ -361,6 +363,8 @@ TEST(Tracer, FifoEvictionBoundsRetention) {
   EXPECT_FALSE(tracer.has_trace(a.trace_id));
   EXPECT_TRUE(tracer.has_trace(b.trace_id));
   EXPECT_TRUE(tracer.has_trace(c.trace_id));
+  EXPECT_EQ(tracer.count_spans(a.trace_id, "a"), 0u);
+  EXPECT_EQ(tracer.count_spans(b.trace_id, "b"), 1u);
 }
 
 TEST(Tracer, DisabledTracerIsNoop) {

@@ -278,6 +278,19 @@ TEST(KnnCoverage, NeighbourInUnaskedTileTakesOneFallbackRound) {
   auto rounds = out.profile.stages_named("knn.round");
   ASSERT_EQ(rounds.size(), 2u);
   EXPECT_EQ(ids_of(out.result), std::vector<std::uint64_t>{2});
+
+  // The fallback asks only partitions round 1 did not: those of the square
+  // around the circle through row 1 (tiles 0, 1, 4 and 5) except tile 0.
+  auto selections = out.profile.stages_named("partition_selection");
+  ASSERT_EQ(selections.size(), 2u);
+  auto asked = [](const ExplainStage* s) {
+    for (const auto& [key, value] : s->notes) {
+      if (key == "asked") return value;
+    }
+    return std::string("(none)");
+  };
+  EXPECT_EQ(asked(selections[0]), "0");
+  EXPECT_EQ(asked(selections[1]), "1 4 5");
 }
 
 TEST(KnnCoverage, CoveredAnswerTakesOneRound) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "query/executor.h"
 #include "query/result.h"
 
@@ -229,6 +233,188 @@ TEST(ResultMerger, SumsCounts) {
   EXPECT_EQ(merged.counts.at(2), 5u);
   EXPECT_EQ(merged.counts.at(3), 7u);
   EXPECT_EQ(merged.total_count(), 17u);
+}
+
+// A copy of one row from a holder whose block is already demoted carries a
+// position off by the cold tier's quantum. A row between the two copies in
+// distance must not keep both of them in a k-NN answer.
+TEST(ResultMerger, KnnDropsDuplicateWithRequantizedPosition) {
+  Query q = Query::knn(QueryId(9), {0, 0}, 3, TimeInterval::all());
+  ResultMerger merger(q);
+  QueryResult hot;
+  hot.detections = {make_detection(5, {3, 4}, 0), make_detection(7, {4, 3}, 0)};
+  QueryResult cold;
+  cold.detections = {make_detection(5, {3 + 0x1p-21, 4}, 0),
+                     make_detection(9, {10, 0}, 0)};
+  merger.add(std::move(hot));
+  merger.add(std::move(cold));
+  std::vector<std::uint64_t> ids;
+  for (const Detection& d : merger.take().detections) {
+    ids.push_back(d.id.value());
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{5, 7, 9}));
+}
+
+// --------------------------------------- merger vs a reference union
+
+/// The merge written without ResultMerger: a first-seen hash-set union of
+/// the fragments in arrival order, then the query's sort and cut.
+QueryResult reference_merge(const Query& q,
+                            const std::vector<QueryResult>& fragments) {
+  QueryResult out;
+  out.query = q.id;
+  std::unordered_set<std::uint64_t> seen;
+  for (const QueryResult& f : fragments) {
+    for (const Detection& d : f.detections) {
+      if (seen.insert(d.id.value()).second) out.detections.push_back(d);
+    }
+    for (const auto& [key, n] : f.counts) out.counts[key] += n;
+  }
+  auto& ds = out.detections;
+  if (q.kind == QueryKind::kKnn) {
+    Point c = q.circle.center;
+    std::sort(ds.begin(), ds.end(), [c](const Detection& a, const Detection& b) {
+      double da = squared_distance(a.position, c);
+      double db = squared_distance(b.position, c);
+      return da != db ? da < db : a.id < b.id;
+    });
+    if (ds.size() > q.k) ds.resize(q.k);
+  } else {
+    std::sort(ds.begin(), ds.end(), [](const Detection& a, const Detection& b) {
+      return a.time != b.time ? a.time < b.time : a.id < b.id;
+    });
+    if (q.limit > 0 && ds.size() > q.limit) ds.resize(q.limit);
+  }
+  return out;
+}
+
+/// Rows on a small lattice around the origin with few distinct times, so
+/// both orders have many ties; each row has its own embedding.
+std::vector<Detection> lattice_rows(Rng& rng, std::size_t n) {
+  std::vector<Detection> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    Point p{static_cast<double>(rng.uniform_int(-3, 3)),
+            static_cast<double>(rng.uniform_int(-3, 3))};
+    Detection d = make_detection(1000 - i, p, rng.uniform_int(0, 5) * 100,
+                                 i % 7, 1 + i % 3);
+    d.appearance.values = {static_cast<float>(rng.uniform()),
+                           static_cast<float>(rng.uniform())};
+    rows.push_back(std::move(d));
+  }
+  return rows;
+}
+
+/// 1–5 fragments drawn from `rows`: some empty, each with in-fragment
+/// repeats, overlapping each other, and carrying a few group counts.
+std::vector<QueryResult> random_fragments(Rng& rng, const Query& q,
+                                          const std::vector<Detection>& rows) {
+  std::vector<QueryResult> fragments(1 + rng.uniform_index(5));
+  for (QueryResult& f : fragments) {
+    f.query = q.id;
+    if (rng.bernoulli(0.15)) continue;
+    std::size_t n = rng.uniform_index(rows.size() + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      f.detections.push_back(rows[rng.uniform_index(rows.size())]);
+      if (rng.bernoulli(0.1)) f.detections.push_back(f.detections.back());
+    }
+    for (int g = 0; g < 3; ++g) f.counts[rng.uniform_index(4)] += 1;
+  }
+  return fragments;
+}
+
+QueryResult merge_moving(const Query& q, std::vector<QueryResult> fragments) {
+  ResultMerger merger(q);
+  for (QueryResult& f : fragments) merger.add(std::move(f));
+  return merger.take();
+}
+
+TEST(ResultMergerDifferential, TimeOrderWithAndWithoutLimit) {
+  Rng rng(19);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Detection> rows = lattice_rows(rng, 1 + rng.uniform_index(40));
+    Query q = Query::range(QueryId(trial), {{-5, -5}, {5, 5}},
+                           TimeInterval::all());
+    if (trial % 2 == 1) {
+      q = q.with_limit(static_cast<std::uint32_t>(1 + rng.uniform_index(12)));
+    }
+    std::vector<QueryResult> fragments = random_fragments(rng, q, rows);
+    QueryResult expected = reference_merge(q, fragments);
+    QueryResult merged = merge_moving(q, fragments);
+    ASSERT_EQ(merged.detections, expected.detections) << "trial " << trial;
+    ASSERT_EQ(merged.counts, expected.counts) << "trial " << trial;
+    ASSERT_EQ(merged.query, q.id);
+  }
+}
+
+TEST(ResultMergerDifferential, KnnTiesAndDuplicateAtTheCut) {
+  Rng rng(23);
+  int tie_trials = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Detection> rows = lattice_rows(rng, 2 + rng.uniform_index(40));
+    Query q = Query::knn(QueryId(trial), {0, 0}, 1, TimeInterval::all());
+    std::vector<QueryResult> fragments = random_fragments(rng, q, rows);
+    // Choose k so the k-th and (k+1)-th rows of the union tie on distance
+    // when the union has such a pair, and send the k-th row once more in a
+    // fragment of its own.
+    q.k = 1'000'000;
+    std::vector<Detection> all = reference_merge(q, fragments).detections;
+    q.k = static_cast<std::uint32_t>(1 + rng.uniform_index(all.size() + 1));
+    for (std::size_t i = 0; i + 1 < all.size(); ++i) {
+      if (squared_distance(all[i].position, q.circle.center) ==
+          squared_distance(all[i + 1].position, q.circle.center)) {
+        q.k = static_cast<std::uint32_t>(i + 1);
+        ++tie_trials;
+        break;
+      }
+    }
+    if (q.k <= all.size()) {
+      QueryResult dup;
+      dup.query = q.id;
+      dup.detections = {all[q.k - 1]};
+      fragments.insert(
+          fragments.begin() +
+              static_cast<std::ptrdiff_t>(rng.uniform_index(fragments.size())),
+          dup);
+    }
+    QueryResult expected = reference_merge(q, fragments);
+    QueryResult merged = merge_moving(q, fragments);
+    ASSERT_EQ(merged.detections, expected.detections) << "trial " << trial;
+    ASSERT_EQ(merged.counts, expected.counts) << "trial " << trial;
+  }
+  EXPECT_GT(tie_trials, 200);
+}
+
+TEST(ResultMergerDifferential, MovedFromAndEmptyFragmentsAddNothing) {
+  Query q = Query::range(QueryId(4), {{-5, -5}, {5, 5}}, TimeInterval::all());
+  QueryResult a;
+  a.detections = {make_detection(2, {1, 1}, 200),
+                  make_detection(1, {0, 0}, 100)};
+  a.counts = {{0, 2}};
+  QueryResult b;
+  b.detections = {make_detection(3, {2, 2}, 50)};
+  b.counts = {{0, 1}};
+  QueryResult expected = reference_merge(q, {a, b});
+
+  // An empty fragment first: the next one is adopted, not appended to.
+  ResultMerger merger(q);
+  merger.add(QueryResult{});
+  merger.add(std::move(a));
+  merger.add(std::move(a));  // moved-from: no rows, no counts
+  merger.add(QueryResult{});
+  merger.add(b);
+  merger.add(std::move(b));  // the same rows again, as a duplicated answer
+  merger.add(std::move(b));
+  QueryResult merged = merger.take();
+  EXPECT_EQ(merged.detections, expected.detections);
+  EXPECT_EQ(merged.counts, (std::map<std::uint64_t, std::uint64_t>{{0, 4}}));
+  EXPECT_EQ(merged.query, q.id);
+
+  ResultMerger none(q);
+  none.add(QueryResult{});
+  QueryResult empty = none.take();
+  EXPECT_TRUE(empty.detections.empty());
+  EXPECT_TRUE(empty.counts.empty());
+  EXPECT_EQ(empty.query, q.id);
 }
 
 }  // namespace
