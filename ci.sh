@@ -56,7 +56,9 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
       --gtest_filter='ChaosHealth.*' >/dev/null
   echo "== sanitizer recovery chaos rerun =="
   # Crash/recovery interleavings (holder death mid-resync, double crash,
-  # snapshot install racing the live replica stream) under ASan+UBSan.
+  # snapshot install racing the live replica stream, a holder log pruned
+  # past the snapshot answered with an image in one exchange) under
+  # ASan+UBSan.
   ./build-asan/tests/test_failure_recovery \
       --gtest_filter='RecoveryChaos.*' >/dev/null
   echo "== sanitizer tiered-store differential rerun =="

@@ -389,12 +389,14 @@ void Coordinator::on_response(QueryResponse response, std::size_t wire_bytes,
 
   // Cost accrues for every answer that arrived, retired fragment or not:
   // a hedged-over primary's scan still happened and still gets billed.
-  pending.cost.rows_scanned += response.rows_scanned;
+  const std::uint64_t rows_scanned = response.scan.rows_scanned;
+  const MorselStats& ms = response.scan.store;
+  pending.cost.rows_scanned += rows_scanned;
   pending.cost.rows_returned += rows_returned;
-  pending.cost.blocks_scanned += response.blocks_scanned;
-  pending.cost.blocks_skipped += response.blocks_skipped;
-  pending.cost.rows_evaluated += response.rows_evaluated;
-  pending.cost.morsels += response.vectorized_morsels;
+  pending.cost.blocks_scanned += ms.blocks_scanned;
+  pending.cost.blocks_skipped += ms.blocks_skipped;
+  pending.cost.rows_evaluated += ms.rows_evaluated;
+  pending.cost.morsels += ms.morsels;
   pending.cost.scan_wall_us += response.scan_wall_us;
   pending.cost.bytes_in += wire_bytes;
 
@@ -416,35 +418,30 @@ void Coordinator::on_response(QueryResponse response, std::size_t wire_bytes,
     ExplainStage& s = profiler_->stage(stage);
     if (frag->second.est_rows >= 0.0) s.estimated = frag->second.est_rows;
     s.actual = static_cast<std::int64_t>(rows_answered);
-    s.considered = response.rows_scanned;
-    s.pruned = response.rows_scanned >= static_cast<std::uint64_t>(s.actual)
-                   ? response.rows_scanned -
-                         static_cast<std::uint64_t>(s.actual)
+    s.considered = rows_scanned;
+    s.pruned = rows_scanned >= static_cast<std::uint64_t>(s.actual)
+                   ? rows_scanned - static_cast<std::uint64_t>(s.actual)
                    : 0;
     s.wall_us = static_cast<std::int64_t>(response.scan_wall_us);
     s.sim_time = now - frag->second.sent_at;
     s.start = frag->second.sent_at;
     s.note("worker", std::to_string(frag->second.worker.value()));
     s.note("partitions", std::to_string(frag->second.partitions.size()));
-    s.note("blocks_scanned", std::to_string(response.blocks_scanned));
-    s.note("blocks_skipped", std::to_string(response.blocks_skipped));
-    if (response.vectorized_morsels != 0) {
-      s.note("rows_evaluated", std::to_string(response.rows_evaluated));
-      s.note("rows_selected", std::to_string(response.rows_selected));
-      s.note("vectorized_morsels",
-             std::to_string(response.vectorized_morsels));
+    s.note("blocks_scanned", std::to_string(ms.blocks_scanned));
+    s.note("blocks_skipped", std::to_string(ms.blocks_skipped));
+    if (ms.morsels != 0) {
+      s.note("rows_evaluated", std::to_string(ms.rows_evaluated));
+      s.note("rows_selected", std::to_string(ms.rows_selected));
+      s.note("vectorized_morsels", std::to_string(ms.morsels));
     }
     // Per-tier split: only emitted when the scan touched the cold tier at
     // all, so hot-only deployments keep their EXPLAIN output unchanged.
-    if (response.cold_blocks_scanned != 0 ||
-        response.cold_blocks_skipped != 0) {
-      s.note("cold_blocks_scanned",
-             std::to_string(response.cold_blocks_scanned));
-      s.note("cold_blocks_skipped",
-             std::to_string(response.cold_blocks_skipped));
+    if (ms.cold_blocks_scanned != 0 || ms.cold_blocks_skipped != 0) {
+      s.note("cold_blocks_scanned", std::to_string(ms.cold_blocks_scanned));
+      s.note("cold_blocks_skipped", std::to_string(ms.cold_blocks_skipped));
     }
-    if (response.decode_morsels != 0) {
-      s.note("decode_morsels", std::to_string(response.decode_morsels));
+    if (ms.decode_morsels != 0) {
+      s.note("decode_morsels", std::to_string(ms.decode_morsels));
     }
     if (frag->second.covers != 0) s.note("hedge", "true");
     profiler_->close_stage(stage, now);

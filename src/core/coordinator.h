@@ -69,8 +69,6 @@ struct CoordinatorConfig {
   /// slow-query log (only effective when a tracer is attached).
   Duration slow_query_threshold = Duration::millis(25);
   std::size_t slow_query_log_capacity = 64;
-  /// Reliable-transport knobs for loss-sensitive traffic (ingest, queries).
-  ReliableChannelConfig channel;
   /// Per-query cost accounting (top-K heavy-hitter capacity, recent ring).
   ResourceLedgerConfig ledger;
   /// Cluster-wide heat map (per-partition rings, skew rollup window).
@@ -79,8 +77,10 @@ struct CoordinatorConfig {
 
 class Coordinator final : public NetworkNode {
  public:
+  /// `channel` configures the reliable transport for loss-sensitive
+  /// traffic (ingest, queries).
   Coordinator(NodeId id, const PartitionStrategy& strategy, PartitionMap map,
-              CoordinatorConfig config)
+              CoordinatorConfig config, const ReliableChannelConfig& channel)
       : id_(id), strategy_(strategy), map_(std::move(map)), config_(config),
         ingested_(metrics_.counter(
             "ingested", "Detections routed into the cluster by this node")),
@@ -140,7 +140,7 @@ class Coordinator final : public NetworkNode {
         slow_log_(config.slow_query_threshold,
                   config.slow_query_log_capacity),
         ledger_(config.ledger),
-        channel_(id, metrics_, config.channel) {}
+        channel_(id, metrics_, channel) {}
 
   [[nodiscard]] NodeId node_id() const override { return id_; }
   void handle_message(const Message& message, SimNetwork& network) override;

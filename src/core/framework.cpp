@@ -28,11 +28,9 @@ Cluster::Cluster(Rect world, std::unique_ptr<PartitionStrategy> strategy,
 
   PartitionMap map =
       PartitionMap::round_robin(strategy_->partition_count(), worker_ids_);
-  CoordinatorConfig coordinator_config = config_.coordinator;
-  coordinator_config.channel = config_.reliable;
   coordinator_ = std::make_unique<Coordinator>(
       NodeId(kCoordinatorNode), *strategy_, std::move(map),
-      coordinator_config);
+      config_.coordinator, config_.reliable);
   network_.attach(*coordinator_);
   coordinator_->set_tracer(&tracer_);
   coordinator_->set_profiler(&profiler_);

@@ -224,8 +224,9 @@ class Cluster {
   };
 
   /// Restarts a crashed worker and recovers the partitions it should hold
-  /// via snapshot install + replay-log delta resync (full copy when no
-  /// usable snapshot/log survives). Routing flips to the surviving holder
+  /// via snapshot install plus one sync exchange per partition: the holder
+  /// answers with its replay-log delta, or with its store image when no
+  /// usable snapshot or log survives. Routing flips to the surviving holder
   /// before any data moves and flips back per partition on catch-up, so
   /// serving stays correct throughout.
   RecoveryReport restart_worker(WorkerId w);

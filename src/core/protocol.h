@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/ids.h"
@@ -12,6 +13,7 @@
 #include "core/recovery.h"
 #include "index/bloom.h"
 #include "partition/load_stats.h"
+#include "query/executor.h"
 #include "query/query.h"
 #include "query/result.h"
 #include "trace/detection.h"
@@ -25,16 +27,14 @@ enum class MsgType : std::uint32_t {
   kInstallMonitor = 4,  // coordinator → worker: continuous query spec
   kRemoveMonitor = 5,   // coordinator → worker
   kDeltaBatch = 6,      // worker → coordinator: continuous query deltas
-  kSyncRequest = 7,     // recovering worker → backup: send partition data
-  kSyncResponse = 8,    // backup → recovering worker
+  kSyncRequest = 7,     // recovering worker → holder: delta or image ask
+  kSyncResponse = 8,    // holder → recovering worker: log delta or image
   kHeartbeat = 9,       // worker → coordinator: liveness
   kIngestForward = 10,   // gateway → coordinator: relay-mode ingest
   kObjectSummary = 11,   // retired (summaries ride kHeartbeat); tools name it
   kReliableData = 12,    // reliable-channel DATA frame (wraps another type)
   kReliableAck = 13,     // reliable-channel ACK frame
-  kDeltaSyncRequest = 14,   // recovering worker → holder: post-watermark data
-  kDeltaSyncResponse = 15,  // holder → recovering worker: replay-log entries
-  kRecoveryDone = 16,       // worker → coordinator: partition caught up
+  kRecoveryDone = 16,    // worker → coordinator: partition caught up
 };
 
 // ------------------------------------------------------------ ingest batch
@@ -143,25 +143,11 @@ struct QueryResponse {
   std::uint64_t request_id = 0;
   std::uint64_t sub_id = 0;  // echoed from the QueryRequest fragment
   QueryResult result;
-  /// EXPLAIN/ANALYZE scan stats: rows the worker's indexes yielded before
-  /// merging, and the real microseconds the scan loop took.
-  std::uint64_t rows_scanned = 0;
+  /// EXPLAIN/ANALYZE scan stats, summed over the fragment's partitions.
+  /// `zone_fast_path` is not on the wire (decodes as 0).
+  ScanStats scan;
+  /// Real microseconds the worker's scan loop took.
   std::uint64_t scan_wall_us = 0;
-  /// Columnar zone-map stats: detection-store blocks whose rows were
-  /// actually examined vs. skipped wholesale by their zone maps.
-  std::uint64_t blocks_scanned = 0;
-  std::uint64_t blocks_skipped = 0;
-  /// Vectorized-scan stats: rows the filter kernels evaluated vs rows that
-  /// survived into selection vectors, and how many 4096-row morsels went
-  /// through the vectorized path (0 ⇒ the query used a non-columnar index).
-  std::uint64_t rows_evaluated = 0;
-  std::uint64_t rows_selected = 0;
-  std::uint64_t vectorized_morsels = 0;
-  /// Cold-tier stats: blocks scanned/skipped that were compressed, and
-  /// cold morsels that ran decode-fused kernels (0 ⇒ scan was all-hot).
-  std::uint64_t cold_blocks_scanned = 0;
-  std::uint64_t cold_blocks_skipped = 0;
-  std::uint64_t decode_morsels = 0;
 };
 
 inline std::vector<std::uint8_t> encode(const QueryResponse& resp) {
@@ -169,16 +155,17 @@ inline std::vector<std::uint8_t> encode(const QueryResponse& resp) {
   w.write_u64(resp.request_id);
   w.write_u64(resp.sub_id);
   serialize(w, resp.result);
-  w.write_u64(resp.rows_scanned);
+  const MorselStats& m = resp.scan.store;
+  w.write_u64(resp.scan.rows_scanned);
   w.write_u64(resp.scan_wall_us);
-  w.write_u64(resp.blocks_scanned);
-  w.write_u64(resp.blocks_skipped);
-  w.write_u64(resp.rows_evaluated);
-  w.write_u64(resp.rows_selected);
-  w.write_u64(resp.vectorized_morsels);
-  w.write_u64(resp.cold_blocks_scanned);
-  w.write_u64(resp.cold_blocks_skipped);
-  w.write_u64(resp.decode_morsels);
+  w.write_u64(m.blocks_scanned);
+  w.write_u64(m.blocks_skipped);
+  w.write_u64(m.rows_evaluated);
+  w.write_u64(m.rows_selected);
+  w.write_u64(m.morsels);
+  w.write_u64(m.cold_blocks_scanned);
+  w.write_u64(m.cold_blocks_skipped);
+  w.write_u64(m.decode_morsels);
   return w.take();
 }
 
@@ -187,16 +174,17 @@ inline QueryResponse decode_query_response(BinaryReader& r) {
   resp.request_id = r.read_u64();
   resp.sub_id = r.read_u64();
   resp.result = deserialize_query_result(r);
-  resp.rows_scanned = r.read_u64();
+  MorselStats& m = resp.scan.store;
+  resp.scan.rows_scanned = r.read_u64();
   resp.scan_wall_us = r.read_u64();
-  resp.blocks_scanned = r.read_u64();
-  resp.blocks_skipped = r.read_u64();
-  resp.rows_evaluated = r.read_u64();
-  resp.rows_selected = r.read_u64();
-  resp.vectorized_morsels = r.read_u64();
-  resp.cold_blocks_scanned = r.read_u64();
-  resp.cold_blocks_skipped = r.read_u64();
-  resp.decode_morsels = r.read_u64();
+  m.blocks_scanned = r.read_u64();
+  m.blocks_skipped = r.read_u64();
+  m.rows_evaluated = r.read_u64();
+  m.rows_selected = r.read_u64();
+  m.morsels = r.read_u64();
+  m.cold_blocks_scanned = r.read_u64();
+  m.cold_blocks_skipped = r.read_u64();
+  m.decode_morsels = r.read_u64();
   return resp;
 }
 
@@ -338,41 +326,57 @@ inline Heartbeat decode_heartbeat(BinaryReader& r) {
 
 // ------------------------------------------------------------------- sync
 
+/// Recovering worker → holder: the one recovery exchange. `since` is the
+/// requester's watermark when it installed a vault snapshot ("I have
+/// everything up to here"); without one it asks for the whole partition.
 struct SyncRequest {
   PartitionId partition;
+  std::optional<Watermark> since;
 };
 
 inline std::vector<std::uint8_t> encode(const SyncRequest& req) {
   BinaryWriter w;
   w.write_id(req.partition);
+  w.write_bool(req.since.has_value());
+  if (req.since) write_watermark(w, *req.since);
   return w.take();
 }
 
 inline SyncRequest decode_sync_request(BinaryReader& r) {
-  return {r.read_id<PartitionIdTag>()};
+  SyncRequest req;
+  req.partition = r.read_id<PartitionIdTag>();
+  if (r.read_bool()) req.since = read_watermark(r);
+  return req;
 }
 
+/// Holder → recovering worker, in one of two forms. A delta answers a
+/// `since` the holder's replay log still covers: `entries` are the log's
+/// batches past it. An image answers everything else: `detections` are
+/// every stored row and `entries` the log's batches past `watermark` (rows
+/// delivered out of order that the contiguous watermark does not cover). A
+/// partition the holder does not have is an empty image.
 struct SyncResponse {
   PartitionId partition;
+  bool image = false;
   std::vector<Detection> detections;
-  /// Holder's contiguous per-source watermark for this partition: the
-  /// receiver adopts it as its own floor (everything at or below is in
-  /// `detections`), so future delta syncs start from here.
+  /// Holder's contiguous per-source watermark for this partition; the
+  /// receiver adopts it. For an image it is also the receiver's new replay
+  /// floor: everything at or below it arrived in `detections`.
   Watermark watermark;
-  /// Replay-log entries past `watermark` — rows delivered out of order that
-  /// the contiguous watermark does not cover. Receivers append them to
-  /// their own log under the true (source, pbid) identity.
-  std::vector<ReplayEntry> tail;
+  /// Replayed under their true (source, pbid) identity, so the receiver's
+  /// own log can serve later deltas.
+  std::vector<ReplayEntry> entries;
 };
 
 inline std::vector<std::uint8_t> encode(const SyncResponse& resp) {
   BinaryWriter w;
-  w.reserve(8 + wire_size(resp.detections));
+  w.reserve(9 + wire_size(resp.detections));
   w.write_id(resp.partition);
+  w.write_bool(resp.image);
   w.write_vector(resp.detections,
                  [](BinaryWriter& bw, const Detection& d) { serialize(bw, d); });
   write_watermark(w, resp.watermark);
-  w.write_vector(resp.tail, [](BinaryWriter& bw, const ReplayEntry& e) {
+  w.write_vector(resp.entries, [](BinaryWriter& bw, const ReplayEntry& e) {
     write_replay_entry(bw, e);
   });
   return w.take();
@@ -381,61 +385,9 @@ inline std::vector<std::uint8_t> encode(const SyncResponse& resp) {
 inline SyncResponse decode_sync_response(BinaryReader& r) {
   SyncResponse resp;
   resp.partition = r.read_id<PartitionIdTag>();
+  resp.image = r.read_bool();
   resp.detections = r.read_vector<Detection>(
       [](BinaryReader& br) { return deserialize_detection(br); });
-  resp.watermark = read_watermark(r);
-  resp.tail = r.read_vector<ReplayEntry>(
-      [](BinaryReader& br) { return read_replay_entry(br); });
-  return resp;
-}
-
-// ----------------------------------------------------------- delta sync
-
-/// Recovering worker → holder: "I have everything up to `since`; send what
-/// I'm missing." Served from the holder's replay log iff the log still
-/// retains every batch past `since`; otherwise the holder refuses and the
-/// requester falls back to a full SyncRequest.
-struct DeltaSyncRequest {
-  PartitionId partition;
-  Watermark since;
-};
-
-inline std::vector<std::uint8_t> encode(const DeltaSyncRequest& req) {
-  BinaryWriter w;
-  w.write_id(req.partition);
-  write_watermark(w, req.since);
-  return w.take();
-}
-
-inline DeltaSyncRequest decode_delta_sync_request(BinaryReader& r) {
-  DeltaSyncRequest req;
-  req.partition = r.read_id<PartitionIdTag>();
-  req.since = read_watermark(r);
-  return req;
-}
-
-struct DeltaSyncResponse {
-  PartitionId partition;
-  bool ok = false;  // false: log pruned past `since` — do a full sync
-  Watermark watermark;
-  std::vector<ReplayEntry> entries;
-};
-
-inline std::vector<std::uint8_t> encode(const DeltaSyncResponse& resp) {
-  BinaryWriter w;
-  w.write_id(resp.partition);
-  w.write_bool(resp.ok);
-  write_watermark(w, resp.watermark);
-  w.write_vector(resp.entries, [](BinaryWriter& bw, const ReplayEntry& e) {
-    write_replay_entry(bw, e);
-  });
-  return w.take();
-}
-
-inline DeltaSyncResponse decode_delta_sync_response(BinaryReader& r) {
-  DeltaSyncResponse resp;
-  resp.partition = r.read_id<PartitionIdTag>();
-  resp.ok = r.read_bool();
   resp.watermark = read_watermark(r);
   resp.entries = r.read_vector<ReplayEntry>(
       [](BinaryReader& br) { return read_replay_entry(br); });

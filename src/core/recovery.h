@@ -70,7 +70,7 @@ struct PbidTracker {
     }
   }
 
-  /// Adopt a remote watermark (snapshot install / full sync): everything up
+  /// Adopt a remote watermark (snapshot install / image sync): everything up
   /// to `w` is known-applied regardless of what we saw arrive directly.
   void advance_to(std::uint64_t w) {
     if (w <= contig) return;
@@ -114,7 +114,8 @@ inline ReplayEntry read_replay_entry(BinaryReader& r) {
 /// Bounded per-partition log of recent ingest batches. Holders keep it so a
 /// restarted peer can replay only post-watermark data. Pruning records the
 /// highest discarded pbid per source (the floor); a delta request older
-/// than the floor cannot be served and falls back to a full sync.
+/// than the floor cannot be served; the holder answers it with its store
+/// image instead.
 class ReplayLog {
  public:
   void set_max_bytes(std::size_t max_bytes) { max_bytes_ = max_bytes; }
@@ -163,7 +164,7 @@ class ReplayLog {
   }
 
   /// Max-merge a remote watermark into the floor: after adopting a snapshot
-  /// or full sync at watermark `w`, rows at or below `w` live only in the
+  /// or store image at watermark `w`, rows at or below `w` live only in the
   /// store, so this log cannot serve peers older than `w`.
   void set_floor(const Watermark& w) {
     for (const auto& [source, pbid] : w) {

@@ -81,7 +81,7 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
         tracer_->tag(task.span, "attempts", std::to_string(task.attempts - 1));
         tracer_->end_span(task.span, network.now());
       }
-      task_by_partition_.erase(task.partition);
+      task_by_partition_.erase(task.request.partition);
       recovery_tasks_.erase(it);
       ++failed_last_;
       return;
@@ -215,13 +215,6 @@ void WorkerNode::dispatch(const Message& message, bool reliable,
     case MsgType::kSyncResponse:
       on_sync_response(decode_sync_response(reader), network);
       break;
-    case MsgType::kDeltaSyncRequest:
-      on_delta_sync_request(decode_delta_sync_request(reader), message.from,
-                            reliable, network);
-      break;
-    case MsgType::kDeltaSyncResponse:
-      on_delta_sync_response(decode_delta_sync_response(reader), network);
-      break;
     default:
       unknown_message_.inc();
       break;
@@ -286,13 +279,13 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
     // worker does not hold (the scan is a no-op, but the trace still shows
     // that the fragment named it).
     if (it != partitions_.end()) {
-      ScanStats before = scan_stats;
-      merger.add(LocalExecutor::execute(*it->second, request.query,
-                                        &scan_stats));
-      heat_.on_scan(p, scan_stats.rows_evaluated - before.rows_evaluated,
-                    scan_stats.rows_selected - before.rows_selected,
-                    scan_stats.blocks_scanned - before.blocks_scanned,
-                    scan_stats.blocks_skipped - before.blocks_skipped);
+      ScanStats local;
+      merger.add(LocalExecutor::execute(*it->second, request.query, &local));
+      const MorselStats& ms = local.store;
+      heat_.on_scan(p, ms.rows_evaluated, ms.rows_selected, ms.blocks_scanned,
+                    ms.blocks_skipped);
+      scan_stats.rows_scanned += local.rows_scanned;
+      scan_stats.store.merge(ms);
       held.push_back(p);
     }
     if (qspan.valid()) {
@@ -312,23 +305,16 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
   auto scan_only_us = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - wall_start)
                           .count();
-  QueryResponse response{request.request_id, request.sub_id, merger.take()};
-  response.rows_scanned = scan_stats.rows_scanned;
-  response.scan_wall_us = static_cast<std::uint64_t>(scan_only_us);
-  response.blocks_scanned = scan_stats.blocks_scanned;
-  response.blocks_skipped = scan_stats.blocks_skipped;
-  response.rows_evaluated = scan_stats.rows_evaluated;
-  response.rows_selected = scan_stats.rows_selected;
-  response.vectorized_morsels = scan_stats.vectorized_morsels;
-  response.cold_blocks_scanned = scan_stats.cold_blocks_scanned;
-  response.cold_blocks_skipped = scan_stats.cold_blocks_skipped;
-  response.decode_morsels = scan_stats.decode_morsels;
-  store_blocks_scanned_.add(scan_stats.blocks_scanned);
-  store_blocks_skipped_.add(scan_stats.blocks_skipped);
-  vectorized_morsels_.add(scan_stats.vectorized_morsels);
-  store_cold_blocks_scanned_.add(scan_stats.cold_blocks_scanned);
-  store_cold_blocks_skipped_.add(scan_stats.cold_blocks_skipped);
-  store_decode_morsels_.add(scan_stats.decode_morsels);
+  QueryResponse response{request.request_id, request.sub_id, merger.take(),
+                         scan_stats,
+                         static_cast<std::uint64_t>(scan_only_us)};
+  const MorselStats& ms = scan_stats.store;
+  store_blocks_scanned_.add(ms.blocks_scanned);
+  store_blocks_skipped_.add(ms.blocks_skipped);
+  vectorized_morsels_.add(ms.morsels);
+  store_cold_blocks_scanned_.add(ms.cold_blocks_scanned);
+  store_cold_blocks_skipped_.add(ms.cold_blocks_skipped);
+  store_decode_morsels_.add(ms.decode_morsels);
   TraceContext sspan;
   if (qspan.valid()) {
     sspan = tracer_->start_span("worker.serialize", qspan,
@@ -372,21 +358,32 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
 
 void WorkerNode::on_sync_request(const SyncRequest& request, NodeId reply_to,
                                  bool reliable, SimNetwork& network) {
-  sync_requests_served_.inc();
+  const PartitionId p = request.partition;
   SyncResponse response;
-  response.partition = request.partition;
-  auto it = partitions_.find(request.partition);
-  if (it != partitions_.end()) {
-    const DetectionStore& store = it->second->store;
-    response.detections.reserve(store.size());
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      response.detections.push_back(
-          store.get(static_cast<DetectionRef>(i)));
+  response.partition = p;
+  auto it = partitions_.find(p);
+  if (it != partitions_.end() && request.since &&
+      replay_log(p).can_serve(*request.since)) {
+    response.watermark = watermark_of(p);
+    response.entries = replay_log(p).collect(*request.since);
+    delta_syncs_served_.inc();
+  } else {
+    // No snapshot on the requester, or the log was pruned past its
+    // watermark: ship the store image. A partition this worker does not
+    // hold is an empty image.
+    response.image = true;
+    if (it != partitions_.end()) {
+      const DetectionStore& store = it->second->store;
+      response.detections.reserve(store.size());
+      for (std::size_t i = 0; i < store.size(); ++i) {
+        response.detections.push_back(
+            store.get(static_cast<DetectionRef>(i)));
+      }
+      response.watermark = watermark_of(p);
+      response.entries = replay_log(p).collect(response.watermark);
     }
-    // Full transfers still carry the watermark + out-of-order tail so the
-    // receiver can serve and request *delta* syncs later.
-    response.watermark = watermark_of(request.partition);
-    response.tail = replay_log(request.partition).collect(response.watermark);
+    sync_requests_served_.inc();
+    if (request.since) delta_sync_fallback_.inc();
   }
   if (reliable) {
     channel_.send(reply_to,
@@ -401,82 +398,24 @@ void WorkerNode::on_sync_request(const SyncRequest& request, NodeId reply_to,
 
 void WorkerNode::on_sync_response(const SyncResponse& response,
                                   SimNetwork& network) {
-  WorkerIndexes& indexes = partition(response.partition);
-  auto& seen = ingested_ids_[response.partition];
-  for (const Detection& d : response.detections) {
-    if (!seen.insert(d.id.value()).second) {
-      ingest_dups_skipped_.inc();
-      continue;
-    }
-    indexes.ingest(d);
-    ingested_resync_.inc();
-  }
-  // Adopt the holder's watermark: everything at or below it arrived in
-  // `detections`, so this partition can serve delta requests from here on
-  // — but nothing older (those rows live only in the store now).
-  auto& trackers = watermarks_[response.partition];
-  for (const auto& [src, pbid] : response.watermark) {
-    trackers[src].advance_to(pbid);
-  }
-  replay_log(response.partition).set_floor(response.watermark);
-  apply_replay_entries(response.partition, response.tail);
-  auto task_it = task_by_partition_.find(response.partition);
-  if (task_it != task_by_partition_.end()) {
-    finish_task(task_it->second, network);
-  }
-}
-
-void WorkerNode::on_delta_sync_request(const DeltaSyncRequest& request,
-                                       NodeId reply_to, bool reliable,
-                                       SimNetwork& network) {
-  DeltaSyncResponse response;
-  response.partition = request.partition;
-  if (partitions_.contains(request.partition) &&
-      replay_log(request.partition).can_serve(request.since)) {
-    response.ok = true;
-    response.watermark = watermark_of(request.partition);
-    response.entries = replay_log(request.partition).collect(request.since);
-    delta_syncs_served_.inc();
-  } else {
-    delta_syncs_refused_.inc();
-  }
-  if (reliable) {
-    channel_.send(reply_to,
-                  static_cast<std::uint32_t>(MsgType::kDeltaSyncResponse),
-                  encode(response), network);
-  } else {
-    network.send({node_id(), reply_to,
-                  static_cast<std::uint32_t>(MsgType::kDeltaSyncResponse),
-                  encode(response), network.now(), {}});
-  }
-}
-
-void WorkerNode::on_delta_sync_response(const DeltaSyncResponse& response,
-                                        SimNetwork& network) {
   auto task_it = task_by_partition_.find(response.partition);
   if (task_it == task_by_partition_.end()) return;  // stale / finished
-  RecoveryTask& task = recovery_tasks_.at(task_it->second);
-  if (!task.delta) return;  // already fell back; ignore the late delta
-  if (!response.ok) {
-    // Holder pruned its log past our snapshot watermark: fall back to a
-    // full sync with a fresh retry ladder.
-    delta_sync_fallback_.inc();
-    task.delta = false;
-    task.attempts = 0;
-    task.rto = config_.resync_retry_timeout;
-    if (tracer_ != nullptr && task.span.valid()) {
-      tracer_->instant("recovery.fallback_full", task.span,
-                       node_id().value(), network.now());
-    }
-    send_recovery_request(task, network);
-    return;
+  const PartitionId p = response.partition;
+  // The rejoiner holds the partition from here on, even if the image is
+  // empty.
+  (void)partition(p);
+  for (const Detection& d : response.detections) {
+    if (dedup_ingest(p, d)) ingested_resync_.inc();
   }
-  apply_replay_entries(response.partition, response.entries);
-  auto& trackers = watermarks_[response.partition];
+  auto& trackers = watermarks_[p];
   for (const auto& [src, pbid] : response.watermark) {
     trackers[src].advance_to(pbid);
   }
-  finish_task(task_it->second, network);
+  // An image's rows at or below the watermark live only in the store now,
+  // so this partition serves deltas from the watermark on, nothing older.
+  if (response.image) replay_log(p).set_floor(response.watermark);
+  apply_replay_entries(p, response.entries);
+  finish_task(task_it->second, response.image, network);
 }
 
 void WorkerNode::flush_deltas(SimNetwork& network) {
@@ -619,38 +558,31 @@ void WorkerNode::apply_replay_entries(
 
 void WorkerNode::send_recovery_request(RecoveryTask& task,
                                        SimNetwork& network) {
-  if (task.delta) {
-    DeltaSyncRequest request{task.partition, watermark_of(task.partition)};
-    channel_.send(task.holder,
-                  static_cast<std::uint32_t>(MsgType::kDeltaSyncRequest),
-                  encode(request), network, task.span);
-  } else {
-    SyncRequest request{task.partition};
-    channel_.send(task.holder,
-                  static_cast<std::uint32_t>(MsgType::kSyncRequest),
-                  encode(request), network, task.span);
-  }
+  channel_.send(task.holder,
+                static_cast<std::uint32_t>(MsgType::kSyncRequest),
+                encode(task.request), network, task.span);
   network.set_timer(node_id(), task.rto, task.token);
 }
 
-void WorkerNode::finish_task(std::uint64_t token, SimNetwork& network) {
+void WorkerNode::finish_task(std::uint64_t token, bool image,
+                             SimNetwork& network) {
   auto it = recovery_tasks_.find(token);
   if (it == recovery_tasks_.end()) return;
   RecoveryTask task = std::move(it->second);
   recovery_tasks_.erase(it);
-  task_by_partition_.erase(task.partition);
+  task_by_partition_.erase(task.request.partition);
   ++recovered_last_;
   partitions_resynced_.inc();
   if (tracer_ != nullptr && task.span.valid()) {
     tracer_->tag(task.span, "outcome", "ok");
-    tracer_->tag(task.span, "mode", task.delta ? "delta" : "full");
+    tracer_->tag(task.span, "mode", image ? "full" : "delta");
     tracer_->end_span(task.span, network.now());
   }
   if (task.recovery_id != 0) {
     std::size_t rows = 0;
-    auto pit = partitions_.find(task.partition);
+    auto pit = partitions_.find(task.request.partition);
     if (pit != partitions_.end()) rows = pit->second->size();
-    RecoveryDone done{task.recovery_id, task.partition,
+    RecoveryDone done{task.recovery_id, task.request.partition,
                       static_cast<std::uint64_t>(rows)};
     channel_.send(coordinator_,
                   static_cast<std::uint32_t>(MsgType::kRecoveryDone),
@@ -695,34 +627,22 @@ void WorkerNode::start_recovery(std::uint64_t recovery_id,
     std::uint64_t token = kRecoveryTimerBase + (next_task_token_++ %
                                                 kRecoveryTimerSpan);
     RecoveryTask task;
-    task.partition = spec.partition;
+    task.request.partition = spec.partition;
+    if (installed) task.request.since = watermark_of(spec.partition);
     task.holder = spec.holder;
     task.recovery_id = recovery_id;
     task.rto = config_.resync_retry_timeout;
-    task.delta = installed;
     task.token = token;
     if (tracer_ != nullptr && parent.valid()) {
       task.span = tracer_->start_span("recovery.partition", parent,
                                       node_id().value(), network.now());
       tracer_->tag(task.span, "partition",
                    std::to_string(spec.partition.value()));
-      tracer_->tag(task.span, "mode", installed ? "delta" : "full");
     }
     task_by_partition_[spec.partition] = token;
     auto it = recovery_tasks_.emplace(token, std::move(task)).first;
     send_recovery_request(it->second, network);
   }
-}
-
-void WorkerNode::start_resync(
-    const std::vector<std::pair<PartitionId, NodeId>>& replica_holders,
-    SimNetwork& network) {
-  std::vector<RecoverySpec> specs;
-  specs.reserve(replica_holders.size());
-  for (const auto& [partition_id, holder] : replica_holders) {
-    specs.push_back({partition_id, holder});
-  }
-  start_recovery(0, specs, {}, network);
 }
 
 std::size_t WorkerNode::stored_detections() const {

@@ -9,9 +9,9 @@
 // Crash modeling: a real crash loses in-memory state. `lose_state` clears
 // every partition; on restart the framework triggers `start_recovery`,
 // which installs the local snapshot (the vault survives a process crash,
-// like a checkpoint on disk) and fetches only post-watermark data back from
-// the surviving holders — falling back to a full copy when the holders'
-// replay logs have been pruned past the snapshot's watermark.
+// like a checkpoint on disk) and asks each surviving holder once for what
+// it is missing: the holder answers with its replay-log delta, or with its
+// store image when its log has been pruned past the snapshot's watermark.
 #pragma once
 
 #include <map>
@@ -127,13 +127,14 @@ class WorkerNode final : public NetworkNode {
             "snapshot_rows_installed", "Rows restored from snapshots")),
         delta_syncs_served_(metrics_.counter(
             "delta_syncs_served",
-            "Delta-sync requests served from the replay log")),
+            "Sync requests answered with a replay-log delta")),
         replayed_detections_(metrics_.counter(
             "replayed_detections",
             "Detections replayed from a holder's log during recovery")),
         delta_sync_fallback_(metrics_.counter(
             "delta_sync_fallback_full",
-            "Delta syncs refused (log pruned) that fell back to full copy")),
+            "Delta asks answered with a store image (the replay log could "
+            "not serve them)")),
         resync_retries_(metrics_.counter(
             "resync_exchange_retries",
             "Recovery sync exchanges re-sent after a timeout")),
@@ -193,20 +194,16 @@ class WorkerNode final : public NetworkNode {
   void take_snapshots(TimePoint now);
 
   /// Starts incremental recovery for `specs`: install each partition's
-  /// vault snapshot, then fetch the post-watermark delta from its holder
-  /// (full sync when no snapshot or the holder's log can't serve it).
+  /// vault snapshot, then send its holder one SyncRequest, carrying the
+  /// snapshot's watermark when one was installed. The holder answers with
+  /// its log delta or, without a snapshot or a log that reaches back that
+  /// far, its store image.
   /// Each exchange retries on a doubling ladder and gives up after
   /// `resync_max_attempts`, surfacing `recovery_failed`. `recovery_id`
   /// ties completions back to the coordinator's routing plan (0 = none).
   void start_recovery(std::uint64_t recovery_id,
                       const std::vector<RecoverySpec>& specs,
                       TraceContext parent, SimNetwork& network);
-
-  /// Legacy entry point: full-resync semantics via start_recovery with no
-  /// coordinator plan attached.
-  void start_resync(
-      const std::vector<std::pair<PartitionId, NodeId>>& replica_holders,
-      SimNetwork& network);
 
   [[nodiscard]] bool resync_complete() const {
     return recovery_tasks_.empty();
@@ -275,22 +272,17 @@ class WorkerNode final : public NetworkNode {
   void on_sync_request(const SyncRequest& request, NodeId reply_to,
                        bool reliable, SimNetwork& network);
   void on_sync_response(const SyncResponse& response, SimNetwork& network);
-  void on_delta_sync_request(const DeltaSyncRequest& request, NodeId reply_to,
-                             bool reliable, SimNetwork& network);
-  void on_delta_sync_response(const DeltaSyncResponse& response,
-                              SimNetwork& network);
   void flush_deltas(SimNetwork& network);
 
   // ----------------------------------------------------------- recovery
 
   /// One in-flight recovery exchange (per partition being recovered).
   struct RecoveryTask {
-    PartitionId partition;
+    SyncRequest request;  // re-sent verbatim on each retry
     NodeId holder;
     std::uint64_t recovery_id = 0;
     int attempts = 0;
     Duration rto;
-    bool delta = false;  // true: DeltaSyncRequest; false: full SyncRequest
     std::uint64_t token = 0;
     TraceContext span;
   };
@@ -299,10 +291,11 @@ class WorkerNode final : public NetworkNode {
   /// Ingests `d` unless already present; returns true if it was new.
   bool dedup_ingest(PartitionId p, const Detection& d);
   /// Installs the vault snapshot for `p` (no-op without one). Returns true
-  /// iff a snapshot was applied, enabling delta-mode recovery.
+  /// iff a snapshot was applied, so the sync request can carry `since`.
   bool install_snapshot(PartitionId p);
   void send_recovery_request(RecoveryTask& task, SimNetwork& network);
-  void finish_task(std::uint64_t token, SimNetwork& network);
+  /// `image` records the answer's form in the span's `mode` tag.
+  void finish_task(std::uint64_t token, bool image, SimNetwork& network);
   void apply_replay_entries(PartitionId p,
                             const std::vector<ReplayEntry>& entries);
   void update_recovery_gauges();
@@ -393,9 +386,7 @@ class WorkerNode final : public NetworkNode {
   Counter& unknown_message_ = metrics_.counter(
       "unknown_message", "Messages dropped for an unrecognized type");
   Counter& sync_requests_served_ = metrics_.counter(
-      "sync_requests_served", "Full-state sync requests answered for peers");
-  Counter& delta_syncs_refused_ = metrics_.counter(
-      "delta_syncs_refused", "Delta syncs refused (replay log too shallow)");
+      "sync_requests_served", "Sync requests answered with a store image");
   Counter& state_losses_ = metrics_.counter(
       "state_losses", "Crash events that wiped local state");
   Counter& snapshot_corrupt_ = metrics_.counter(

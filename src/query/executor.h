@@ -86,22 +86,13 @@ struct WorkerIndexes {
 };
 
 /// EXPLAIN/ANALYZE accounting for one local execution: how many rows the
-/// indexes yielded (for counts/heatmaps this exceeds the result rows), how
-/// the store's zone maps fared, and how many rows the filter kernels
-/// actually evaluated vs selected (the gap is the work the zone-map fast
+/// indexes yielded (for counts/heatmaps this exceeds the result rows), and
+/// the store's block-scan accounting — zone-map skips, and rows the filter
+/// kernels evaluated vs selected (the gap is the work the zone-map fast
 /// paths and selectivity-ordered evaluation avoided).
 struct ScanStats {
   std::uint64_t rows_scanned = 0;
-  std::uint64_t blocks_scanned = 0;
-  std::uint64_t blocks_skipped = 0;
-  std::uint64_t rows_evaluated = 0;
-  std::uint64_t rows_selected = 0;
-  std::uint64_t vectorized_morsels = 0;
-  // Cold-tier slices: blocks scanned/skipped that were compressed, and
-  // cold morsels that ran decode-fused kernels (hot = total − cold).
-  std::uint64_t cold_blocks_scanned = 0;
-  std::uint64_t cold_blocks_skipped = 0;
-  std::uint64_t decode_morsels = 0;
+  MorselStats store;
 };
 
 class LocalExecutor {
@@ -149,14 +140,7 @@ class LocalExecutor {
     for (DetectionRef ref : refs) result.detections.push_back(store.get(ref));
     if (stats != nullptr) {
       stats->rows_scanned += scanned;
-      stats->blocks_scanned += ms.blocks_scanned;
-      stats->blocks_skipped += ms.blocks_skipped;
-      stats->rows_evaluated += ms.rows_evaluated;
-      stats->rows_selected += ms.rows_selected;
-      stats->vectorized_morsels += ms.morsels;
-      stats->cold_blocks_scanned += ms.cold_blocks_scanned;
-      stats->cold_blocks_skipped += ms.cold_blocks_skipped;
-      stats->decode_morsels += ms.decode_morsels;
+      stats->store.merge(ms);
     }
     return result;
   }

@@ -563,5 +563,128 @@ TEST(RecoveryChaos, RestartAfterCompactionMatchesNeverCrashedReplica) {
   EXPECT_GT(compared_rows, 0u);
 }
 
+/// Stands in for a worker on the network under its NodeId, forwarding
+/// everything to it, and counts the distinct reliable frames (by epoch and
+/// sequence number, so retransmissions count once) that one sender
+/// addresses to it.
+class FrameCounter final : public NetworkNode {
+ public:
+  FrameCounter(NetworkNode& inner, NodeId sender)
+      : inner_(inner), sender_(sender) {}
+  [[nodiscard]] NodeId node_id() const override { return inner_.node_id(); }
+  void handle_message(const Message& message, SimNetwork& net) override {
+    if (message.from == sender_ &&
+        static_cast<MsgType>(message.type) == MsgType::kReliableData) {
+      BinaryReader r(message.payload);
+      std::uint64_t epoch = r.read_u64();
+      frames_.insert({epoch, r.read_u64()});
+    }
+    inner_.handle_message(message, net);
+  }
+  void handle_timer(std::uint64_t token, SimNetwork& net) override {
+    inner_.handle_timer(token, net);
+  }
+  [[nodiscard]] std::size_t frames() const { return frames_.size(); }
+
+ private:
+  NetworkNode& inner_;
+  NodeId sender_;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> frames_;
+};
+
+TEST(RecoveryChaos, PrunedLogAnswersWithImageInOneExchange) {
+  FailureScenario s;
+  ClusterConfig config = config_with_workers(3);
+  // Every replay log keeps only its newest batch, and no snapshot ticker
+  // runs: the victim's one manual snapshot goes stale while the holders
+  // prune their logs past its watermark.
+  config.replay_log_max_bytes = 1;
+  config.snapshot_every_ticks = 0;
+  Cluster cluster(
+      s.world,
+      std::make_unique<SpatialGridStrategy>(s.world, 2, 2, s.trace.cameras),
+      config);
+  // Four ingest rounds after the snapshot: each ends in a flush, so every
+  // partition gets batches past the snapshot's watermark and its holder's
+  // floor moves past it.
+  const std::size_t n = s.trace.detections.size();
+  WorkerId victim(2);
+  for (std::size_t round = 0; round < 5; ++round) {
+    std::size_t first = n * round / 5, last = n * (round + 1) / 5;
+    cluster.ingest_all(std::span<const Detection>(
+        s.trace.detections.data() + first, last - first));
+    if (round == 0) cluster.worker(victim).take_snapshots(cluster.now());
+  }
+  ASSERT_FALSE(cluster.worker(victim).snapshot_vault().empty());
+  cluster.pump();
+  cluster.crash_worker(victim);
+
+  // Every reliable frame the rejoiner sends a peer worker is a recovery
+  // request (its other traffic goes to the coordinator).
+  SimNetwork& net = cluster.network();
+  std::vector<std::unique_ptr<FrameCounter>> holders;
+  for (WorkerId w : cluster.worker_ids()) {
+    if (w == victim) continue;
+    holders.push_back(std::make_unique<FrameCounter>(
+        cluster.worker(w), NodeId(victim.value())));
+    net.detach(holders.back()->node_id());
+    net.attach(*holders.back());
+  }
+  auto summed = [&](const char* counter) {
+    std::uint64_t total = 0;
+    for (WorkerId w : cluster.worker_ids()) {
+      total += cluster.worker(w).metrics().counter_value(counter);
+    }
+    return total;
+  };
+  std::uint64_t served0 =
+      summed("delta_syncs_served") + summed("sync_requests_served");
+  std::uint64_t fallback0 = summed("delta_sync_fallback_full");
+
+  Cluster::RecoveryReport report = cluster.restart_worker(victim);
+  ASSERT_TRUE(report.completed);
+  ASSERT_GT(report.partitions_total, 0u);
+  EXPECT_EQ(report.partitions_recovered, report.partitions_total);
+  EXPECT_EQ(
+      cluster.worker(victim).metrics().counter_value("snapshots_installed"),
+      report.partitions_total);
+  // Each delta ask met a pruned log and was answered with the store image.
+  EXPECT_EQ(summed("delta_sync_fallback_full") - fallback0,
+            report.partitions_total);
+  EXPECT_EQ(summed("delta_syncs_served") + summed("sync_requests_served") -
+                served0,
+            report.partitions_total);
+  std::size_t requests = 0;
+  for (const auto& h : holders) requests += h->frames();
+  EXPECT_EQ(requests, report.partitions_total)
+      << "one sync request per partition, no refuse-then-refetch";
+
+  CentralizedIndex oracle(s.world);
+  oracle.ingest_all(s.trace.detections);
+  Query range = Query::range(cluster.next_query_id(), s.world,
+                             TimeInterval::all());
+  QueryResult got = cluster.execute(range);
+  EXPECT_EQ(got.detections.size(), ids_of(got).size())
+      << "duplicate detections";
+  EXPECT_EQ(ids_of(got), ids_of(oracle.execute(range)));
+  std::set<ObjectId> objects;
+  for (const Detection& d : s.trace.detections) objects.insert(d.object);
+  for (ObjectId object : objects) {
+    Query q = Query::trajectory(cluster.next_query_id(), object,
+                                TimeInterval::all());
+    QueryResult traj = cluster.execute(q);
+    EXPECT_EQ(traj.detections.size(), ids_of(traj).size())
+        << "object " << object.value();
+    EXPECT_EQ(ids_of(traj), ids_of(oracle.execute(q)))
+        << "object " << object.value();
+  }
+
+  // Hand the network back to the workers before the proxies go away.
+  for (const auto& h : holders) {
+    net.detach(h->node_id());
+    net.attach(cluster.worker(WorkerId(h->node_id().value())));
+  }
+}
+
 }  // namespace
 }  // namespace stcn

@@ -63,10 +63,17 @@ TEST(Protocol, QueryResponseRoundTrip) {
   response.result.query = QueryId(7);
   response.result.detections = {make_detection(5)};
   response.result.counts[3] = 14;
-  response.rows_scanned = 100;
+  response.scan.rows_scanned = 100;
   response.scan_wall_us = 250;
-  response.blocks_scanned = 4;
-  response.blocks_skipped = 12;
+  response.scan.store.blocks_scanned = 4;
+  response.scan.store.blocks_skipped = 12;
+  response.scan.store.rows_evaluated = 40;
+  response.scan.store.rows_selected = 30;
+  response.scan.store.morsels = 3;
+  response.scan.store.cold_blocks_scanned = 2;
+  response.scan.store.cold_blocks_skipped = 5;
+  response.scan.store.decode_morsels = 1;
+  response.scan.store.zone_fast_path = 7;  // not on the wire
   auto bytes = encode(response);
   BinaryReader r(bytes);
   QueryResponse back = decode_query_response(r);
@@ -75,10 +82,40 @@ TEST(Protocol, QueryResponseRoundTrip) {
   EXPECT_EQ(back.sub_id, 23u);
   EXPECT_EQ(back.result.counts.at(3), 14u);
   ASSERT_EQ(back.result.detections.size(), 1u);
-  EXPECT_EQ(back.rows_scanned, 100u);
+  EXPECT_EQ(back.scan.rows_scanned, 100u);
   EXPECT_EQ(back.scan_wall_us, 250u);
-  EXPECT_EQ(back.blocks_scanned, 4u);
-  EXPECT_EQ(back.blocks_skipped, 12u);
+  const MorselStats& m = back.scan.store;
+  EXPECT_EQ(m.blocks_scanned, 4u);
+  EXPECT_EQ(m.blocks_skipped, 12u);
+  EXPECT_EQ(m.rows_evaluated, 40u);
+  EXPECT_EQ(m.rows_selected, 30u);
+  EXPECT_EQ(m.morsels, 3u);
+  EXPECT_EQ(m.cold_blocks_scanned, 2u);
+  EXPECT_EQ(m.cold_blocks_skipped, 5u);
+  EXPECT_EQ(m.decode_morsels, 1u);
+  EXPECT_EQ(m.zone_fast_path, 0u);
+}
+
+TEST(Protocol, QueryResponseScanStatsAreTenU64sInWireOrder) {
+  QueryResponse response;
+  response.scan.rows_scanned = 1;
+  response.scan_wall_us = 2;
+  response.scan.store.blocks_scanned = 3;
+  response.scan.store.blocks_skipped = 4;
+  response.scan.store.rows_evaluated = 5;
+  response.scan.store.rows_selected = 6;
+  response.scan.store.morsels = 7;
+  response.scan.store.cold_blocks_scanned = 8;
+  response.scan.store.cold_blocks_skipped = 9;
+  response.scan.store.decode_morsels = 10;
+  auto bytes = encode(response);
+  // The stats trail the result: ten u64 values, 1..10 in the order above.
+  ASSERT_GE(bytes.size(), 80u);
+  BinaryReader r(bytes.data() + bytes.size() - 80, 80);
+  for (std::uint64_t want = 1; want <= 10; ++want) {
+    EXPECT_EQ(r.read_u64(), want);
+  }
+  EXPECT_EQ(encode(QueryResponse{}).size(), bytes.size());
 }
 
 TEST(Protocol, MonitorInstallRoundTrip) {
@@ -106,16 +143,51 @@ TEST(Protocol, DeltaBatchRoundTrip) {
 }
 
 TEST(Protocol, SyncMessagesRoundTrip) {
-  auto req_bytes = encode(SyncRequest{PartitionId(6)});
+  // Image ask: no `since`.
+  auto req_bytes = encode(SyncRequest{PartitionId(6), std::nullopt});
   BinaryReader rr(req_bytes);
-  EXPECT_EQ(decode_sync_request(rr).partition, PartitionId(6));
+  SyncRequest req_back = decode_sync_request(rr);
+  EXPECT_FALSE(rr.failed());
+  EXPECT_EQ(req_back.partition, PartitionId(6));
+  EXPECT_FALSE(req_back.since.has_value());
 
-  SyncResponse response{PartitionId(6), {make_detection(1)}};
-  auto resp_bytes = encode(response);
-  BinaryReader pr(resp_bytes);
-  SyncResponse back = decode_sync_response(pr);
-  EXPECT_EQ(back.partition, PartitionId(6));
-  ASSERT_EQ(back.detections.size(), 1u);
+  // Delta ask: the requester's watermark rides along.
+  SyncRequest delta_ask{PartitionId(5), Watermark{{1'000'000, 12}}};
+  auto ask_bytes = encode(delta_ask);
+  BinaryReader ar(ask_bytes);
+  SyncRequest ask_back = decode_sync_request(ar);
+  EXPECT_FALSE(ar.failed());
+  EXPECT_EQ(ask_back.partition, PartitionId(5));
+  ASSERT_TRUE(ask_back.since.has_value());
+  EXPECT_EQ(ask_back.since->at(1'000'000), 12u);
+
+  // Image answer: the store rows.
+  SyncResponse image{PartitionId(6), true, {make_detection(1)}, {}, {}};
+  auto image_bytes = encode(image);
+  BinaryReader ir(image_bytes);
+  SyncResponse image_back = decode_sync_response(ir);
+  EXPECT_FALSE(ir.failed());
+  EXPECT_EQ(image_back.partition, PartitionId(6));
+  EXPECT_TRUE(image_back.image);
+  ASSERT_EQ(image_back.detections.size(), 1u);
+  EXPECT_EQ(image_back.detections[0], make_detection(1));
+
+  // Delta answer: log entries past `since` plus the holder's watermark.
+  SyncResponse delta{PartitionId(5), false, {}, {}, {}};
+  delta.watermark[1'000'000] = 20;
+  delta.entries.push_back({1'000'000, 13, {make_detection(4)}});
+  auto delta_bytes = encode(delta);
+  BinaryReader dr(delta_bytes);
+  SyncResponse delta_back = decode_sync_response(dr);
+  EXPECT_FALSE(dr.failed());
+  EXPECT_EQ(delta_back.partition, PartitionId(5));
+  EXPECT_FALSE(delta_back.image);
+  EXPECT_TRUE(delta_back.detections.empty());
+  EXPECT_EQ(delta_back.watermark.at(1'000'000), 20u);
+  ASSERT_EQ(delta_back.entries.size(), 1u);
+  EXPECT_EQ(delta_back.entries[0].pbid, 13u);
+  ASSERT_EQ(delta_back.entries[0].detections.size(), 1u);
+  EXPECT_EQ(delta_back.entries[0].detections[0], make_detection(4));
 }
 
 TEST(Protocol, IngestBatchPbidRoundTrip) {
@@ -128,47 +200,23 @@ TEST(Protocol, IngestBatchPbidRoundTrip) {
 }
 
 TEST(Protocol, SyncResponseWatermarkAndTailRoundTrip) {
-  SyncResponse response{PartitionId(6), {make_detection(1)}};
+  SyncResponse response{PartitionId(6), true, {make_detection(1)}, {}, {}};
   response.watermark[1'000'000] = 41;
   response.watermark[2'000'003] = 7;
-  response.tail.push_back({1'000'000, 42, {make_detection(2)}});
-  response.tail.push_back({2'000'003, 8, {}});
+  response.entries.push_back({1'000'000, 42, {make_detection(2)}});
+  response.entries.push_back({2'000'003, 8, {}});
   auto bytes = encode(response);
   BinaryReader r(bytes);
   SyncResponse back = decode_sync_response(r);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(back.watermark.at(1'000'000), 41u);
   EXPECT_EQ(back.watermark.at(2'000'003), 7u);
-  ASSERT_EQ(back.tail.size(), 2u);
-  EXPECT_EQ(back.tail[0].source, 1'000'000u);
-  EXPECT_EQ(back.tail[0].pbid, 42u);
-  ASSERT_EQ(back.tail[0].detections.size(), 1u);
-  EXPECT_EQ(back.tail[0].detections[0], make_detection(2));
-  EXPECT_TRUE(back.tail[1].detections.empty());
-}
-
-TEST(Protocol, DeltaSyncMessagesRoundTrip) {
-  DeltaSyncRequest request{PartitionId(5), {}};
-  request.since[1'000'000] = 12;
-  auto req_bytes = encode(request);
-  BinaryReader rr(req_bytes);
-  DeltaSyncRequest req_back = decode_delta_sync_request(rr);
-  EXPECT_FALSE(rr.failed());
-  EXPECT_EQ(req_back.partition, PartitionId(5));
-  EXPECT_EQ(req_back.since.at(1'000'000), 12u);
-
-  DeltaSyncResponse response{PartitionId(5), true, {}, {}};
-  response.watermark[1'000'000] = 20;
-  response.entries.push_back({1'000'000, 13, {make_detection(4)}});
-  auto resp_bytes = encode(response);
-  BinaryReader pr(resp_bytes);
-  DeltaSyncResponse resp_back = decode_delta_sync_response(pr);
-  EXPECT_FALSE(pr.failed());
-  EXPECT_EQ(resp_back.partition, PartitionId(5));
-  EXPECT_TRUE(resp_back.ok);
-  EXPECT_EQ(resp_back.watermark.at(1'000'000), 20u);
-  ASSERT_EQ(resp_back.entries.size(), 1u);
-  EXPECT_EQ(resp_back.entries[0].pbid, 13u);
+  ASSERT_EQ(back.entries.size(), 2u);
+  EXPECT_EQ(back.entries[0].source, 1'000'000u);
+  EXPECT_EQ(back.entries[0].pbid, 42u);
+  ASSERT_EQ(back.entries[0].detections.size(), 1u);
+  EXPECT_EQ(back.entries[0].detections[0], make_detection(2));
+  EXPECT_TRUE(back.entries[1].detections.empty());
 }
 
 TEST(Protocol, RecoveryDoneRoundTrip) {
@@ -288,31 +336,35 @@ TEST(ProtocolFuzz, DeltaBatchDecoderRobust) {
                [](BinaryReader& r) { return decode_delta_batch(r); }, 4);
 }
 
+TEST(ProtocolFuzz, SyncRequestDecoderRobust) {
+  SyncRequest request{PartitionId(2), Watermark{{1, 5}, {2, 9}, {7, 40}}};
+  fuzz_decoder(encode(request),
+               [](BinaryReader& r) { return decode_sync_request(r); }, 8);
+}
+
 TEST(ProtocolFuzz, SyncResponseDecoderRobust) {
-  SyncResponse response{PartitionId(2), {}};
+  // Image form: store rows, watermark and tail.
+  SyncResponse image{PartitionId(2), true, {}, {{1, 5}}, {}};
   for (std::uint64_t i = 1; i <= 15; ++i) {
-    response.detections.push_back(make_detection(i));
+    image.detections.push_back(make_detection(i));
   }
-  fuzz_decoder(encode(response),
+  image.entries.push_back({1, 7, {make_detection(99)}});
+  fuzz_decoder(encode(image),
                [](BinaryReader& r) { return decode_sync_response(r); }, 5);
+
+  // Delta form: log entries only.
+  SyncResponse delta{PartitionId(2), false, {}, {{1, 5}, {2, 9}}, {}};
+  for (std::uint64_t i = 1; i <= 6; ++i) {
+    delta.entries.push_back(
+        {i % 2, 10 + i, {make_detection(i), make_detection(100 + i)}});
+  }
+  fuzz_decoder(encode(delta),
+               [](BinaryReader& r) { return decode_sync_response(r); }, 6);
 }
 
 TEST(ProtocolFuzz, HeartbeatDecoderRobust) {
   fuzz_decoder(encode(heartbeat_with_summaries()),
                [](BinaryReader& r) { return decode_heartbeat(r); }, 7);
-}
-
-TEST(ProtocolFuzz, DeltaSyncResponseDecoderRobust) {
-  DeltaSyncResponse response{PartitionId(2), true, {}, {}};
-  response.watermark[1] = 5;
-  response.watermark[2] = 9;
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    response.entries.push_back(
-        {i % 2, 10 + i, {make_detection(i), make_detection(100 + i)}});
-  }
-  fuzz_decoder(encode(response),
-               [](BinaryReader& r) { return decode_delta_sync_response(r); },
-               6);
 }
 
 }  // namespace

@@ -175,9 +175,9 @@ TEST(LocalExecutorKnn, FarQuerySkipsEarlyBlocksInScanStats) {
   for (const Detection& d : r.detections) {
     EXPECT_GE(d.position.x, 2000.0);
   }
-  EXPECT_EQ(stats.blocks_scanned, 1u);
-  EXPECT_EQ(stats.blocks_skipped, 2u);
-  EXPECT_GT(stats.rows_evaluated, 0u);
+  EXPECT_EQ(stats.store.blocks_scanned, 1u);
+  EXPECT_EQ(stats.store.blocks_skipped, 2u);
+  EXPECT_GT(stats.store.rows_evaluated, 0u);
   EXPECT_EQ(stats.rows_scanned, 5u);
 }
 

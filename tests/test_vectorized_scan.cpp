@@ -227,9 +227,9 @@ TEST_P(VectorizedExecutor, CountMatchesBruteForce) {
         indexes_, Query::count(QueryId(1), region, interval), &stats);
     ASSERT_EQ(plain.counts.size(), 1u) << "trial " << trial;
     EXPECT_EQ(plain.counts.at(0), expected) << "trial " << trial;
-    EXPECT_GT(stats.vectorized_morsels, 0u) << "trial " << trial;
-    EXPECT_GE(stats.rows_evaluated, stats.rows_selected);
-    EXPECT_EQ(stats.rows_selected, expected);
+    EXPECT_GT(stats.store.morsels, 0u) << "trial " << trial;
+    EXPECT_GE(stats.store.rows_evaluated, stats.store.rows_selected);
+    EXPECT_EQ(stats.store.rows_selected, expected);
 
     QueryResult grouped = LocalExecutor::execute(
         indexes_,
@@ -259,7 +259,7 @@ TEST_P(VectorizedExecutor, HeatmapMatchesBruteForce) {
     ScanStats stats;
     QueryResult result = LocalExecutor::execute(indexes_, query, &stats);
     EXPECT_TRUE(result.counts == expected) << "trial " << trial;
-    EXPECT_GT(stats.vectorized_morsels, 0u) << "trial " << trial;
+    EXPECT_GT(stats.store.morsels, 0u) << "trial " << trial;
   }
 }
 

@@ -189,7 +189,8 @@ TEST_F(WorkerFixture, SyncRequestReturnsPartitionContents) {
   // A second worker asks for partition 2.
   WorkerNode other(WorkerId(2), kCoord, worker_config());
   network_->attach(other);
-  other.start_resync({{PartitionId(2), worker_.node_id()}}, *network_);
+  other.start_recovery(0, {{PartitionId(2), worker_.node_id()}}, {},
+                       *network_);
   EXPECT_FALSE(other.resync_complete());
   network_->run_until_idle();
   EXPECT_TRUE(other.resync_complete());
