@@ -35,8 +35,8 @@
 #include "common/stats.h"
 #include "core/protocol.h"
 #include "index/detection_store.h"
-#include "index/trajectory_store.h"
 #include "obs/json.h"
+#include "support/reference_scans.h"
 
 namespace stcn {
 namespace {
@@ -56,7 +56,6 @@ Detection random_detection(Rng& rng, std::uint64_t id) {
 
 struct Dataset {
   DetectionStore store;
-  std::vector<DetectionRef> refs;
   std::vector<Detection> raw;
 
   explicit Dataset(std::size_t n) {
@@ -64,7 +63,7 @@ struct Dataset {
     for (std::uint64_t i = 1; i <= n; ++i) {
       Detection d = random_detection(rng, i);
       raw.push_back(d);
-      refs.push_back(store.append(d));
+      (void)store.append(d);
     }
   }
 };
@@ -114,12 +113,10 @@ BENCHMARK(BM_StoreCameraWindow);
 
 void BM_TrajectoryQuery(benchmark::State& state) {
   Dataset& ds = dataset();
-  TrajectoryStore trajectories;
-  for (DetectionRef r : ds.refs) trajectories.insert(ds.store, r);
   Rng rng(13);
   for (auto _ : state) {
     ObjectId obj(1 + rng.uniform_index(500));
-    auto out = trajectories.query(obj, TimeInterval::all());
+    auto out = ds.store.scan_object(obj, TimeInterval::all());
     benchmark::DoNotOptimize(out.size());
   }
 }
@@ -367,7 +364,7 @@ VectorizedReport run_vectorized_section() {
   }
   const std::size_t warmup = std::min<std::size_t>(8, rep.scan_queries);
   for (std::size_t q = 0; q < warmup; ++q) {
-    (void)store.scan_range_scalar(regions[q], windows[q]).size();
+    (void)scan_range_scalar(store, regions[q], windows[q]).size();
     (void)store.scan_range(regions[q], windows[q]).size();
   }
 
@@ -383,7 +380,7 @@ VectorizedReport run_vectorized_section() {
     std::size_t matched = 0;
     bench::WallTimer scalar_timer;
     for (std::size_t q = 0; q < rep.scan_queries; ++q) {
-      matched += store.scan_range_scalar(regions[q], windows[q]).size();
+      matched += scan_range_scalar(store, regions[q], windows[q]).size();
     }
     scalar_ms.add(scalar_timer.elapsed_ms());
     if (r == 0) scalar_matched = matched;
@@ -444,7 +441,7 @@ VectorizedReport run_vectorized_section() {
     bench::WallTimer map_timer;
     for (std::size_t q = 0; q < rep.heatmap_queries; ++q) {
       std::map<std::uint64_t, std::uint64_t> counts;
-      for (DetectionRef ref : store.scan_range_scalar(world, hwindows[q])) {
+      for (DetectionRef ref : scan_range_scalar(store, world, hwindows[q])) {
         std::size_t row = to_index(ref);
         auto cx = static_cast<std::uint64_t>(xs[row] / cell);
         auto cy = static_cast<std::uint64_t>(ys[row] / cell);

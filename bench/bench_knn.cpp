@@ -89,7 +89,7 @@ void run() {
   for (std::size_t k : {1, 10, 100}) {
     bench::WallTimer store_timer;
     for (Point c : centers) {
-      (void)central.indexes().store.scan_knn(c, k, TimeInterval::all());
+      (void)central.store().scan_knn(c, k, TimeInterval::all());
     }
     double store_us = store_timer.elapsed_ms() * 1000.0 / centers.size();
     std::printf("%10zu %12.1f\n", k, store_us);

@@ -46,8 +46,8 @@ void run() {
   // Wire size of one summary: a heartbeat with one minus one without.
   Heartbeat bare{WorkerId(1), 0, {}, {}};
   Heartbeat one = bare;
-  one.summaries.push_back(
-      {PartitionId(0), {{0, 1}}, TrajectoryStore{}.objects()});
+  one.summaries.push_back({PartitionId(0), {{0, 1}},
+                           BloomFilter(WorkerIndexes::kObjectFilterBits)});
   const std::uint64_t summary_wire = encode(one).size() - encode(bare).size();
 
   for (bool pruned : {true, false}) {

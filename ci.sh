@@ -69,6 +69,11 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ./build-asan/tests/test_tiered_store \
       --gtest_filter='*TieredDifferential.*:*VaultDifferential.*:QuantizedAppearance.*' \
       >/dev/null
+  echo "== sanitizer trajectory differential rerun =="
+  # scan_object against the brute-force reference on hot and tiered
+  # stores, including the cold-block dictionary skip, under ASan+UBSan.
+  ./build-asan/tests/test_trajectory_scan \
+      --gtest_filter='*TrajectoryDifferential.*' >/dev/null
   echo "== sanitizer merge rerun =="
   # The merger moves fragments in rather than copying them; hedge answers,
   # duplicated messages and k-NN fallback rounds feed it duplicate rows and

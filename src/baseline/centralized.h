@@ -1,9 +1,9 @@
 // Centralized single-node baseline.
 //
-// Everything in one process: one index bundle, no partitioning, no network.
-// This is the comparator for E4 (distributed vs centralized crossover) and
-// the oracle for integration tests (distributed answers must equal
-// centralized answers on the same trace).
+// Everything in one process: one DetectionStore, no partitioning, no
+// network. This is the comparator for E4 (distributed vs centralized
+// crossover) and the oracle for integration tests (distributed answers must
+// equal centralized answers on the same trace).
 #pragma once
 
 #include <span>
@@ -20,22 +20,22 @@ class CentralizedIndex {
   /// store itself needs no spatial bounds.
   explicit CentralizedIndex(Rect /*world*/) {}
 
-  void ingest(const Detection& d) { indexes_.ingest(d); }
+  void ingest(const Detection& d) { (void)store_.append(d); }
   void ingest_all(std::span<const Detection> detections) {
-    for (const Detection& d : detections) indexes_.ingest(d);
+    for (const Detection& d : detections) (void)store_.append(d);
   }
 
   [[nodiscard]] QueryResult execute(const Query& query) const {
     ResultMerger merger(query);
-    merger.add(LocalExecutor::execute(indexes_, query));
+    merger.add(LocalExecutor::execute(store_, query));
     return merger.take();
   }
 
-  [[nodiscard]] std::size_t size() const { return indexes_.size(); }
-  [[nodiscard]] const WorkerIndexes& indexes() const { return indexes_; }
+  [[nodiscard]] std::size_t size() const { return store_.size(); }
+  [[nodiscard]] const DetectionStore& store() const { return store_; }
 
  private:
-  WorkerIndexes indexes_;
+  DetectionStore store_;
 };
 
 /// CandidateSource over a centralized index (re-id baseline and tests).

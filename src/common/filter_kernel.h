@@ -138,27 +138,26 @@ inline std::uint32_t refine_circle(const double* xs, const double* ys,
   return m;
 }
 
-/// Rows in [first, last) belonging to `camera`.
-inline std::uint32_t filter_camera(const std::uint64_t* cameras,
-                                   std::uint32_t first, std::uint32_t last,
-                                   std::uint64_t camera, std::uint32_t* out) {
+/// Rows in [first, last) whose id equals `value` (camera or object column).
+inline std::uint32_t filter_eq(const std::uint64_t* ids, std::uint32_t first,
+                               std::uint32_t last, std::uint64_t value,
+                               std::uint32_t* out) {
   std::uint32_t n = 0;
   for (std::uint32_t i = first; i < last; ++i) {
     out[n] = i;
-    n += static_cast<std::uint32_t>(cameras[i] == camera);
+    n += static_cast<std::uint32_t>(ids[i] == value);
   }
   return n;
 }
 
-/// In-place compaction of `sel` to rows of `camera`.
-inline std::uint32_t refine_camera(const std::uint64_t* cameras,
-                                   std::uint64_t camera, std::uint32_t* sel,
-                                   std::uint32_t n) {
+/// In-place compaction of `sel` to rows whose id equals `value`.
+inline std::uint32_t refine_eq(const std::uint64_t* ids, std::uint64_t value,
+                               std::uint32_t* sel, std::uint32_t n) {
   std::uint32_t m = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t row = sel[i];
     sel[m] = row;
-    m += static_cast<std::uint32_t>(cameras[row] == camera);
+    m += static_cast<std::uint32_t>(ids[row] == value);
   }
   return m;
 }

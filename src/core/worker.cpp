@@ -148,7 +148,7 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
     Heartbeat hb{id_, stored_detections(), heat_.snapshot(), {}};
     for (const auto& [p, indexes] : partitions_) {
       hb.summaries.push_back(
-          {p, watermark_of(p), indexes->trajectories.objects()});
+          {p, watermark_of(p), indexes->objects});
     }
     summaries_published_.add(hb.summaries.size());
     network.send({node_id(), coordinator_,
@@ -224,14 +224,12 @@ void WorkerNode::dispatch(const Message& message, bool reliable,
 void WorkerNode::on_ingest(const IngestBatch& batch, NodeId source,
                            SimNetwork& network) {
   WorkerIndexes& indexes = partition(batch.partition);
-  auto& seen = ingested_ids_[batch.partition];
   std::uint64_t fresh_rows = 0;
   for (const Detection& d : batch.detections) {
-    if (!seen.insert(d.id.value()).second) {
+    if (!indexes.ingest(d)) {
       ingest_dups_skipped_.inc();
       continue;
     }
-    indexes.ingest(d);
     ++fresh_rows;
     (batch.is_replica ? ingested_replica_ : ingested_primary_).inc();
     if (!batch.is_replica) {
@@ -280,7 +278,8 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
     // that the fragment named it).
     if (it != partitions_.end()) {
       ScanStats local;
-      merger.add(LocalExecutor::execute(*it->second, request.query, &local));
+      merger.add(
+          LocalExecutor::execute(it->second->store, request.query, &local));
       const MorselStats& ms = local.store;
       heat_.on_scan(p, ms.rows_evaluated, ms.rows_selected, ms.blocks_scanned,
                     ms.blocks_skipped);
@@ -434,7 +433,6 @@ void WorkerNode::flush_deltas(SimNetwork& network) {
 void WorkerNode::lose_state() {
   partitions_.clear();
   pending_deltas_.clear();
-  ingested_ids_.clear();
   watermarks_.clear();
   replay_logs_.clear();
   recovery_tasks_.clear();
@@ -459,12 +457,10 @@ ReplayLog& WorkerNode::replay_log(PartitionId p) {
 }
 
 bool WorkerNode::dedup_ingest(PartitionId p, const Detection& d) {
-  auto& seen = ingested_ids_[p];
-  if (!seen.insert(d.id.value()).second) {
+  if (!partition(p).ingest(d)) {
     ingest_dups_skipped_.inc();
     return false;
   }
-  partition(p).ingest(d);
   return true;
 }
 
@@ -509,7 +505,6 @@ bool WorkerNode::install_snapshot(PartitionId p) {
     return false;
   }
   WorkerIndexes& indexes = partition(p);
-  auto& seen = ingested_ids_[p];
   // The store no longer extends its vault image by appends alone.
   vault_rewrite_.insert(p);
   if (indexes.store.empty()) {
@@ -520,9 +515,6 @@ bool WorkerNode::install_snapshot(PartitionId p) {
     indexes.store = std::move(decoded);
     indexes.store.set_tier_config(tier);
     indexes.index_rows_from(0);
-    for (std::size_t i = 0; i < indexes.store.size(); ++i) {
-      seen.insert(indexes.store.id_of(static_cast<DetectionRef>(i)).value());
-    }
     snapshot_rows_installed_.add(indexes.store.size());
   } else {
     // A live replica stream beat the install: merge row-by-row through the

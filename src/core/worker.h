@@ -23,6 +23,8 @@
 #include "common/ids.h"
 #include "core/protocol.h"
 #include "core/recovery.h"
+#include "index/bloom.h"
+#include "index/detection_store.h"
 #include "net/node.h"
 #include "net/reliable_channel.h"
 #include "net/sim_network.h"
@@ -33,6 +35,88 @@
 #include "query/executor.h"
 
 namespace stcn {
+
+/// What a worker keeps per partition: the columnar store, which answers
+/// every query kind, and two per-row summaries of it — the Bloom filter of
+/// its objects (shipped on every heartbeat) and the set of its detection
+/// ids (the dedup gate). Both describe exactly the rows the store holds,
+/// so every path that rebuilds the store rebuilds them through
+/// index_rows_from.
+struct WorkerIndexes {
+  static constexpr std::size_t kObjectFilterBits = 2048;
+
+  DetectionStore store;
+  BloomFilter objects{kObjectFilterBits};
+  std::unordered_set<std::uint64_t> ids;
+
+  /// Appends `d` unless a row with its id is already held, which makes
+  /// ingest idempotent: retransmission races, dead-incarnation
+  /// redeliveries and resync overlapping a live replica stream cannot
+  /// double-count. Returns whether `d` was appended.
+  bool ingest(const Detection& d) {
+    if (!ids.insert(d.id.value()).second) return false;
+    (void)store.append(d);
+    objects.insert(d.object.value());
+    return true;
+  }
+
+  /// Adds store rows [first, size()) to the summaries. Callers that append
+  /// to `store` directly (bulk copies, snapshot installs) call this
+  /// afterwards.
+  void index_rows_from(std::size_t first) {
+    for (std::size_t i = first; i < store.size(); ++i) {
+      auto ref = static_cast<DetectionRef>(i);
+      ids.insert(store.id_of(ref).value());
+      objects.insert(store.object_of(ref).value());
+    }
+  }
+
+  /// Retention compaction: rebuilds the store and its summaries keeping
+  /// only detections with time >= `horizon`. Returns the number evicted.
+  /// DetectionRefs issued before a compaction are invalidated, and an
+  /// evicted id is admitted again if it is redelivered.
+  ///
+  /// Block-wise: a block whose zone map proves every row older than the
+  /// horizon is evicted wholesale; a block proven entirely fresh is copied
+  /// column-to-column in one bulk append_rows (which recomputes the
+  /// destination zone maps tightly from the surviving rows — merged blocks
+  /// must not inherit stale-wide source bounds, or block skipping degrades
+  /// after every compaction). Mixed blocks fall back to per-row
+  /// append_copy; no path materializes Detection records.
+  std::size_t compact(TimePoint horizon) {
+    WorkerIndexes fresh;
+    // Propagate tiering before any rows land: surviving whole cold blocks
+    // then adopt verbatim (no decode/re-quantization) and surviving hot
+    // rows re-demote at the same watermark.
+    fresh.store.set_tier_config(store.tier_config());
+    std::size_t evicted = 0;
+    for (std::size_t b = 0; b < store.block_count(); ++b) {
+      const DetectionBlockZone& z = store.zone(b);
+      auto [first, last] = store.block_rows(b);
+      if (TimePoint(z.t_max) < horizon) {  // whole block expired
+        evicted += last - first;
+        continue;
+      }
+      if (TimePoint(z.t_min) >= horizon) {  // whole block fresh: bulk copy
+        (void)fresh.store.append_rows(store, first, last);
+      } else {
+        for (std::uint32_t i = first; i < last; ++i) {
+          auto old_ref = static_cast<DetectionRef>(i);
+          if (store.time_of(old_ref) < horizon) {
+            ++evicted;
+            continue;
+          }
+          (void)fresh.store.append_copy(store, old_ref);
+        }
+      }
+    }
+    fresh.index_rows_from(0);
+    *this = std::move(fresh);
+    return evicted;
+  }
+
+  [[nodiscard]] std::size_t size() const { return store.size(); }
+};
 
 struct WorkerConfig {
   Rect world;
@@ -306,11 +390,6 @@ class WorkerNode final : public NetworkNode {
   std::unordered_map<PartitionId, std::unique_ptr<WorkerIndexes>> partitions_;
   ContinuousQueryManager monitors_;
   std::vector<DeltaUpdate> pending_deltas_;
-  // Per-partition ids already ingested: makes ingest idempotent so
-  // retransmission races, dead-incarnation redeliveries, and resync
-  // overlapping a live replica stream cannot double-count detections.
-  std::unordered_map<PartitionId, std::unordered_set<std::uint64_t>>
-      ingested_ids_;
   // Per-(partition, source) contiguous batch watermarks; the map key is the
   // raw source node id.
   std::unordered_map<PartitionId, std::map<std::uint64_t, PbidTracker>>

@@ -1,8 +1,9 @@
 // Bloom filter over 64-bit keys.
 //
-// Used for object-presence summaries: each partition's TrajectoryStore keeps
-// one over the object ids it holds, shipped on every heartbeat, and the
-// coordinator prunes trajectory-query fan-out with it. Bloom filters admit
+// Used for object-presence summaries: a worker keeps one per partition over
+// the object ids of the rows it holds (WorkerIndexes::objects, core/worker.h),
+// ships it on every heartbeat, and the coordinator prunes trajectory-query
+// fan-out with it. Bloom filters admit
 // false positives (harmless: an extra partition is queried) but
 // never false negatives (required: pruning must be sound).
 #pragma once

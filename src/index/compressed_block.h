@@ -17,8 +17,8 @@
 // Scans never materialize the block: the filter_* members run the
 // decode-fused kernels from common/filter_kernel.h, writing decoded
 // columns into caller scratch while emitting block-local selection
-// vectors; refine_* members gather-decode survivors only. Camera equality
-// filters compare dictionary codes without decoding at all.
+// vectors; refine_* members gather-decode survivors only. Camera and
+// object equality filters compare dictionary codes without decoding at all.
 //
 // Every block carries a process-unique `uid` assigned when its content is
 // created (encode or deserialize). Content is immutable afterwards, so the
@@ -313,34 +313,41 @@ struct CompressedBlock {
     });
   }
 
-  std::uint32_t filter_camera(std::uint64_t camera, std::uint32_t* sel) const {
-    std::int64_t idx = cameras.code_of(camera);
+  /// Rows whose `column` id (cameras or objects) equals `value`, compared
+  /// in dictionary-code space without decoding the column. A value absent
+  /// from the dictionary selects nothing.
+  static std::uint32_t filter_eq(const DictU64Column& column,
+                                 std::uint64_t value, std::uint32_t* sel) {
+    std::int64_t idx = column.code_of(value);
     if (idx < 0) return 0;
     auto target = static_cast<std::uint64_t>(idx);
-    if (cameras.codes.width == 0) {
-      return cameras.codes.base == target ? fill_identity(0, rows, sel) : 0;
+    if (column.codes.width == 0) {
+      return column.codes.base == target
+                 ? fill_identity(0, column.codes.rows, sel)
+                 : 0;
     }
-    if (target < cameras.codes.base) return 0;
-    std::uint64_t raw = target - cameras.codes.base;
-    return cameras.codes.dispatch_width([&](auto w) {
-      return filter_code_eq<decltype(w)::value>(cameras.codes.data.data(),
-                                                raw, rows, sel);
+    if (target < column.codes.base) return 0;
+    std::uint64_t raw = target - column.codes.base;
+    return column.codes.dispatch_width([&](auto w) {
+      return filter_code_eq<decltype(w)::value>(column.codes.data.data(), raw,
+                                                column.codes.rows, sel);
     });
   }
 
-  std::uint32_t refine_camera(std::uint64_t camera, std::uint32_t* sel,
-                              std::uint32_t n) const {
-    std::int64_t idx = cameras.code_of(camera);
+  static std::uint32_t refine_eq(const DictU64Column& column,
+                                 std::uint64_t value, std::uint32_t* sel,
+                                 std::uint32_t n) {
+    std::int64_t idx = column.code_of(value);
     if (idx < 0) return 0;
     auto target = static_cast<std::uint64_t>(idx);
-    if (cameras.codes.width == 0) {
-      return cameras.codes.base == target ? n : 0;
+    if (column.codes.width == 0) {
+      return column.codes.base == target ? n : 0;
     }
-    if (target < cameras.codes.base) return 0;
-    std::uint64_t raw = target - cameras.codes.base;
-    return cameras.codes.dispatch_width([&](auto w) {
-      return refine_code_eq<decltype(w)::value>(cameras.codes.data.data(),
-                                                raw, sel, n);
+    if (target < column.codes.base) return 0;
+    std::uint64_t raw = target - column.codes.base;
+    return column.codes.dispatch_width([&](auto w) {
+      return refine_code_eq<decltype(w)::value>(column.codes.data.data(), raw,
+                                                sel, n);
     });
   }
 

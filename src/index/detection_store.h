@@ -1,8 +1,7 @@
 // Tiered columnar, block-structured arena for detections held by a worker.
 //
-// Every query kind except trajectories scans this store directly; the
-// per-object trajectory index references rows by a compact 32-bit handle
-// into it instead of duplicating the full record.
+// Every query kind scans this store directly: it is the only structure a
+// partition keeps its rows in.
 //
 // Layout: rows are chunked into fixed-size blocks (kDetectionBlockRows) and
 // live in one of two tiers.
@@ -864,82 +863,6 @@ class DetectionStore {
     return n;
   }
 
-  /// Scans block `b` for rows of `camera` during `interval`. Cold camera
-  /// equality runs in dictionary-code space without decoding the column.
-  std::uint32_t scan_camera_block(std::size_t b, CameraId camera,
-                                  const TimeInterval& interval,
-                                  std::uint32_t* sel, MorselStats& ms) const {
-    const DetectionBlockZone& z = zones_[b];
-    bool cold = b < cold_.size();
-    if (!z.overlaps(interval) || !z.may_contain(camera)) {
-      ++ms.blocks_skipped;
-      ms.cold_blocks_skipped += cold;
-      return 0;
-    }
-    ++ms.blocks_scanned;
-    ms.cold_blocks_scanned += cold;
-    ++ms.morsels;
-    auto [first, last] = block_rows(b);
-    std::int64_t t0 = interval.begin.micros_since_origin();
-    std::int64_t t1 = interval.end.micros_since_origin();
-    bool all_time = z.within(interval);
-    bool all_camera = z.only_camera(camera);
-    if (all_time && all_camera) {
-      ++ms.zone_fast_path;
-      std::uint32_t n = fill_identity(first, last, sel);
-      ms.rows_selected += n;
-      return n;
-    }
-    std::uint32_t n;
-    if (cold) {
-      const CompressedBlock& cb = cold_[b];
-      ColdScratch& sc = cold_scratch();
-      sc.ensure(cb.uid);
-      ++ms.decode_morsels;
-      if (all_camera) {
-        n = cb.filter_time(t0, t1, sc.times, sel);
-        sc.valid |= ColdScratch::kTime;
-        ms.rows_evaluated += last - first;
-      } else if (all_time) {
-        n = cb.filter_camera(camera.value(), sel);
-        ms.rows_evaluated += last - first;
-      } else if (z.camera_selectivity() <= z.time_selectivity(interval)) {
-        n = cb.filter_camera(camera.value(), sel);
-        ms.rows_evaluated += (last - first) + n;
-        n = cb.refine_time(t0, t1, sel, n);
-      } else {
-        n = cb.filter_time(t0, t1, sc.times, sel);
-        sc.valid |= ColdScratch::kTime;
-        ms.rows_evaluated += (last - first) + n;
-        n = cb.refine_camera(camera.value(), sel, n);
-      }
-      offset_sel(sel, n, first);
-    } else {
-      auto lf = static_cast<std::uint32_t>(first - hot_base_);
-      auto ll = static_cast<std::uint32_t>(last - hot_base_);
-      if (all_camera) {
-        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
-        ms.rows_evaluated += last - first;
-      } else if (all_time) {
-        n = filter_camera(cameras_.data(), lf, ll, camera.value(), sel);
-        ms.rows_evaluated += last - first;
-      } else if (z.camera_selectivity() <= z.time_selectivity(interval)) {
-        n = filter_camera(cameras_.data(), lf, ll, camera.value(), sel);
-        ms.rows_evaluated += (last - first) + n;
-        n = refine_time(times_.data(), t0, t1, sel, n);
-      } else {
-        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
-        ms.rows_evaluated += (last - first) + n;
-        n = refine_camera(cameras_.data(), camera.value(), sel, n);
-      }
-      if (hot_base_ != 0) {
-        offset_sel(sel, n, static_cast<std::uint32_t>(hot_base_));
-      }
-    }
-    ms.rows_selected += n;
-    return n;
-  }
-
   /// Full-store scan with block skipping: every row with position ∈
   /// `region` and time ∈ `interval`, in row (arrival) order. Vectorized:
   /// each surviving block runs through the selection-vector kernels; a
@@ -992,21 +915,17 @@ class DetectionStore {
   [[nodiscard]] std::vector<DetectionRef> scan_camera(
       CameraId camera, const TimeInterval& interval,
       MorselStats* stats = nullptr) const {
-    std::vector<DetectionRef> out;
-    if (interval.empty()) return out;
-    MorselStats ms;
-    std::uint32_t sel[kDetectionBlockRows];
-    for (std::size_t b = 0; b < zones_.size(); ++b) {
-      const DetectionBlockZone& z = zones_[b];
-      if (z.within(interval) && z.only_camera(camera)) {
-        append_identity_block(b, ms, out);
-        continue;
-      }
-      std::uint32_t n = scan_camera_block(b, camera, interval, sel, ms);
-      append_refs(sel, n, out);
-    }
-    finish_scan(ms, stats);
-    return out;
+    return scan_eq(IdColumn::kCamera, camera.value(), interval, stats);
+  }
+
+  /// Rows of `object` during `interval`, in row (arrival) order — not time
+  /// order; ResultMerger sorts. Blocks outside `interval` are skipped on
+  /// their zones, and a cold block whose object dictionary lacks `object`
+  /// is skipped without decoding anything. Vectorized (see scan_range).
+  [[nodiscard]] std::vector<DetectionRef> scan_object(
+      ObjectId object, const TimeInterval& interval,
+      MorselStats* stats = nullptr) const {
+    return scan_eq(IdColumn::kObject, object.value(), interval, stats);
   }
 
   /// The k rows during `interval` nearest to `center`, ordered by (squared
@@ -1095,113 +1014,6 @@ class DetectionStore {
       out.push_back(static_cast<DetectionRef>(hit.row));
     }
     finish_scan(ms, stats);
-    return out;
-  }
-
-  // --------------------------------------------- scalar reference scans
-  //
-  // The row-at-a-time paths the vectorized layer replaced, retained as the
-  // differential-testing reference and the bench before/after baseline.
-  // Same zone-map block skipping, but predicates branch per row and there
-  // is no selectivity-ordered evaluation. Cold blocks are read through
-  // block_columns() (whole-column decode into scratch) — deliberately the
-  // simplest correct path, not the fused one under test.
-
-  [[nodiscard]] std::vector<DetectionRef> scan_range_scalar(
-      const Rect& region, const TimeInterval& interval) const {
-    std::vector<DetectionRef> out;
-    if (region.is_empty() || interval.empty()) return out;
-    for (std::size_t b = 0; b < zones_.size(); ++b) {
-      const DetectionBlockZone& z = zones_[b];
-      bool cold = b < cold_.size();
-      if (!z.overlaps(interval) || !z.overlaps(region)) {
-        ++blocks_skipped_;
-        cold_blocks_skipped_ += cold;
-        continue;
-      }
-      ++blocks_scanned_;
-      cold_blocks_scanned_ += cold;
-      decode_morsels_ += cold;
-      auto [first, last] = block_rows(b);
-      BlockColumnsView v = block_columns(b);
-      bool all_time = z.within(interval);
-      bool all_space = z.within(region);
-      for (std::uint32_t i = first; i < last; ++i) {
-        std::uint32_t j = i - v.base;
-        if (!all_time &&
-            !(v.times[j] >= interval.begin.micros_since_origin() &&
-              v.times[j] < interval.end.micros_since_origin())) {
-          continue;
-        }
-        if (!all_space && !region.contains(Point{v.xs[j], v.ys[j]})) continue;
-        out.push_back(static_cast<DetectionRef>(i));
-      }
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<DetectionRef> scan_circle_scalar(
-      const Circle& circle, const TimeInterval& interval) const {
-    std::vector<DetectionRef> out;
-    if (interval.empty() || circle.radius < 0.0) return out;
-    Rect box = circle.bounding_box();
-    for (std::size_t b = 0; b < zones_.size(); ++b) {
-      const DetectionBlockZone& z = zones_[b];
-      bool cold = b < cold_.size();
-      if (!z.overlaps(interval) || !z.overlaps(box)) {
-        ++blocks_skipped_;
-        cold_blocks_skipped_ += cold;
-        continue;
-      }
-      ++blocks_scanned_;
-      cold_blocks_scanned_ += cold;
-      decode_morsels_ += cold;
-      auto [first, last] = block_rows(b);
-      BlockColumnsView v = block_columns(b);
-      bool all_time = z.within(interval);
-      for (std::uint32_t i = first; i < last; ++i) {
-        std::uint32_t j = i - v.base;
-        if (!all_time &&
-            !(v.times[j] >= interval.begin.micros_since_origin() &&
-              v.times[j] < interval.end.micros_since_origin())) {
-          continue;
-        }
-        if (!circle.contains(Point{v.xs[j], v.ys[j]})) continue;
-        out.push_back(static_cast<DetectionRef>(i));
-      }
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<DetectionRef> scan_camera_scalar(
-      CameraId camera, const TimeInterval& interval) const {
-    std::vector<DetectionRef> out;
-    if (interval.empty()) return out;
-    for (std::size_t b = 0; b < zones_.size(); ++b) {
-      const DetectionBlockZone& z = zones_[b];
-      bool cold = b < cold_.size();
-      if (!z.overlaps(interval) || !z.may_contain(camera)) {
-        ++blocks_skipped_;
-        cold_blocks_skipped_ += cold;
-        continue;
-      }
-      ++blocks_scanned_;
-      cold_blocks_scanned_ += cold;
-      decode_morsels_ += cold;
-      auto [first, last] = block_rows(b);
-      BlockColumnsView v = block_columns(b);
-      bool all_time = z.within(interval);
-      for (std::uint32_t i = first; i < last; ++i) {
-        std::uint32_t j = i - v.base;
-        if (v.cameras[j] != camera.value()) continue;
-        if (!all_time &&
-            !(v.times[j] >= interval.begin.micros_since_origin() &&
-              v.times[j] < interval.end.micros_since_origin())) {
-          continue;
-        }
-        out.push_back(static_cast<DetectionRef>(i));
-      }
-    }
     return out;
   }
 
@@ -1514,6 +1326,122 @@ class DetectionStore {
         p += dim * sizeof(float);
       }
     }
+  }
+
+  /// The id column an equality scan compares: camera-window and
+  /// trajectory queries are one scan over different columns.
+  enum class IdColumn { kCamera, kObject };
+
+  /// Rows whose `column` id equals `value` during `interval` (the body of
+  /// scan_camera and scan_object).
+  [[nodiscard]] std::vector<DetectionRef> scan_eq(
+      IdColumn column, std::uint64_t value, const TimeInterval& interval,
+      MorselStats* stats) const {
+    std::vector<DetectionRef> out;
+    if (interval.empty()) return out;
+    MorselStats ms;
+    std::uint32_t sel[kDetectionBlockRows];
+    for (std::size_t b = 0; b < zones_.size(); ++b) {
+      const DetectionBlockZone& z = zones_[b];
+      if (column == IdColumn::kCamera && z.within(interval) &&
+          z.only_camera(CameraId(value))) {
+        append_identity_block(b, ms, out);
+        continue;
+      }
+      std::uint32_t n = scan_eq_block(b, column, value, interval, sel, ms);
+      append_refs(sel, n, out);
+    }
+    finish_scan(ms, stats);
+    return out;
+  }
+
+  /// Scans block `b` for rows whose `column` id equals `value` during
+  /// `interval`. Only the skip tests differ by column: a camera is ruled
+  /// out by the zone's camera fingerprint, an object by a cold block's
+  /// dictionary (hot blocks carry no object summary). Cold equality runs
+  /// in dictionary-code space without decoding the id column.
+  std::uint32_t scan_eq_block(std::size_t b, IdColumn column,
+                              std::uint64_t value,
+                              const TimeInterval& interval, std::uint32_t* sel,
+                              MorselStats& ms) const {
+    const DetectionBlockZone& z = zones_[b];
+    bool cold = b < cold_.size();
+    bool camera = column == IdColumn::kCamera;
+    bool absent = camera ? !z.may_contain(CameraId(value))
+                         : cold && cold_[b].objects.code_of(value) < 0;
+    if (!z.overlaps(interval) || absent) {
+      ++ms.blocks_skipped;
+      ms.cold_blocks_skipped += cold;
+      return 0;
+    }
+    ++ms.blocks_scanned;
+    ms.cold_blocks_scanned += cold;
+    ++ms.morsels;
+    auto [first, last] = block_rows(b);
+    std::int64_t t0 = interval.begin.micros_since_origin();
+    std::int64_t t1 = interval.end.micros_since_origin();
+    bool all_time = z.within(interval);
+    bool all_id = camera && z.only_camera(CameraId(value));
+    if (all_time && all_id) {
+      ++ms.zone_fast_path;
+      std::uint32_t n = fill_identity(first, last, sel);
+      ms.rows_selected += n;
+      return n;
+    }
+    // Zones carry no object estimate; one object is taken to be rarer than
+    // any time window, so its equality runs first.
+    bool id_first = !camera || z.camera_selectivity() <=
+                                   z.time_selectivity(interval);
+    std::uint32_t n;
+    if (cold) {
+      const CompressedBlock& cb = cold_[b];
+      const DictU64Column& ids = camera ? cb.cameras : cb.objects;
+      ColdScratch& sc = cold_scratch();
+      sc.ensure(cb.uid);
+      ++ms.decode_morsels;
+      if (all_id) {
+        n = cb.filter_time(t0, t1, sc.times, sel);
+        sc.valid |= ColdScratch::kTime;
+        ms.rows_evaluated += last - first;
+      } else if (all_time) {
+        n = CompressedBlock::filter_eq(ids, value, sel);
+        ms.rows_evaluated += last - first;
+      } else if (id_first) {
+        n = CompressedBlock::filter_eq(ids, value, sel);
+        ms.rows_evaluated += (last - first) + n;
+        n = cb.refine_time(t0, t1, sel, n);
+      } else {
+        n = cb.filter_time(t0, t1, sc.times, sel);
+        sc.valid |= ColdScratch::kTime;
+        ms.rows_evaluated += (last - first) + n;
+        n = CompressedBlock::refine_eq(ids, value, sel, n);
+      }
+      offset_sel(sel, n, first);
+    } else {
+      const std::uint64_t* ids = camera ? cameras_.data() : objects_.data();
+      auto lf = static_cast<std::uint32_t>(first - hot_base_);
+      auto ll = static_cast<std::uint32_t>(last - hot_base_);
+      if (all_id) {
+        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
+        ms.rows_evaluated += last - first;
+      } else if (all_time) {
+        n = filter_eq(ids, lf, ll, value, sel);
+        ms.rows_evaluated += last - first;
+      } else if (id_first) {
+        n = filter_eq(ids, lf, ll, value, sel);
+        ms.rows_evaluated += (last - first) + n;
+        n = refine_time(times_.data(), t0, t1, sel, n);
+      } else {
+        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
+        ms.rows_evaluated += (last - first) + n;
+        n = refine_eq(ids, value, sel, n);
+      }
+      if (hot_base_ != 0) {
+        offset_sel(sel, n, static_cast<std::uint32_t>(hot_base_));
+      }
+    }
+    ms.rows_selected += n;
+    return n;
   }
 
   static void append_refs(const std::uint32_t* sel, std::uint32_t n,

@@ -1,7 +1,7 @@
-// Per-worker local query execution.
+// Per-partition local query execution.
 //
-// A LocalExecutor answers a Query against one worker's indexes. It is pure
-// with respect to the framework: given the store and indexes, it computes a
+// A LocalExecutor answers a Query against one partition's DetectionStore.
+// It is pure with respect to the framework: given the store, it computes a
 // QueryResult fragment; the coordinator merges fragments across workers.
 #pragma once
 
@@ -9,84 +9,13 @@
 
 #include "common/filter_kernel.h"
 #include "index/detection_store.h"
-#include "index/trajectory_store.h"
 #include "query/query.h"
 #include "query/result.h"
 
 namespace stcn {
 
-/// The bundle of per-worker storage a query executes against: the columnar
-/// store, which answers every spatial, camera and aggregate query by
-/// zone-map block scan, and the per-object trajectories.
-struct WorkerIndexes {
-  DetectionStore store;
-  TrajectoryStore trajectories;
-
-  /// Ingest one detection into the store and every index.
-  DetectionRef ingest(Detection d) {
-    DetectionRef ref = store.append(std::move(d));
-    index_rows_from(to_index(ref));
-    return ref;
-  }
-
-  /// Indexes store rows [first, size()) — the one place that lists the
-  /// per-row index inserts. Callers that append to `store` directly (bulk
-  /// copies, snapshot installs) call this afterwards.
-  void index_rows_from(std::size_t first) {
-    for (std::size_t i = first; i < store.size(); ++i) {
-      trajectories.insert(store, static_cast<DetectionRef>(i));
-    }
-  }
-
-  /// Retention compaction: rebuilds the store and every index keeping only
-  /// detections with time >= `horizon`. Returns the number evicted.
-  /// DetectionRefs issued before a compaction are invalidated.
-  ///
-  /// Block-wise: a block whose zone map proves every row older than the
-  /// horizon is evicted wholesale; a block proven entirely fresh is copied
-  /// column-to-column in one bulk append_rows (which recomputes the
-  /// destination zone maps tightly from the surviving rows — merged blocks
-  /// must not inherit stale-wide source bounds, or block skipping degrades
-  /// after every compaction). Mixed blocks fall back to per-row
-  /// append_copy; no path materializes Detection records.
-  std::size_t compact(TimePoint horizon) {
-    WorkerIndexes fresh;
-    // Propagate tiering before any rows land: surviving whole cold blocks
-    // then adopt verbatim (no decode/re-quantization) and surviving hot
-    // rows re-demote at the same watermark.
-    fresh.store.set_tier_config(store.tier_config());
-    std::size_t evicted = 0;
-    for (std::size_t b = 0; b < store.block_count(); ++b) {
-      const DetectionBlockZone& z = store.zone(b);
-      auto [first, last] = store.block_rows(b);
-      if (TimePoint(z.t_max) < horizon) {  // whole block expired
-        evicted += last - first;
-        continue;
-      }
-      std::size_t first_new = fresh.size();
-      if (TimePoint(z.t_min) >= horizon) {  // whole block fresh: bulk copy
-        (void)fresh.store.append_rows(store, first, last);
-      } else {
-        for (std::uint32_t i = first; i < last; ++i) {
-          auto old_ref = static_cast<DetectionRef>(i);
-          if (store.time_of(old_ref) < horizon) {
-            ++evicted;
-            continue;
-          }
-          (void)fresh.store.append_copy(store, old_ref);
-        }
-      }
-      fresh.index_rows_from(first_new);
-    }
-    *this = std::move(fresh);
-    return evicted;
-  }
-
-  [[nodiscard]] std::size_t size() const { return store.size(); }
-};
-
 /// EXPLAIN/ANALYZE accounting for one local execution: how many rows the
-/// indexes yielded (for counts/heatmaps this exceeds the result rows), and
+/// scan yielded (for counts/heatmaps this exceeds the result rows), and
 /// the store's block-scan accounting — zone-map skips, and rows the filter
 /// kernels evaluated vs selected (the gap is the work the zone-map fast
 /// paths and selectivity-ordered evaluation avoided).
@@ -97,11 +26,11 @@ struct ScanStats {
 
 class LocalExecutor {
  public:
-  /// Executes `query` against `indexes`, producing a partial result. When
-  /// `stats` is given, scan accounting accumulates into it. Every kind but
-  /// trajectories reads the store's zone-map block scans; aggregates (count,
-  /// group-by, heatmap) consume the selection vectors in place.
-  [[nodiscard]] static QueryResult execute(const WorkerIndexes& indexes,
+  /// Executes `query` against `store`, producing a partial result. When
+  /// `stats` is given, scan accounting accumulates into it. Every kind reads
+  /// the store's zone-map block scans; aggregates (count, group-by, heatmap)
+  /// consume the selection vectors in place.
+  [[nodiscard]] static QueryResult execute(const DetectionStore& store,
                                            const Query& query,
                                            ScanStats* stats = nullptr) {
     QueryResult result;
@@ -109,7 +38,6 @@ class LocalExecutor {
     std::uint64_t scanned = 0;
     MorselStats ms;  // block-scan accounting for this execution
     std::vector<DetectionRef> refs;  // row-returning kinds
-    const DetectionStore& store = indexes.store;
     switch (query.kind) {
       case QueryKind::kRange:
         refs = store.scan_range(query.region, query.interval, &ms);
@@ -122,7 +50,7 @@ class LocalExecutor {
                               &ms);
         break;
       case QueryKind::kTrajectory:
-        refs = indexes.trajectories.query(query.object, query.interval);
+        refs = store.scan_object(query.object, query.interval, &ms);
         break;
       case QueryKind::kCameraWindow:
         refs = store.scan_camera(query.camera, query.interval, &ms);

@@ -15,8 +15,9 @@
 
 #include "common/appearance_kernel.h"
 #include "common/rng.h"
+#include "core/worker.h"
 #include "index/detection_store.h"
-#include "query/executor.h"
+#include "support/reference_scans.h"
 
 namespace stcn {
 namespace {
@@ -534,7 +535,7 @@ TEST(ColumnarStore, CircleFastPathExcludesClampedBorderPositions) {
       EXPECT_EQ(ids_of(store, store.scan_circle(circle, interval)), expected)
           << "vectorized, circle (" << circle.center.x << ","
           << circle.center.y << ") r=" << circle.radius;
-      EXPECT_EQ(ids_of(store, store.scan_circle_scalar(circle, interval)),
+      EXPECT_EQ(ids_of(store, scan_circle_scalar(store, circle, interval)),
                 expected)
           << "scalar, circle (" << circle.center.x << "," << circle.center.y
           << ") r=" << circle.radius;

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "baseline/centralized.h"
+#include "common/rng.h"
 #include "core/framework.h"
 #include "partition/strategies.h"
 #include "trace/generator.h"
@@ -105,7 +108,9 @@ TEST_P(PipelineProperty, CountEqualsRangeCardinality) {
 }
 
 // Property 4: trajectory queries return each object's detections exactly,
-// partitioned across objects (no leakage between objects).
+// partitioned across objects (no leakage between objects), and a bounded
+// window returns exactly the object's trace rows inside it, in (time, id)
+// order — including windows whose edges sit on the object's own row times.
 TEST_P(PipelineProperty, TrajectoriesPartitionTheTrace) {
   Trace trace = TraceGenerator::generate(config_for_seed(GetParam()));
   Rect world = trace.roads.bounds(120.0);
@@ -129,6 +134,45 @@ TEST_P(PipelineProperty, TrajectoriesPartitionTheTrace) {
     total += r.detections.size();
   }
   EXPECT_EQ(total, trace.detections.size());
+
+  auto trace_filter = [&](ObjectId obj, const TimeInterval& window) {
+    std::vector<std::pair<TimePoint, std::uint64_t>> rows;
+    for (const Detection& d : trace.detections) {
+      if (d.object == obj && window.contains(d.time)) {
+        rows.emplace_back(d.time, d.id.value());
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    std::vector<std::uint64_t> ids;
+    for (const auto& row : rows) ids.push_back(row.second);
+    return ids;
+  };
+  Rng rng(GetParam() * 31);
+  for (int trial = 0; trial < 30; ++trial) {
+    ObjectId obj(1 + rng.uniform_index(15));
+    TimeInterval window;
+    if (trial % 2 == 0) {
+      std::int64_t a = rng.uniform_int(0, 180'000'000);
+      window = {TimePoint(a), TimePoint(a + rng.uniform_int(1, 60'000'000))};
+    } else {
+      // Edged on two of the object's own detection times: the row at the
+      // begin edge is in, the row at the end edge is out.
+      std::vector<TimePoint> times;
+      for (const Detection& d : trace.detections) {
+        if (d.object == obj) times.push_back(d.time);
+      }
+      if (times.size() < 2) continue;
+      std::sort(times.begin(), times.end());
+      std::size_t i = rng.uniform_index(times.size() - 1);
+      std::size_t j = i + 1 + rng.uniform_index(times.size() - 1 - i);
+      window = {times[i], times[j]};
+    }
+    QueryResult r = cluster.execute(
+        Query::trajectory(cluster.next_query_id(), obj, window));
+    std::vector<std::uint64_t> ids;
+    for (const Detection& d : r.detections) ids.push_back(d.id.value());
+    EXPECT_EQ(ids, trace_filter(obj, window)) << "trial " << trial;
+  }
 }
 
 // Property 5: k-NN results grow monotonically with k and are prefix-stable.

@@ -30,19 +30,19 @@ class ExecutorFixture : public ::testing::Test {
  protected:
   ExecutorFixture() {
     // A small fixed dataset exercised by every query kind.
-    indexes_.ingest(make_detection(1, {10, 10}, 100, /*object=*/1, /*camera=*/1));
-    indexes_.ingest(make_detection(2, {20, 20}, 200, 1, 2));
-    indexes_.ingest(make_detection(3, {80, 80}, 300, 2, 3));
-    indexes_.ingest(make_detection(4, {15, 15}, 400, 2, 1));
-    indexes_.ingest(make_detection(5, {50, 50}, 500, 3, 2));
+    store_.append(make_detection(1, {10, 10}, 100, /*object=*/1, /*camera=*/1));
+    store_.append(make_detection(2, {20, 20}, 200, 1, 2));
+    store_.append(make_detection(3, {80, 80}, 300, 2, 3));
+    store_.append(make_detection(4, {15, 15}, 400, 2, 1));
+    store_.append(make_detection(5, {50, 50}, 500, 3, 2));
   }
 
-  WorkerIndexes indexes_;
+  DetectionStore store_;
 };
 
 TEST_F(ExecutorFixture, RangeQuery) {
   Query q = Query::range(QueryId(1), {{0, 0}, {30, 30}}, TimeInterval::all());
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   std::set<std::uint64_t> ids;
   for (const Detection& d : r.detections) ids.insert(d.id.value());
   EXPECT_EQ(ids, (std::set<std::uint64_t>{1, 2, 4}));
@@ -51,7 +51,7 @@ TEST_F(ExecutorFixture, RangeQuery) {
 TEST_F(ExecutorFixture, RangeQueryWithTimeFilter) {
   Query q = Query::range(QueryId(1), {{0, 0}, {30, 30}},
                          {TimePoint(150), TimePoint(450)});
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   std::set<std::uint64_t> ids;
   for (const Detection& d : r.detections) ids.insert(d.id.value());
   EXPECT_EQ(ids, (std::set<std::uint64_t>{2, 4}));
@@ -60,7 +60,7 @@ TEST_F(ExecutorFixture, RangeQueryWithTimeFilter) {
 TEST_F(ExecutorFixture, CircleQuery) {
   Query q = Query::circle_query(QueryId(1), {{12, 12}, 5.0},
                                 TimeInterval::all());
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   std::set<std::uint64_t> ids;
   for (const Detection& d : r.detections) ids.insert(d.id.value());
   EXPECT_EQ(ids, (std::set<std::uint64_t>{1, 4}));
@@ -68,7 +68,7 @@ TEST_F(ExecutorFixture, CircleQuery) {
 
 TEST_F(ExecutorFixture, KnnQuery) {
   Query q = Query::knn(QueryId(1), {10, 10}, 2, TimeInterval::all());
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   ASSERT_EQ(r.detections.size(), 2u);
   std::set<std::uint64_t> ids;
   for (const Detection& d : r.detections) ids.insert(d.id.value());
@@ -77,7 +77,7 @@ TEST_F(ExecutorFixture, KnnQuery) {
 
 TEST_F(ExecutorFixture, TrajectoryQuery) {
   Query q = Query::trajectory(QueryId(1), ObjectId(2), TimeInterval::all());
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   ASSERT_EQ(r.detections.size(), 2u);
   EXPECT_EQ(r.detections[0].id, DetectionId(3));
   EXPECT_EQ(r.detections[1].id, DetectionId(4));
@@ -86,7 +86,7 @@ TEST_F(ExecutorFixture, TrajectoryQuery) {
 TEST_F(ExecutorFixture, CountQueryUngrouped) {
   Query q = Query::count(QueryId(1), {{0, 0}, {100, 100}},
                          TimeInterval::all());
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   EXPECT_TRUE(r.detections.empty());
   EXPECT_EQ(r.total_count(), 5u);
 }
@@ -94,7 +94,7 @@ TEST_F(ExecutorFixture, CountQueryUngrouped) {
 TEST_F(ExecutorFixture, CountQueryGroupedByCamera) {
   Query q = Query::count(QueryId(1), {{0, 0}, {100, 100}},
                          TimeInterval::all(), GroupBy::kCamera);
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   EXPECT_EQ(r.counts.at(1), 2u);
   EXPECT_EQ(r.counts.at(2), 2u);
   EXPECT_EQ(r.counts.at(3), 1u);
@@ -104,18 +104,18 @@ TEST_F(ExecutorFixture, CountQueryGroupedByCamera) {
 TEST_F(ExecutorFixture, CameraWindowQuery) {
   Query q = Query::camera_window(QueryId(1), CameraId(1),
                                  {TimePoint(0), TimePoint(450)});
-  QueryResult r = LocalExecutor::execute(indexes_, q);
+  QueryResult r = LocalExecutor::execute(store_, q);
   ASSERT_EQ(r.detections.size(), 2u);
   EXPECT_EQ(r.detections[0].id, DetectionId(1));
   EXPECT_EQ(r.detections[1].id, DetectionId(4));
 }
 
-std::vector<std::uint64_t> camera_window_ids(const WorkerIndexes& indexes,
+std::vector<std::uint64_t> camera_window_ids(const DetectionStore& store,
                                              CameraId camera,
                                              TimeInterval window) {
   Query q = Query::camera_window(QueryId(1), camera, window);
   ResultMerger merger(q);
-  merger.add(LocalExecutor::execute(indexes, q));
+  merger.add(LocalExecutor::execute(store, q));
   std::vector<std::uint64_t> ids;
   for (const Detection& d : merger.take().detections) {
     ids.push_back(d.id.value());
@@ -125,32 +125,32 @@ std::vector<std::uint64_t> camera_window_ids(const WorkerIndexes& indexes,
 
 TEST_F(ExecutorFixture, CameraWindowOutOfOrderArrival) {
   // Late arrivals for camera 1: rows land after newer detections.
-  indexes_.ingest(make_detection(6, {12, 12}, 250, 4, 1));
-  indexes_.ingest(make_detection(7, {14, 14}, 50, 4, 1));
-  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1), TimeInterval::all()),
+  store_.append(make_detection(6, {12, 12}, 250, 4, 1));
+  store_.append(make_detection(7, {14, 14}, 50, 4, 1));
+  EXPECT_EQ(camera_window_ids(store_, CameraId(1), TimeInterval::all()),
             (std::vector<std::uint64_t>{7, 1, 6, 4}));
-  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1),
+  EXPECT_EQ(camera_window_ids(store_, CameraId(1),
                               {TimePoint(60), TimePoint(300)}),
             (std::vector<std::uint64_t>{1, 6}));
 }
 
 TEST_F(ExecutorFixture, CameraWindowHalfOpen) {
   // [begin, end): a detection at `begin` is in, one at `end` is out.
-  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1),
+  EXPECT_EQ(camera_window_ids(store_, CameraId(1),
                               {TimePoint(100), TimePoint(400)}),
             (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(camera_window_ids(indexes_, CameraId(1),
+  EXPECT_EQ(camera_window_ids(store_, CameraId(1),
                               {TimePoint(101), TimePoint(401)}),
             (std::vector<std::uint64_t>{4}));
 }
 
 TEST_F(ExecutorFixture, CameraWindowUnknownCameraAndEmptyWindow) {
   EXPECT_TRUE(
-      camera_window_ids(indexes_, CameraId(99), TimeInterval::all()).empty());
-  EXPECT_TRUE(camera_window_ids(indexes_, CameraId(1),
+      camera_window_ids(store_, CameraId(99), TimeInterval::all()).empty());
+  EXPECT_TRUE(camera_window_ids(store_, CameraId(1),
                                 {TimePoint(100), TimePoint(100)})
                   .empty());
-  EXPECT_TRUE(camera_window_ids(indexes_, CameraId(1),
+  EXPECT_TRUE(camera_window_ids(store_, CameraId(1),
                                 {TimePoint(400), TimePoint(100)})
                   .empty());
 }
@@ -159,17 +159,17 @@ TEST_F(ExecutorFixture, CameraWindowUnknownCameraAndEmptyWindow) {
 // with the first blocks far away along x, a k-NN at the far end scans the
 // near block and counts the early ones skipped.
 TEST(LocalExecutorKnn, FarQuerySkipsEarlyBlocksInScanStats) {
-  WorkerIndexes indexes;
+  DetectionStore store;
   for (std::uint64_t i = 0; i < 3 * kDetectionBlockRows; ++i) {
     double x = static_cast<double>(i / kDetectionBlockRows) * 1000.0 +
                static_cast<double>(i % 100);
-    indexes.ingest(
+    store.append(
         make_detection(i + 1, {x, 50}, static_cast<std::int64_t>(i)));
   }
-  ASSERT_EQ(indexes.store.block_count(), 3u);
+  ASSERT_EQ(store.block_count(), 3u);
   ScanStats stats;
   QueryResult r = LocalExecutor::execute(
-      indexes, Query::knn(QueryId(1), {2050, 50}, 5, TimeInterval::all()),
+      store, Query::knn(QueryId(1), {2050, 50}, 5, TimeInterval::all()),
       &stats);
   ASSERT_EQ(r.detections.size(), 5u);
   for (const Detection& d : r.detections) {

@@ -4,7 +4,6 @@
 
 #include "core/framework.h"
 #include "partition/strategies.h"
-#include "query/executor.h"
 #include "trace/generator.h"
 
 namespace stcn {
@@ -36,11 +35,26 @@ TEST(Compaction, EvictsOldKeepsRecent) {
       indexes.store.scan_range({{0, 0}, {100, 100}}, TimeInterval::all());
   ASSERT_EQ(range.size(), 1u);
   EXPECT_EQ(indexes.store.get(range[0]).id, DetectionId(3));
-  EXPECT_EQ(
-      indexes.trajectories.query(ObjectId(1), TimeInterval::all()).size(),
-      1u);
+  EXPECT_EQ(indexes.store.scan_object(ObjectId(1), TimeInterval::all()).size(),
+            1u);
   EXPECT_EQ(
       indexes.store.scan_camera(CameraId(1), TimeInterval::all()).size(), 1u);
+}
+
+// The dedup gate follows the surviving rows: compaction drops an evicted
+// row's id with it, so a redelivered copy of that detection is admitted
+// again, while a copy of a surviving one is still refused.
+TEST(Compaction, DedupIdsFollowSurvivingRows) {
+  WorkerIndexes indexes;
+  ASSERT_TRUE(indexes.ingest(make_detection(1, {10, 10}, 10)));
+  ASSERT_TRUE(indexes.ingest(make_detection(2, {20, 20}, 30)));
+  EXPECT_FALSE(indexes.ingest(make_detection(1, {10, 10}, 10)));
+
+  ASSERT_EQ(indexes.compact(TimePoint(25'000'000)), 1u);
+  EXPECT_EQ(indexes.ids.size(), 1u);
+  EXPECT_FALSE(indexes.ingest(make_detection(2, {20, 20}, 30)));
+  EXPECT_TRUE(indexes.ingest(make_detection(1, {10, 10}, 10)));
+  EXPECT_EQ(indexes.size(), 2u);
 }
 
 TEST(Compaction, NoOpWhenNothingOld) {

@@ -1,9 +1,9 @@
 // Differential tests for the vectorized morsel-driven scan layer.
 //
-// The scalar row-at-a-time scans (scan_*_scalar) define the expected
-// answer; the vectorized selection-vector path and the executor's
-// selection-vector aggregation must agree exactly — on randomized data,
-// on block-edge time ranges (queries starting/ending exactly on a
+// The scalar row-at-a-time scans (scan_*_scalar, support/reference_scans.h)
+// define the expected answer; the vectorized selection-vector path and the
+// executor's selection-vector aggregation must agree exactly — on randomized
+// data, on block-edge time ranges (queries starting/ending exactly on a
 // 4096-row morsel boundary), on empty-selection morsels (zone overlaps,
 // zero survivors), and on positions clamped to region borders. Morsel
 // accounting (zone fast path, rows evaluated vs selected) is pinned on
@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "index/detection_store.h"
 #include "query/executor.h"
+#include "support/reference_scans.h"
 
 namespace stcn {
 namespace {
@@ -62,7 +63,7 @@ TEST_P(VectorizedDifferential, RangeMatchesScalar) {
     if (trial % 7 == 0) region = Rect{{0, 0}, {kWorld, kWorld}};
     TimeInterval interval{TimePoint(rng.uniform_int(0, 900'000)),
                           TimePoint(rng.uniform_int(100'000, 1'000'000))};
-    auto expected = store_.scan_range_scalar(region, interval);
+    auto expected = scan_range_scalar(store_, region, interval);
     MorselStats ms;
     auto vectorized = store_.scan_range(region, interval, &ms);
     EXPECT_TRUE(vectorized == expected) << "trial " << trial;
@@ -78,7 +79,7 @@ TEST_P(VectorizedDifferential, CircleMatchesScalar) {
                   rng.uniform(5, 800)};
     TimeInterval interval{TimePoint(rng.uniform_int(0, 900'000)),
                           TimePoint(rng.uniform_int(100'000, 1'000'000))};
-    auto expected = store_.scan_circle_scalar(circle, interval);
+    auto expected = scan_circle_scalar(store_, circle, interval);
     auto vectorized = store_.scan_circle(circle, interval);
     EXPECT_TRUE(vectorized == expected) << "trial " << trial;
   }
@@ -90,7 +91,7 @@ TEST_P(VectorizedDifferential, CameraMatchesScalar) {
     CameraId camera(1 + rng.uniform_index(40));
     TimeInterval interval{TimePoint(rng.uniform_int(0, 900'000)),
                           TimePoint(rng.uniform_int(100'000, 1'000'000))};
-    auto expected = store_.scan_camera_scalar(camera, interval);
+    auto expected = scan_camera_scalar(store_, camera, interval);
     auto vectorized = store_.scan_camera(camera, interval);
     EXPECT_TRUE(vectorized == expected) << "trial " << trial;
   }
@@ -138,7 +139,7 @@ TEST_F(MorselBoundary, IntervalExactlyOnBlockEdgesUsesFastPathOnly) {
   EXPECT_EQ(ms.rows_evaluated, 0u);
   EXPECT_EQ(ms.rows_selected, kDetectionBlockRows);
 
-  EXPECT_TRUE(store_.scan_range_scalar(all_, window(kB, 2 * kB)) == refs);
+  EXPECT_TRUE(scan_range_scalar(store_, all_, window(kB, 2 * kB)) == refs);
 }
 
 TEST_F(MorselBoundary, IntervalEndingJustPastBlockEdgeEvaluatesNextBlock) {
@@ -150,7 +151,7 @@ TEST_F(MorselBoundary, IntervalEndingJustPastBlockEdgeEvaluatesNextBlock) {
   EXPECT_EQ(ms.blocks_scanned, 2u);   // block 1 filtered
   EXPECT_EQ(ms.blocks_skipped, 1u);
   EXPECT_EQ(ms.rows_evaluated, kDetectionBlockRows);  // one filtered morsel
-  EXPECT_TRUE(store_.scan_range_scalar(all_, window(0, kB + 1)) == refs);
+  EXPECT_TRUE(scan_range_scalar(store_, all_, window(0, kB + 1)) == refs);
 }
 
 TEST_F(MorselBoundary, EmptySelectionMorselEvaluatesButSelectsNothing) {
@@ -165,7 +166,7 @@ TEST_F(MorselBoundary, EmptySelectionMorselEvaluatesButSelectsNothing) {
   EXPECT_EQ(ms.zone_fast_path, 0u);
   EXPECT_GT(ms.rows_evaluated, 0u);
   EXPECT_EQ(ms.rows_selected, 0u);
-  EXPECT_TRUE(store_.scan_range_scalar(strip, TimeInterval::all()).empty());
+  EXPECT_TRUE(scan_range_scalar(store_, strip, TimeInterval::all()).empty());
 }
 
 TEST_F(MorselBoundary, CameraFastPathFiresOnSingleCameraBlocks) {
@@ -178,7 +179,7 @@ TEST_F(MorselBoundary, CameraFastPathFiresOnSingleCameraBlocks) {
   // wholesale emission. Blocks 0/2 cannot contain camera 2.
   EXPECT_EQ(ms.zone_fast_path, 1u);
   EXPECT_EQ(ms.rows_evaluated, 0u);
-  EXPECT_TRUE(store_.scan_camera_scalar(CameraId(2), window(0, 3 * kB)) ==
+  EXPECT_TRUE(scan_camera_scalar(store_, CameraId(2), window(0, 3 * kB)) ==
               refs);
 }
 
@@ -192,11 +193,11 @@ class VectorizedExecutor : public ::testing::TestWithParam<std::uint64_t> {
     for (std::uint64_t i = 1; i <= 10'000; ++i) {
       Detection d = random_detection(rng, i);
       reference_.push_back(d);
-      (void)indexes_.ingest(d);
+      (void)store_.append(d);
     }
   }
 
-  WorkerIndexes indexes_;
+  DetectionStore store_;
   std::vector<Detection> reference_;
 };
 
@@ -224,7 +225,7 @@ TEST_P(VectorizedExecutor, CountMatchesBruteForce) {
 
     ScanStats stats;
     QueryResult plain = LocalExecutor::execute(
-        indexes_, Query::count(QueryId(1), region, interval), &stats);
+        store_, Query::count(QueryId(1), region, interval), &stats);
     ASSERT_EQ(plain.counts.size(), 1u) << "trial " << trial;
     EXPECT_EQ(plain.counts.at(0), expected) << "trial " << trial;
     EXPECT_GT(stats.store.morsels, 0u) << "trial " << trial;
@@ -232,7 +233,7 @@ TEST_P(VectorizedExecutor, CountMatchesBruteForce) {
     EXPECT_EQ(stats.store.rows_selected, expected);
 
     QueryResult grouped = LocalExecutor::execute(
-        indexes_,
+        store_,
         Query::count(QueryId(2), region, interval, GroupBy::kCamera));
     EXPECT_TRUE(grouped.counts == expected_by_camera) << "trial " << trial;
   }
@@ -257,7 +258,7 @@ TEST_P(VectorizedExecutor, HeatmapMatchesBruteForce) {
       }
     }
     ScanStats stats;
-    QueryResult result = LocalExecutor::execute(indexes_, query, &stats);
+    QueryResult result = LocalExecutor::execute(store_, query, &stats);
     EXPECT_TRUE(result.counts == expected) << "trial " << trial;
     EXPECT_GT(stats.store.morsels, 0u) << "trial " << trial;
   }
