@@ -79,6 +79,13 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   # duplicated messages and k-NN fallback rounds feed it duplicate rows and
   # moved-from fragments. A use after move shows up here under ASan+UBSan.
   ./build-asan/tests/test_query --gtest_filter='ResultMerger*' >/dev/null
+  # Workers write row fragments straight from the stores: the byte-identity
+  # differential against the materialized merge, and the row codec's
+  # corrupt-dim and bit-exact cases.
+  ./build-asan/tests/test_protocol \
+      --gtest_filter='RowsResponseDifferential.*:ProtocolFuzz.*' >/dev/null
+  ./build-asan/tests/test_serialize \
+      --gtest_filter='DetectionSerialization.*' >/dev/null
   ./build-asan/tests/test_reliable_channel \
       --gtest_filter='ReliableChannelE2E.*' >/dev/null
   ./build-asan/tests/test_planner --gtest_filter='KnnCoverage.*' >/dev/null

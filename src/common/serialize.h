@@ -37,6 +37,15 @@ class BinaryWriter {
   /// this once instead of letting the vector double its way up.
   void reserve(std::size_t n) { buffer_.reserve(buffer_.size() + n); }
 
+  /// Grows the buffer by `n` bytes and returns where they start, for
+  /// encoders that fill a block of known size in place. The pointer is
+  /// valid until the next write.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    std::size_t at = buffer_.size();
+    buffer_.resize(at + n);
+    return buffer_.data() + at;
+  }
+
   void write_u8(std::uint8_t v) { buffer_.push_back(v); }
   void write_u32(std::uint32_t v) { write_raw(&v, sizeof v); }
   void write_u64(std::uint64_t v) { write_raw(&v, sizeof v); }

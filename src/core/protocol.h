@@ -51,15 +51,6 @@ struct IngestBatch {
   std::uint64_t pbid = 0;
 };
 
-/// Exact encoded size of a detection vector (length prefix + elements),
-/// for BinaryWriter::reserve before batch encodes.
-[[nodiscard]] inline std::size_t wire_size(
-    const std::vector<Detection>& detections) {
-  std::size_t n = 4;
-  for (const Detection& d : detections) n += wire_size(d);
-  return n;
-}
-
 inline std::vector<std::uint8_t> encode(const IngestBatch& batch) {
   BinaryWriter w;
   w.reserve(8 + 1 + 8 + wire_size(batch.detections));
@@ -150,14 +141,12 @@ struct QueryResponse {
   std::uint64_t scan_wall_us = 0;
 };
 
-inline std::vector<std::uint8_t> encode(const QueryResponse& resp) {
-  BinaryWriter w;
-  w.write_u64(resp.request_id);
-  w.write_u64(resp.sub_id);
-  serialize(w, resp.result);
-  const MorselStats& m = resp.scan.store;
-  w.write_u64(resp.scan.rows_scanned);
-  w.write_u64(resp.scan_wall_us);
+/// The response's trailing scan stats: ten u64s.
+inline void write_scan_stats(BinaryWriter& w, const ScanStats& scan,
+                             std::uint64_t scan_wall_us) {
+  const MorselStats& m = scan.store;
+  w.write_u64(scan.rows_scanned);
+  w.write_u64(scan_wall_us);
   w.write_u64(m.blocks_scanned);
   w.write_u64(m.blocks_skipped);
   w.write_u64(m.rows_evaluated);
@@ -166,6 +155,47 @@ inline std::vector<std::uint8_t> encode(const QueryResponse& resp) {
   w.write_u64(m.cold_blocks_scanned);
   w.write_u64(m.cold_blocks_skipped);
   w.write_u64(m.decode_morsels);
+}
+
+inline std::vector<std::uint8_t> encode(const QueryResponse& resp) {
+  BinaryWriter w;
+  w.write_u64(resp.request_id);
+  w.write_u64(resp.sub_id);
+  serialize(w, resp.result);
+  write_scan_stats(w, resp.scan, resp.scan_wall_us);
+  return w.take();
+}
+
+/// One row a worker selected for a fragment, still in its partition's
+/// store, with the key that orders it.
+struct FragmentRow {
+  RowKey key;
+  const DetectionStore* store = nullptr;
+  DetectionRef ref{};
+};
+
+/// A worker's response to a row-returning query, written from the stores:
+/// `rows` (every held partition's select(), in request order) are ordered
+/// and cut by order_rows, and each survivor is written by
+/// DetectionStore::write_row. The bytes equal encode(QueryResponse) of the
+/// same fragment materialized and merged by ResultMerger.
+inline std::vector<std::uint8_t> encode_rows_response(
+    std::uint64_t request_id, std::uint64_t sub_id, const Query& query,
+    std::vector<FragmentRow> rows, const ScanStats& scan,
+    std::uint64_t scan_wall_us) {
+  order_rows(query, rows,
+             [](const FragmentRow& r) -> const RowKey& { return r.key; });
+  std::size_t bytes = 8 * 3 + 4 + 4 + 8 * 10;
+  for (const FragmentRow& r : rows) bytes += r.store->row_wire_size(r.ref);
+  BinaryWriter w;
+  w.reserve(bytes);
+  w.write_u64(request_id);
+  w.write_u64(sub_id);
+  w.write_id(query.id);
+  w.write_u32(static_cast<std::uint32_t>(rows.size()));
+  for (const FragmentRow& r : rows) r.store->write_row(w, r.ref);
+  w.write_u32(0);  // no group counts
+  write_scan_stats(w, scan, scan_wall_us);
   return w.take();
 }
 

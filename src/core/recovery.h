@@ -186,12 +186,7 @@ class ReplayLog {
 
  private:
   static std::size_t entry_cost(const std::vector<Detection>& detections) {
-    return 16 + wire_size_of(detections);
-  }
-  static std::size_t wire_size_of(const std::vector<Detection>& detections) {
-    std::size_t n = 4;
-    for (const Detection& d : detections) n += wire_size(d);
-    return n;
+    return 16 + wire_size(detections);
   }
 
   std::deque<ReplayEntry> entries_;

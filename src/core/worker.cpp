@@ -267,7 +267,13 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
     tracer_->tag(qspan, "sub_id", std::to_string(request.sub_id));
   }
   auto wall_start = std::chrono::steady_clock::now();
-  ResultMerger merger(request.query);
+  const Query& query = request.query;
+  // Row-returning kinds keep (store, row) pairs and write the rows to the
+  // wire straight from the stores; count and heatmap merge their maps.
+  bool aggregate =
+      query.kind == QueryKind::kCount || query.kind == QueryKind::kHeatmap;
+  std::vector<FragmentRow> rows;
+  ResultMerger merger(query);
   ScanStats scan_stats;
   std::vector<PartitionId> held;
   for (PartitionId p : request.partitions) {
@@ -277,9 +283,18 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
     // worker does not hold (the scan is a no-op, but the trace still shows
     // that the fragment named it).
     if (it != partitions_.end()) {
+      const DetectionStore& store = it->second->store;
       ScanStats local;
-      merger.add(
-          LocalExecutor::execute(it->second->store, request.query, &local));
+      if (aggregate) {
+        merger.add(LocalExecutor::execute(store, query, &local));
+      } else {
+        std::vector<DetectionRef> refs =
+            LocalExecutor::select(store, query, local.store);
+        local.rows_scanned = refs.size();
+        for (DetectionRef ref : refs) {
+          rows.push_back({store.row_key(ref), &store, ref});
+        }
+      }
       const MorselStats& ms = local.store;
       heat_.on_scan(p, ms.rows_evaluated, ms.rows_selected, ms.blocks_scanned,
                     ms.blocks_skipped);
@@ -301,12 +316,10 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
   // Scan-loop wall time, measured before serialization so EXPLAIN's
   // `wall_us` reflects index cost only (the histogram below keeps the
   // serialize-inclusive total).
-  auto scan_only_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - wall_start)
-                          .count();
-  QueryResponse response{request.request_id, request.sub_id, merger.take(),
-                         scan_stats,
-                         static_cast<std::uint64_t>(scan_only_us)};
+  auto scan_only_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - wall_start)
+          .count());
   const MorselStats& ms = scan_stats.store;
   store_blocks_scanned_.add(ms.blocks_scanned);
   store_blocks_skipped_.add(ms.blocks_skipped);
@@ -319,7 +332,12 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
     sspan = tracer_->start_span("worker.serialize", qspan,
                                 node_id().value(), network.now());
   }
-  auto payload = encode(response);
+  auto payload =
+      aggregate
+          ? encode(QueryResponse{request.request_id, request.sub_id,
+                                 merger.take(), scan_stats, scan_only_us})
+          : encode_rows_response(request.request_id, request.sub_id, query,
+                                 std::move(rows), scan_stats, scan_only_us);
   if (sspan.valid()) {
     tracer_->tag(sspan, "bytes", std::to_string(payload.size()));
     tracer_->end_span(sspan, network.now());

@@ -624,11 +624,7 @@ class DetectionStore {
   /// the calling thread decodes a different cold block's embeddings.
   [[nodiscard]] std::span<const float> embedding(DetectionRef ref) const {
     std::uint32_t i = checked(ref);
-    if (i >= hot_base_) {
-      std::size_t h = i - hot_base_;
-      std::size_t begin = h == 0 ? 0 : emb_offsets_[h - 1];
-      return {arena_.data() + begin, emb_offsets_[h] - begin};
-    }
+    if (i >= hot_base_) return hot_embedding(i - hot_base_);
     const CompressedBlock& cb = cold_[i / kDetectionBlockRows];
     std::uint32_t local = i % kDetectionBlockRows;
     const float* base = cold_embeddings(cb);
@@ -661,6 +657,53 @@ class DetectionStore {
     std::span<const float> emb = embedding(ref);
     d.appearance.values.assign(emb.begin(), emb.end());
     return d;
+  }
+
+  /// The fields that order `ref` in an answer; equal to those of get(ref).
+  [[nodiscard]] RowKey row_key(DetectionRef ref) const {
+    std::uint32_t i = checked(ref);
+    if (i >= hot_base_) {
+      std::size_t h = i - hot_base_;
+      return {DetectionId(ids_[h]), TimePoint(times_[h]), {xs_[h], ys_[h]}};
+    }
+    const CompressedBlock& cb = cold_[i / kDetectionBlockRows];
+    std::uint32_t local = i % kDetectionBlockRows;
+    return {DetectionId(cb.id_at(local)), TimePoint(cb.time_at(local)),
+            {cb.x_at(local), cb.y_at(local)}};
+  }
+
+  /// Bytes write_row writes for `ref`: wire_size(get(ref)).
+  [[nodiscard]] std::size_t row_wire_size(DetectionRef ref) const {
+    std::uint32_t i = checked(ref);
+    std::size_t dim = i >= hot_base_
+                          ? hot_embedding(i - hot_base_).size()
+                          : cold_[i / kDetectionBlockRows].emb_dim_of(
+                                i % kDetectionBlockRows);
+    return kRowFixedBytes + dim * sizeof(float);
+  }
+
+  /// Writes `ref` as a wire row straight from the columns: the bytes
+  /// serialize(w, get(ref)) writes, with no Detection built. A cold row
+  /// decodes only its own embedding, not its block's arena, since an
+  /// answer's rows interleave blocks of several stores.
+  void write_row(BinaryWriter& w, DetectionRef ref) const {
+    std::uint32_t i = checked(ref);
+    if (i >= hot_base_) {
+      std::size_t h = i - hot_base_;
+      std::span<const float> emb = hot_embedding(h);
+      put_row(w.extend(kRowFixedBytes + emb.size_bytes()), ids_[h],
+              cameras_[h], objects_[h], times_[h], xs_[h], ys_[h],
+              confidences_[h], emb);
+      return;
+    }
+    const CompressedBlock& cb = cold_[i / kDetectionBlockRows];
+    std::uint32_t local = i % kDetectionBlockRows;
+    std::vector<float> emb(cb.emb_dim_of(local));
+    cb.decode_embedding(local, emb.data());
+    put_row(w.extend(kRowFixedBytes + emb.size() * sizeof(float)),
+            cb.id_at(local), cb.camera_at(local), cb.object_at(local),
+            cb.time_at(local), cb.x_at(local), cb.y_at(local),
+            cb.confidence_at(local), emb);
   }
 
   [[nodiscard]] std::size_t size() const { return hot_base_ + ids_.size(); }
@@ -1174,32 +1217,27 @@ class DetectionStore {
     }
     if (h.kind != kHotSegment) return false;
     // Check the row framing end to end before any column grows.
-    std::size_t pos = 0;
-    for (std::uint32_t i = 0; i < h.rows; ++i) {
-      if (payload.size() - pos < kHotRowFixedBytes) return false;
-      std::uint32_t dim = load<std::uint32_t>(payload.data() + pos + 56);
-      pos += kHotRowFixedBytes;
-      if (dim > (payload.size() - pos) / sizeof(float)) return false;
-      pos += dim * sizeof(float);
+    BinaryReader check(payload.data(), payload.size());
+    for (std::uint32_t i = 0; i < h.rows && !check.failed(); ++i) {
+      (void)read_row(check);
     }
-    if (pos != payload.size()) return false;
-    const std::uint8_t* p = payload.data();
+    if (!check.at_end()) return false;
+    BinaryReader r(payload.data(), payload.size());
     for (std::uint32_t i = 0; i < h.rows; ++i) {
       auto row = static_cast<std::uint32_t>(size());
-      ids_.push_back(load<std::uint64_t>(p));
-      cameras_.push_back(load<std::uint64_t>(p + 8));
-      objects_.push_back(load<std::uint64_t>(p + 16));
-      times_.push_back(load<std::int64_t>(p + 24));
-      xs_.push_back(load<double>(p + 32));
-      ys_.push_back(load<double>(p + 40));
-      confidences_.push_back(load<double>(p + 48));
-      std::uint32_t dim = load<std::uint32_t>(p + 56);
-      p += kHotRowFixedBytes;
-      if (dim > 0) {
+      WireRow wire = read_row(r);
+      ids_.push_back(wire.id);
+      cameras_.push_back(wire.camera);
+      objects_.push_back(wire.object);
+      times_.push_back(wire.time);
+      xs_.push_back(wire.x);
+      ys_.push_back(wire.y);
+      confidences_.push_back(wire.confidence);
+      if (!wire.embedding.empty()) {
         std::size_t a = arena_.size();
-        arena_.resize(a + dim);
-        std::memcpy(arena_.data() + a, p, dim * sizeof(float));
-        p += dim * sizeof(float);
+        arena_.resize(a + wire.embedding.size() / sizeof(float));
+        std::memcpy(arena_.data() + a, wire.embedding.data(),
+                    wire.embedding.size());
       }
       emb_offsets_.push_back(arena_.size());
       grow_zone(row);
@@ -1248,8 +1286,6 @@ class DetectionStore {
   static constexpr std::uint32_t kStoreSnapshotMagic = 0x53544333;  // "STC3"
   static constexpr std::uint32_t kColdSegment = 0x444C4F43;  // "COLD"
   static constexpr std::uint32_t kHotSegment = 0x544F4848;   // "HHOT"
-  // Seven 8-byte fields and the u32 embedding dim.
-  static constexpr std::size_t kHotRowFixedBytes = 60;
   static constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 
   template <typename T>
@@ -1301,31 +1337,26 @@ class DetectionStore {
     std::size_t h1 = last - hot_base_;
     std::size_t floats =
         emb_offsets_[h1 - 1] - (h0 == 0 ? 0 : emb_offsets_[h0 - 1]);
-    return (h1 - h0) * kHotRowFixedBytes + floats * sizeof(float);
+    return (h1 - h0) * kRowFixedBytes + floats * sizeof(float);
   }
 
-  /// Appends hot rows [first, last) to `out` in the hot-segment layout.
+  /// Appends hot rows [first, last) to `out` in the hot-segment layout,
+  /// which is the wire row (put_row).
   void put_hot_rows(std::uint32_t first, std::uint32_t last,
                     std::vector<std::uint8_t>& out) const {
     std::size_t at = out.size();
     out.resize(at + hot_rows_bytes(first, last));
     std::uint8_t* p = out.data() + at;
     for (std::size_t h = first - hot_base_; h < last - hot_base_; ++h) {
-      p = put(p, ids_[h]);
-      p = put(p, cameras_[h]);
-      p = put(p, objects_[h]);
-      p = put(p, times_[h]);
-      p = put(p, xs_[h]);
-      p = put(p, ys_[h]);
-      p = put(p, confidences_[h]);
-      std::size_t begin = h == 0 ? 0 : emb_offsets_[h - 1];
-      auto dim = static_cast<std::uint32_t>(emb_offsets_[h] - begin);
-      p = put(p, dim);
-      if (dim > 0) {
-        std::memcpy(p, arena_.data() + begin, dim * sizeof(float));
-        p += dim * sizeof(float);
-      }
+      p = put_row(p, ids_[h], cameras_[h], objects_[h], times_[h], xs_[h],
+                  ys_[h], confidences_[h], hot_embedding(h));
     }
+  }
+
+  /// Hot row `h`'s embedding, viewed in the arena.
+  [[nodiscard]] std::span<const float> hot_embedding(std::size_t h) const {
+    std::size_t begin = h == 0 ? 0 : emb_offsets_[h - 1];
+    return {arena_.data() + begin, emb_offsets_[h] - begin};
   }
 
   /// The id column an equality scan compares: camera-window and

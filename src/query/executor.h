@@ -26,10 +26,36 @@ struct ScanStats {
 
 class LocalExecutor {
  public:
-  /// Executes `query` against `store`, producing a partial result. When
-  /// `stats` is given, scan accounting accumulates into it. Every kind reads
-  /// the store's zone-map block scans; aggregates (count, group-by, heatmap)
-  /// consume the selection vectors in place.
+  /// The rows of `store` a row-returning query (range, circle, k-NN,
+  /// trajectory, camera window) selects, in scan order; empty for count
+  /// and heatmap. Block-scan accounting accumulates into `ms`. Workers
+  /// write these rows to the wire straight from the store
+  /// (encode_rows_response).
+  [[nodiscard]] static std::vector<DetectionRef> select(
+      const DetectionStore& store, const Query& query, MorselStats& ms) {
+    switch (query.kind) {
+      case QueryKind::kRange:
+        return store.scan_range(query.region, query.interval, &ms);
+      case QueryKind::kCircle:
+        return store.scan_circle(query.circle, query.interval, &ms);
+      case QueryKind::kKnn:
+        return store.scan_knn(query.circle.center, query.k, query.interval,
+                              &ms);
+      case QueryKind::kTrajectory:
+        return store.scan_object(query.object, query.interval, &ms);
+      case QueryKind::kCameraWindow:
+        return store.scan_camera(query.camera, query.interval, &ms);
+      case QueryKind::kCount:
+      case QueryKind::kHeatmap:
+        break;
+    }
+    return {};
+  }
+
+  /// Executes `query` against `store`, producing a partial result: select()
+  /// with each row materialized, or the aggregate. When `stats` is given,
+  /// scan accounting accumulates into it. Aggregates (count, group-by,
+  /// heatmap) consume the selection vectors in place.
   [[nodiscard]] static QueryResult execute(const DetectionStore& store,
                                            const Query& query,
                                            ScanStats* stats = nullptr) {
@@ -37,35 +63,18 @@ class LocalExecutor {
     result.query = query.id;
     std::uint64_t scanned = 0;
     MorselStats ms;  // block-scan accounting for this execution
-    std::vector<DetectionRef> refs;  // row-returning kinds
-    switch (query.kind) {
-      case QueryKind::kRange:
-        refs = store.scan_range(query.region, query.interval, &ms);
-        break;
-      case QueryKind::kCircle:
-        refs = store.scan_circle(query.circle, query.interval, &ms);
-        break;
-      case QueryKind::kKnn:
-        refs = store.scan_knn(query.circle.center, query.k, query.interval,
-                              &ms);
-        break;
-      case QueryKind::kTrajectory:
-        refs = store.scan_object(query.object, query.interval, &ms);
-        break;
-      case QueryKind::kCameraWindow:
-        refs = store.scan_camera(query.camera, query.interval, &ms);
-        break;
-      case QueryKind::kCount:
-        scanned = count_from_store(store, query, result, ms);
-        break;
-      case QueryKind::kHeatmap:
-        if (query.cell_size <= 0.0) break;
+    if (query.kind == QueryKind::kCount) {
+      scanned = count_from_store(store, query, result, ms);
+    } else if (query.kind == QueryKind::kHeatmap) {
+      if (query.cell_size > 0.0) {
         scanned = heatmap_from_store(store, query, result, ms);
-        break;
+      }
+    } else {
+      std::vector<DetectionRef> refs = select(store, query, ms);
+      scanned = refs.size();
+      result.detections.reserve(refs.size());
+      for (DetectionRef ref : refs) result.detections.push_back(store.get(ref));
     }
-    scanned += refs.size();
-    result.detections.reserve(refs.size());
-    for (DetectionRef ref : refs) result.detections.push_back(store.get(ref));
     if (stats != nullptr) {
       stats->rows_scanned += scanned;
       stats->store.merge(ms);

@@ -196,10 +196,6 @@ inline void serialize(BinaryWriter& w, const Query& q) {
   w.write_double(q.circle.center.x);
   w.write_double(q.circle.center.y);
   w.write_double(q.circle.radius);
-  // Reserved, always zero: keeps the encoded size, and so the wire byte
-  // counts benchmarks compare across versions, stable.
-  w.write_double(0.0);
-  w.write_double(0.0);
   w.write_u32(q.k);
   w.write_id(q.object);
   w.write_id(q.camera);
@@ -222,8 +218,6 @@ inline Query deserialize_query(BinaryReader& r) {
   q.circle.center.x = r.read_double();
   q.circle.center.y = r.read_double();
   q.circle.radius = r.read_double();
-  (void)r.read_double();  // reserved
-  (void)r.read_double();
   q.k = r.read_u32();
   q.object = r.read_id<ObjectIdTag>();
   q.camera = r.read_id<CameraIdTag>();

@@ -60,6 +60,59 @@ inline QueryResult deserialize_query_result(BinaryReader& r) {
   return out;
 }
 
+/// Puts result rows in the answer order of `query` and cuts them, for any
+/// row type whose RowKey `key(row)` returns:
+///  * kKnn      — nearest-first (ties by detection id), truncated to k
+///  * others    — time-ordered (ties by detection id), truncated to the
+///                query's `limit` when one is set.
+/// Copies of one row are made adjacent by a sort whose key ends in the
+/// detection id, and all but the first are removed before the cut. The
+/// coordinator's merge (ResultMerger) and the worker's fragment writer
+/// (encode_rows_response) both order through here.
+///
+/// Limit semantics compose across merge levels: the earliest `limit`
+/// detections of a union are always among the union of each fragment's
+/// earliest `limit`, so per-worker truncation plus final truncation
+/// yields exactly the global earliest `limit`.
+template <typename Row, typename KeyOf>
+void order_rows(const Query& query, std::vector<Row>& rows, KeyOf key) {
+  auto same_id = [&key](const Row& a, const Row& b) {
+    return key(a).id == key(b).id;
+  };
+  if (query.kind == QueryKind::kKnn) {
+    // Copies of one row can differ in position by the cold tier's quantum
+    // when one holder has demoted its block and the other has not, and a
+    // row between them in distance would part them. So k-NN drops
+    // duplicates in id order; its rows number k per partition.
+    std::sort(rows.begin(), rows.end(), [&key](const Row& a, const Row& b) {
+      return key(a).id < key(b).id;
+    });
+    rows.erase(std::unique(rows.begin(), rows.end(), same_id), rows.end());
+    Point center = query.circle.center;
+    std::sort(rows.begin(), rows.end(),
+              [&key, center](const Row& a, const Row& b) {
+                const RowKey& ka = key(a);
+                const RowKey& kb = key(b);
+                double da = squared_distance(ka.position, center);
+                double db = squared_distance(kb.position, center);
+                if (da != db) return da < db;
+                return ka.id < kb.id;
+              });
+    if (rows.size() > query.k) rows.resize(query.k);
+  } else {
+    std::sort(rows.begin(), rows.end(), [&key](const Row& a, const Row& b) {
+      const RowKey& ka = key(a);
+      const RowKey& kb = key(b);
+      if (ka.time != kb.time) return ka.time < kb.time;
+      return ka.id < kb.id;
+    });
+    rows.erase(std::unique(rows.begin(), rows.end(), same_id), rows.end());
+    if (query.limit > 0 && rows.size() > query.limit) {
+      rows.resize(query.limit);
+    }
+  }
+}
+
 /// Merges worker fragments into the final result for `query`.
 ///
 /// Fragments are moved in, never copied. Duplicates (hedge answers,
@@ -86,60 +139,15 @@ class ResultMerger {
     }
   }
 
-  /// Finalizes ordering / truncation by query kind:
-  ///  * kKnn      — nearest-first (ties by detection id), truncated to k
-  ///  * others    — time-ordered (ties by detection id), truncated to the
-  ///                query's `limit` when one is set.
-  /// Copies of one row are made adjacent by a sort whose key ends in the
-  /// detection id, and all but the first are removed before the cut.
-  ///
-  /// Limit semantics compose across merge levels: the earliest `limit`
-  /// detections of a union are always among the union of each fragment's
-  /// earliest `limit`, so per-worker truncation plus final truncation
-  /// yields exactly the global earliest `limit`.
+  /// Finalizes ordering and truncation by query kind (order_rows).
   [[nodiscard]] QueryResult take() {
-    auto& ds = merged_.detections;
-    if (query_.kind == QueryKind::kKnn) {
-      // Copies of one row can differ in position by the cold tier's
-      // quantum when one holder has demoted its block and the other has
-      // not, and a row between them in distance would part them. So k-NN
-      // drops duplicates in id order; its rows number k per partition.
-      std::sort(ds.begin(), ds.end(),
-                [](const Detection& a, const Detection& b) {
-                  return a.id < b.id;
-                });
-      drop_adjacent_duplicates(ds);
-      Point center = query_.circle.center;
-      std::sort(ds.begin(), ds.end(),
-                [center](const Detection& a, const Detection& b) {
-                  double da = squared_distance(a.position, center);
-                  double db = squared_distance(b.position, center);
-                  if (da != db) return da < db;
-                  return a.id < b.id;
-                });
-      if (ds.size() > query_.k) ds.resize(query_.k);
-    } else {
-      std::sort(ds.begin(), ds.end(), [](const Detection& a, const Detection& b) {
-        if (a.time != b.time) return a.time < b.time;
-        return a.id < b.id;
-      });
-      drop_adjacent_duplicates(ds);
-      if (query_.limit > 0 && ds.size() > query_.limit) {
-        ds.resize(query_.limit);
-      }
-    }
+    order_rows(query_, merged_.detections, [](const Detection& d) {
+      return RowKey{d.id, d.time, d.position};
+    });
     return std::move(merged_);
   }
 
  private:
-  static void drop_adjacent_duplicates(std::vector<Detection>& ds) {
-    ds.erase(std::unique(ds.begin(), ds.end(),
-                         [](const Detection& a, const Detection& b) {
-                           return a.id == b.id;
-                         }),
-             ds.end());
-  }
-
   Query query_;
   QueryResult merged_;
 };

@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/geometry.h"
@@ -57,41 +59,108 @@ struct Detection {
   friend bool operator==(const Detection&, const Detection&) = default;
 };
 
-/// Exact encoded size of one detection: 3 ids + time (8 bytes each), two
-/// position doubles, a u32 embedding length, the embedding as doubles, and
-/// the confidence double. Batch encoders sum this to reserve() up front.
+/// What orders a result row: answers sort by time, or for k-NN by the
+/// distance of `position` from the centre, and break ties (and find copies
+/// of one row) by `id`.
+struct RowKey {
+  DetectionId id;
+  TimePoint time;
+  Point position;
+};
+
+// Wire row: id, camera, object, time, x, y, confidence (8 bytes each), a
+// u32 embedding dim, then the embedding as raw f32. It is also the row of
+// a hot snapshot segment (DetectionStore), so one writer serves both.
+inline constexpr std::size_t kRowFixedBytes = 60;
+
+/// Exact encoded size of one detection. Batch encoders sum this to
+/// reserve() up front.
 [[nodiscard]] inline std::size_t wire_size(const Detection& d) {
-  return 8 * 3 + 8 + 8 * 2 + 4 + 8 * d.appearance.values.size() + 8;
+  return kRowFixedBytes + sizeof(float) * d.appearance.values.size();
+}
+
+/// Exact encoded size of a detection vector (length prefix + rows).
+[[nodiscard]] inline std::size_t wire_size(
+    const std::vector<Detection>& detections) {
+  std::size_t n = 4;
+  for (const Detection& d : detections) n += wire_size(d);
+  return n;
+}
+
+/// Writes one wire row at `p`, which must have room for kRowFixedBytes
+/// plus the embedding's bytes, and returns the byte past it.
+inline std::uint8_t* put_row(std::uint8_t* p, std::uint64_t id,
+                             std::uint64_t camera, std::uint64_t object,
+                             std::int64_t time, double x, double y,
+                             double confidence,
+                             std::span<const float> embedding) {
+  auto put = [&p](const auto& v) {
+    std::memcpy(p, &v, sizeof v);
+    p += sizeof v;
+  };
+  put(id);
+  put(camera);
+  put(object);
+  put(time);
+  put(x);
+  put(y);
+  put(confidence);
+  put(static_cast<std::uint32_t>(embedding.size()));
+  if (!embedding.empty()) {
+    std::memcpy(p, embedding.data(), embedding.size_bytes());
+  }
+  return p + embedding.size_bytes();
 }
 
 inline void serialize(BinaryWriter& w, const Detection& d) {
-  w.write_id(d.id);
-  w.write_id(d.camera);
-  w.write_id(d.object);
-  w.write_time(d.time);
-  w.write_double(d.position.x);
-  w.write_double(d.position.y);
-  w.write_u32(static_cast<std::uint32_t>(d.appearance.values.size()));
-  for (float v : d.appearance.values) {
-    w.write_double(static_cast<double>(v));
-  }
-  w.write_double(d.confidence);
+  put_row(w.extend(wire_size(d)), d.id.value(), d.camera.value(),
+          d.object.value(), d.time.micros_since_origin(), d.position.x,
+          d.position.y, d.confidence, d.appearance.values);
+}
+
+/// One wire row read in place; `embedding` views the reader's buffer.
+struct WireRow {
+  std::uint64_t id = 0;
+  std::uint64_t camera = 0;
+  std::uint64_t object = 0;
+  std::int64_t time = 0;
+  double x = 0;
+  double y = 0;
+  double confidence = 0;
+  std::span<const std::uint8_t> embedding;  // dim raw f32s
+};
+
+/// Reads one wire row. The embedding's byte count is checked against what
+/// remains before anything is sized from it, so a corrupt dim fails the
+/// reader without allocating.
+inline WireRow read_row(BinaryReader& r) {
+  WireRow row;
+  row.id = r.read_u64();
+  row.camera = r.read_u64();
+  row.object = r.read_u64();
+  row.time = r.read_i64();
+  row.x = r.read_double();
+  row.y = r.read_double();
+  row.confidence = r.read_double();
+  std::uint32_t dim = r.read_u32();
+  row.embedding = r.read_span(std::size_t{dim} * sizeof(float));
+  return row;
 }
 
 inline Detection deserialize_detection(BinaryReader& r) {
+  WireRow row = read_row(r);
   Detection d;
-  d.id = r.read_id<DetectionIdTag>();
-  d.camera = r.read_id<CameraIdTag>();
-  d.object = r.read_id<ObjectIdTag>();
-  d.time = r.read_time();
-  d.position.x = r.read_double();
-  d.position.y = r.read_double();
-  std::uint32_t n = r.read_u32();
-  d.appearance.values.reserve(n);
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    d.appearance.values.push_back(static_cast<float>(r.read_double()));
+  d.id = DetectionId(row.id);
+  d.camera = CameraId(row.camera);
+  d.object = ObjectId(row.object);
+  d.time = TimePoint(row.time);
+  d.position = {row.x, row.y};
+  d.confidence = row.confidence;
+  if (!row.embedding.empty()) {
+    d.appearance.values.resize(row.embedding.size() / sizeof(float));
+    std::memcpy(d.appearance.values.data(), row.embedding.data(),
+                row.embedding.size());
   }
-  d.confidence = r.read_double();
   return d;
 }
 

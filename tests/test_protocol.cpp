@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+
 #include "common/rng.h"
 
 namespace stcn {
@@ -365,6 +369,256 @@ TEST(ProtocolFuzz, SyncResponseDecoderRobust) {
 TEST(ProtocolFuzz, HeartbeatDecoderRobust) {
   fuzz_decoder(encode(heartbeat_with_summaries()),
                [](BinaryReader& r) { return decode_heartbeat(r); }, 7);
+}
+
+
+/// A valid encoding with the last row's embedding dim rewritten to claim
+/// more floats than the bytes that remain; `dim_at` is that field's offset.
+std::vector<std::uint8_t> with_oversized_dim(std::vector<std::uint8_t> bytes,
+                                             std::size_t dim_at) {
+  std::uint32_t dim = 0;
+  std::memcpy(&dim, bytes.data() + dim_at, sizeof dim);
+  EXPECT_EQ(dim, 4u);  // make_detection's embedding
+  std::uint32_t claim =
+      static_cast<std::uint32_t>((bytes.size() - dim_at) / sizeof(float)) + 1;
+  std::memcpy(bytes.data() + dim_at, &claim, sizeof claim);
+  return bytes;
+}
+
+TEST(ProtocolFuzz, IngestBatchOversizedDimFails) {
+  IngestBatch batch{PartitionId(1), false,
+                    {make_detection(1), make_detection(2)}};
+  auto valid = encode(batch);
+  // Header (partition, replica flag, pbid, row count), one full row, then
+  // the second row's dim.
+  std::size_t dim_at = 8 + 1 + 8 + 4 + wire_size(batch.detections[0]) + 56;
+  auto bytes = with_oversized_dim(valid, dim_at);
+  BinaryReader r(bytes);
+  IngestBatch back = decode_ingest_batch(r);
+  EXPECT_TRUE(r.failed());
+  fuzz_decoder(bytes, [](BinaryReader& br) { return decode_ingest_batch(br); },
+               9);
+}
+
+TEST(ProtocolFuzz, QueryResponseOversizedDimFails) {
+  QueryResponse response;
+  response.result.query = QueryId(1);
+  response.result.detections = {make_detection(1)};
+  auto valid = encode(response);
+  // request id, sub id, query id, row count, then the row's dim.
+  auto bytes = with_oversized_dim(valid, 8 + 8 + 8 + 4 + 56);
+  BinaryReader r(bytes);
+  QueryResponse back = decode_query_response(r);
+  EXPECT_TRUE(r.failed());
+  fuzz_decoder(bytes,
+               [](BinaryReader& br) { return decode_query_response(br); }, 10);
+}
+
+// ------------------------------------- fragments written from the stores
+
+/// Rows on a small lattice with few distinct times, so both answer orders
+/// have many ties. Embedding dims vary from row to row.
+Detection lattice_row(Rng& rng, std::uint64_t id) {
+  Detection d;
+  d.id = DetectionId(id);
+  d.camera = CameraId(1 + rng.uniform_index(3));
+  d.object = ObjectId(rng.uniform_index(7));
+  d.time = TimePoint(rng.uniform_int(0, 5) * 100);
+  d.position = {static_cast<double>(rng.uniform_int(-3, 3)),
+                static_cast<double>(rng.uniform_int(-3, 3))};
+  d.confidence = rng.uniform();
+  d.appearance.values.resize(rng.uniform_index(3) == 0 ? 0 : 16);
+  for (float& v : d.appearance.values) {
+    v = static_cast<float>(rng.uniform(-1, 1));
+  }
+  return d;
+}
+
+/// One worker's partitions: two hot stores that share some rows (copies of
+/// one row on two partitions, as a duplicated delivery leaves them) and a
+/// tiered store whose sealed blocks are cold.
+struct WorkerStores {
+  std::vector<DetectionStore> stores{3};
+
+  explicit WorkerStores(Rng& rng) {
+    stores[2].set_tier_config({true, 0});
+    std::uint64_t id = 1;
+    for (int i = 0; i < 300; ++i) {
+      Detection d = lattice_row(rng, id++);
+      (void)stores[0].append(d);
+      if (rng.bernoulli(0.3)) (void)stores[1].append(d);
+    }
+    for (int i = 0; i < 200; ++i) {
+      (void)stores[1].append(lattice_row(rng, id++));
+    }
+    for (std::size_t i = 0; i < 2 * kDetectionBlockRows + 700; ++i) {
+      (void)stores[2].append(lattice_row(rng, id++));
+    }
+  }
+};
+
+/// A row-returning query over the lattice, with `limit` set on half.
+Query random_row_query(Rng& rng, QueryId id) {
+  TimePoint t0(rng.uniform_int(0, 5) * 100);
+  Duration span = Duration::micros(rng.uniform_int(1, 400));
+  TimeInterval window =
+      rng.bernoulli(0.3) ? TimeInterval::all() : TimeInterval{t0, t0 + span};
+  Point c{static_cast<double>(rng.uniform_int(-3, 3)),
+          static_cast<double>(rng.uniform_int(-3, 3))};
+  Query q;
+  switch (rng.uniform_index(5)) {
+    case 0:
+      q = Query::range(id, {c - Point{2, 2}, c + Point{1, 2}}, window);
+      break;
+    case 1:
+      q = Query::circle_query(id, {c, rng.uniform(0, 3)}, window);
+      break;
+    case 2:
+      q = Query::knn(id, c,
+                     static_cast<std::uint32_t>(1 + rng.uniform_index(40)),
+                     window);
+      break;
+    case 3:
+      q = Query::trajectory(id, ObjectId(rng.uniform_index(7)), window);
+      break;
+    default:
+      q = Query::camera_window(id, CameraId(1 + rng.uniform_index(3)), window);
+      break;
+  }
+  if (q.kind != QueryKind::kKnn && rng.bernoulli(0.5)) {
+    q = q.with_limit(static_cast<std::uint32_t>(1 + rng.uniform_index(60)));
+  }
+  return q;
+}
+
+/// Today's materialized fragment: every store's execute() merged and
+/// ordered by ResultMerger, then encoded.
+std::vector<std::uint8_t> materialized_payload(
+    const std::vector<DetectionStore>& stores, const Query& q) {
+  ResultMerger merger(q);
+  ScanStats stats;
+  for (const DetectionStore& s : stores) {
+    merger.add(LocalExecutor::execute(s, q, &stats));
+  }
+  return encode(QueryResponse{5, 6, merger.take(), stats, 77});
+}
+
+/// The worker's path: select() on every store, rows written in place.
+std::vector<std::uint8_t> direct_payload(
+    const std::vector<DetectionStore>& stores, const Query& q) {
+  std::vector<FragmentRow> rows;
+  ScanStats stats;
+  for (const DetectionStore& s : stores) {
+    std::vector<DetectionRef> refs = LocalExecutor::select(s, q, stats.store);
+    stats.rows_scanned += refs.size();
+    for (DetectionRef ref : refs) rows.push_back({s.row_key(ref), &s, ref});
+  }
+  return encode_rows_response(5, 6, q, std::move(rows), stats, 77);
+}
+
+/// The answer written without order_rows: a first-seen union of every
+/// store's rows, sorted and cut by the query's rule.
+std::vector<Detection> reference_answer(
+    const std::vector<DetectionStore>& stores, const Query& q) {
+  std::vector<Detection> out;
+  std::set<std::uint64_t> seen;
+  for (const DetectionStore& s : stores) {
+    for (const Detection& d : LocalExecutor::execute(s, q).detections) {
+      if (seen.insert(d.id.value()).second) out.push_back(d);
+    }
+  }
+  Point c = q.circle.center;
+  auto before = [&](const Detection& a, const Detection& b) {
+    if (q.kind == QueryKind::kKnn) {
+      double da = squared_distance(a.position, c);
+      double db = squared_distance(b.position, c);
+      if (da != db) return da < db;
+    } else if (a.time != b.time) {
+      return a.time < b.time;
+    }
+    return a.id < b.id;
+  };
+  std::sort(out.begin(), out.end(), before);
+  std::size_t cut = q.kind == QueryKind::kKnn ? q.k
+                    : q.limit > 0            ? q.limit
+                                             : out.size();
+  if (out.size() > cut) out.resize(cut);
+  return out;
+}
+
+TEST(RowsResponseDifferential, ByteIdenticalToMaterializedMerge) {
+  int knn_ties = 0;
+  int limited = 0;
+  int cold_rows = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    WorkerStores w(rng);
+    ASSERT_GT(w.stores[2].cold_block_count(), 0u);
+    for (int trial = 0; trial < 150; ++trial) {
+      Query q = random_row_query(rng, QueryId(trial));
+      if (q.kind == QueryKind::kKnn && rng.bernoulli(0.7)) {
+        // Put the cut at a distance tie when the union has one.
+        Query all = q;
+        all.k = 1'000'000;
+        std::vector<Detection> ranked = reference_answer(w.stores, all);
+        for (std::size_t i = 0; i + 1 < ranked.size(); ++i) {
+          if (squared_distance(ranked[i].position, q.circle.center) ==
+              squared_distance(ranked[i + 1].position, q.circle.center)) {
+            q.k = static_cast<std::uint32_t>(i + 1);
+            ++knn_ties;
+            break;
+          }
+        }
+      }
+      limited += q.limit > 0;
+      std::vector<std::uint8_t> want = materialized_payload(w.stores, q);
+      std::vector<std::uint8_t> got = direct_payload(w.stores, q);
+      ASSERT_EQ(got, want) << "seed " << seed << " trial " << trial
+                           << " kind " << query_kind_name(q.kind);
+
+      BinaryReader r(got);
+      QueryResponse back = decode_query_response(r);
+      ASSERT_TRUE(r.at_end());
+      ASSERT_EQ(back.result.detections, reference_answer(w.stores, q))
+          << "seed " << seed << " trial " << trial;
+      for (const Detection& d : back.result.detections) {
+        cold_rows += d.id.value() > 500 &&
+                     d.id.value() <= 500 + w.stores[2].cold_rows();
+      }
+    }
+  }
+  EXPECT_GT(knn_ties, 30);
+  EXPECT_GT(limited, 100);
+  EXPECT_GT(cold_rows, 1000);
+}
+
+TEST(RowsResponseDifferential, WriteRowMatchesSerializeOfGet) {
+  Rng rng(4);
+  WorkerStores w(rng);
+  for (const DetectionStore& s : w.stores) {
+    for (std::uint32_t i = 0; i < s.size(); ++i) {
+      auto ref = static_cast<DetectionRef>(i);
+      BinaryWriter direct;
+      s.write_row(direct, ref);
+      BinaryWriter materialized;
+      serialize(materialized, s.get(ref));
+      ASSERT_EQ(direct.bytes(), materialized.bytes()) << "row " << i;
+      ASSERT_EQ(s.row_wire_size(ref), direct.size());
+      RowKey key = s.row_key(ref);
+      Detection d = s.get(ref);
+      ASSERT_EQ(key.id, d.id);
+      ASSERT_EQ(key.time, d.time);
+      ASSERT_EQ(key.position, d.position);
+    }
+  }
+}
+
+TEST(RowsResponseDifferential, EmptySelectionMatchesEmptyMerge) {
+  Rng rng(5);
+  WorkerStores w(rng);
+  Query q = Query::camera_window(QueryId(1), CameraId(99), TimeInterval::all());
+  EXPECT_EQ(direct_payload(w.stores, q), materialized_payload(w.stores, q));
+  EXPECT_EQ(direct_payload({}, q), materialized_payload({}, q));
 }
 
 }  // namespace

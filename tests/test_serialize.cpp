@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "query/query.h"
 #include "query/result.h"
 #include "trace/detection.h"
@@ -109,6 +112,62 @@ TEST(DetectionSerialization, RoundTrip) {
   Detection back = deserialize_detection(r);
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(back, d);
+}
+
+TEST(DetectionSerialization, WireSizeIsEncodedSize) {
+  for (std::size_t dim : {0, 1, 16, 64}) {
+    Detection d = make_detection();
+    d.appearance.values.assign(dim, 0.25f);
+    BinaryWriter w;
+    serialize(w, d);
+    EXPECT_EQ(wire_size(d), w.size()) << "dim " << dim;
+    EXPECT_EQ(w.size(), kRowFixedBytes + 4 * dim) << "dim " << dim;
+  }
+}
+
+TEST(DetectionSerialization, EmbeddingRoundTripsBitForBit) {
+  auto nan_payload = [](std::uint32_t bits) {
+    float f = 0;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+  };
+  Detection d = make_detection();
+  d.appearance.values = {-0.0f,
+                         std::numeric_limits<float>::denorm_min(),
+                         -std::numeric_limits<float>::denorm_min() * 3,
+                         nan_payload(0x7fc12345u),   // quiet NaN, payload
+                         nan_payload(0xffa00001u),   // signalling, negative
+                         std::numeric_limits<float>::infinity(),
+                         1.0f / 3.0f};
+  BinaryWriter w;
+  serialize(w, d);
+  BinaryReader r(w.bytes());
+  Detection back = deserialize_detection(r);
+  EXPECT_TRUE(r.at_end());
+  ASSERT_EQ(back.appearance.values.size(), d.appearance.values.size());
+  EXPECT_EQ(std::memcmp(back.appearance.values.data(),
+                        d.appearance.values.data(),
+                        d.appearance.values.size() * sizeof(float)),
+            0);
+  // The embedding block itself is the floats' bytes, in order.
+  EXPECT_EQ(std::memcmp(w.bytes().data() + kRowFixedBytes,
+                        d.appearance.values.data(),
+                        d.appearance.values.size() * sizeof(float)),
+            0);
+}
+
+TEST(DetectionSerialization, OversizedDimFailsBeforeAllocating) {
+  Detection d = make_detection();
+  BinaryWriter w;
+  serialize(w, d);
+  std::vector<std::uint8_t> bytes = w.bytes();
+  for (std::uint32_t claim : {5u, 1000u, 0xFFFFFFFFu}) {
+    std::memcpy(bytes.data() + kRowFixedBytes - 4, &claim, sizeof claim);
+    BinaryReader r(bytes);
+    Detection back = deserialize_detection(r);
+    EXPECT_TRUE(r.failed()) << "claim " << claim;
+    EXPECT_EQ(back.appearance.values.capacity(), 0u) << "claim " << claim;
+  }
 }
 
 TEST(QuerySerialization, RoundTripAllKinds) {
