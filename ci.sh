@@ -57,10 +57,11 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   echo "== sanitizer recovery chaos rerun =="
   # Crash/recovery interleavings (holder death mid-resync, double crash,
   # snapshot install racing the live replica stream, a holder log pruned
-  # past the snapshot answered with an image in one exchange) under
-  # ASan+UBSan.
+  # past the snapshot answered with an image in one exchange), the replay
+  # log's byte budget, and sync images (tiered, and damaged ones dropped)
+  # under ASan+UBSan.
   ./build-asan/tests/test_failure_recovery \
-      --gtest_filter='RecoveryChaos.*' >/dev/null
+      --gtest_filter='RecoveryChaos.*:ReplayLog.*:SyncImage.*' >/dev/null
   echo "== sanitizer tiered-store differential rerun =="
   # Decode-fused cold-tier scans, snapshot round-trips, the incrementally
   # kept snapshot vault against full-image installs (with its corruption
@@ -81,9 +82,12 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ./build-asan/tests/test_query --gtest_filter='ResultMerger*' >/dev/null
   # Workers write row fragments straight from the stores: the byte-identity
   # differential against the materialized merge, and the row codec's
-  # corrupt-dim and bit-exact cases.
+  # corrupt-dim and bit-exact cases. Sync answers carry store images and
+  # replay entries kept as wire bytes: their round trips, byte identity
+  # and decoder fuzz.
   ./build-asan/tests/test_protocol \
-      --gtest_filter='RowsResponseDifferential.*:ProtocolFuzz.*' >/dev/null
+      --gtest_filter='RowsResponseDifferential.*:ProtocolFuzz.*:Protocol.Sync*' \
+      >/dev/null
   ./build-asan/tests/test_serialize \
       --gtest_filter='DetectionSerialization.*' >/dev/null
   ./build-asan/tests/test_reliable_channel \

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -70,6 +71,14 @@ inline IngestBatch decode_ingest_batch(BinaryReader& r) {
   batch.detections = r.read_vector<Detection>(
       [](BinaryReader& br) { return deserialize_detection(br); });
   return batch;
+}
+
+/// The row vector (u32 count, then wire rows) of an encode(IngestBatch)
+/// payload that decoded whole, after the partition, replica flag and pbid:
+/// the bytes a replay log keeps for the batch.
+inline std::span<const std::uint8_t> ingest_batch_rows(
+    std::span<const std::uint8_t> payload) {
+  return payload.subspan(8 + 1 + 8);
 }
 
 // ---------------------------------------------------------- ingest forward
@@ -381,46 +390,43 @@ inline SyncRequest decode_sync_request(BinaryReader& r) {
 
 /// Holder → recovering worker, in one of two forms. A delta answers a
 /// `since` the holder's replay log still covers: `entries` are the log's
-/// batches past it. An image answers everything else: `detections` are
-/// every stored row and `entries` the log's batches past `watermark` (rows
-/// delivered out of order that the contiguous watermark does not cover). A
-/// partition the holder does not have is an empty image.
+/// batches past it. An image answers everything else: `image` is the
+/// holder's partition (DetectionStore::serialize_to on the wire, so cold
+/// blocks stay compressed) and `entries` the log's batches past
+/// `watermark` (rows delivered out of order that the contiguous watermark
+/// does not cover). A partition the holder does not have is an empty image.
 struct SyncResponse {
   PartitionId partition;
-  bool image = false;
-  std::vector<Detection> detections;
+  std::optional<DetectionStore> image;
   /// Holder's contiguous per-source watermark for this partition; the
   /// receiver adopts it. For an image it is also the receiver's new replay
-  /// floor: everything at or below it arrived in `detections`.
+  /// floor: everything at or below it arrived in `image`.
   Watermark watermark;
   /// Replayed under their true (source, pbid) identity, so the receiver's
   /// own log can serve later deltas.
   std::vector<ReplayEntry> entries;
 };
 
-inline std::vector<std::uint8_t> encode(const SyncResponse& resp) {
+/// A holder writes its answer from its live store (`image`, nullptr for a
+/// delta) rather than copying the store into a SyncResponse.
+inline std::vector<std::uint8_t> encode_sync_response(
+    PartitionId partition, const DetectionStore* image,
+    const Watermark& watermark, const std::vector<ReplayEntry>& entries) {
   BinaryWriter w;
-  w.reserve(9 + wire_size(resp.detections));
-  w.write_id(resp.partition);
-  w.write_bool(resp.image);
-  w.write_vector(resp.detections,
-                 [](BinaryWriter& bw, const Detection& d) { serialize(bw, d); });
-  write_watermark(w, resp.watermark);
-  w.write_vector(resp.entries, [](BinaryWriter& bw, const ReplayEntry& e) {
-    write_replay_entry(bw, e);
-  });
+  w.write_id(partition);
+  w.write_bool(image != nullptr);
+  if (image != nullptr) image->serialize_to(w);
+  write_watermark(w, watermark);
+  w.write_vector(entries, write_replay_entry);
   return w.take();
 }
 
 inline SyncResponse decode_sync_response(BinaryReader& r) {
   SyncResponse resp;
   resp.partition = r.read_id<PartitionIdTag>();
-  resp.image = r.read_bool();
-  resp.detections = r.read_vector<Detection>(
-      [](BinaryReader& br) { return deserialize_detection(br); });
+  if (r.read_bool()) resp.image = DetectionStore::deserialize_from(r);
   resp.watermark = read_watermark(r);
-  resp.entries = r.read_vector<ReplayEntry>(
-      [](BinaryReader& br) { return read_replay_entry(br); });
+  resp.entries = r.read_vector<ReplayEntry>(read_replay_entry);
   return resp;
 }
 

@@ -21,6 +21,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -88,26 +89,37 @@ struct PbidTracker {
   }
 };
 
-/// One retained ingest batch: the (source, pbid) identity plus its payload.
+/// One retained ingest batch: its (source, pbid) identity and its rows as
+/// they crossed the wire — the batch's encoded row vector (u32 count, then
+/// wire rows; trace/detection.h) — so the log's budget, its memory and a
+/// delta answer's payload are the same bytes.
 struct ReplayEntry {
   std::uint64_t source = 0;
   std::uint64_t pbid = 0;  // 0 = unsequenced (direct test sends)
-  std::vector<Detection> detections;
+  std::vector<std::uint8_t> rows;
 };
 
 inline void write_replay_entry(BinaryWriter& w, const ReplayEntry& e) {
   w.write_u64(e.source);
   w.write_u64(e.pbid);
-  w.write_vector(e.detections,
-                 [](BinaryWriter& bw, const Detection& d) { serialize(bw, d); });
+  w.write_bytes(e.rows);
 }
 
+/// Reads one entry. Its rows' framing is walked first (read_row checks
+/// each embedding dim against what remains), so a corrupt count or dim
+/// fails the reader before any row bytes are kept.
 inline ReplayEntry read_replay_entry(BinaryReader& r) {
-  ReplayEntry e;
-  e.source = r.read_u64();
-  e.pbid = r.read_u64();
-  e.detections = r.read_vector<Detection>(
-      [](BinaryReader& br) { return deserialize_detection(br); });
+  ReplayEntry e{r.read_u64(), r.read_u64(), {}};  // braced: wire order
+  BinaryReader walk = r;
+  std::uint32_t n = walk.read_u32();
+  for (std::uint32_t i = 0; i < n && !walk.failed(); ++i) (void)read_row(walk);
+  std::span<const std::uint8_t> rows =
+      r.read_span(r.remaining() - walk.remaining());
+  if (walk.failed()) {
+    r.fail();
+  } else {
+    e.rows.assign(rows.begin(), rows.end());
+  }
   return e;
 }
 
@@ -120,13 +132,14 @@ class ReplayLog {
  public:
   void set_max_bytes(std::size_t max_bytes) { max_bytes_ = max_bytes; }
 
+  /// Keeps one batch: `rows` is its encoded row vector.
   void append(std::uint64_t source, std::uint64_t pbid,
-              const std::vector<Detection>& detections) {
-    bytes_ += entry_cost(detections);
-    entries_.push_back({source, pbid, detections});
+              std::vector<std::uint8_t> rows) {
+    entries_.push_back({source, pbid, std::move(rows)});
+    bytes_ += entry_cost(entries_.back());
     while (bytes_ > max_bytes_ && entries_.size() > 1) {
       const ReplayEntry& front = entries_.front();
-      bytes_ -= entry_cost(front.detections);
+      bytes_ -= entry_cost(front);
       if (front.pbid == 0) {
         unsequenced_pruned_ = true;
       } else {
@@ -177,16 +190,10 @@ class ReplayLog {
   [[nodiscard]] std::size_t bytes() const { return bytes_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  void clear() {
-    entries_.clear();
-    floor_.clear();
-    bytes_ = 0;
-    unsequenced_pruned_ = false;
-  }
-
  private:
-  static std::size_t entry_cost(const std::vector<Detection>& detections) {
-    return 16 + wire_size(detections);
+  /// What the entry costs on the wire: identity plus row bytes.
+  static std::size_t entry_cost(const ReplayEntry& e) {
+    return 16 + e.rows.size();
   }
 
   std::deque<ReplayEntry> entries_;

@@ -190,10 +190,22 @@ void WorkerNode::handle_message(const Message& message, SimNetwork& network) {
 void WorkerNode::dispatch(const Message& message, bool reliable,
                           SimNetwork& network) {
   BinaryReader reader(message.payload);
+  // An ingest batch or sync answer that does not decode whole is dropped:
+  // nothing enters the store or the replay log (which would re-ship its
+  // bytes to peers), and a recovery task stays open for its retry.
+  auto whole = [&] {
+    if (!reader.at_end()) malformed_message_.inc();
+    return reader.at_end();
+  };
   switch (static_cast<MsgType>(message.type)) {
-    case MsgType::kIngestBatch:
-      on_ingest(decode_ingest_batch(reader), message.from, network);
+    case MsgType::kIngestBatch: {
+      IngestBatch batch = decode_ingest_batch(reader);
+      if (whole()) {
+        on_ingest(batch, ingest_batch_rows(message.payload), message.from,
+                  network);
+      }
       break;
+    }
     case MsgType::kQueryRequest:
       on_query(decode_query_request(reader), message.from, reliable,
                message.trace, network);
@@ -212,16 +224,19 @@ void WorkerNode::dispatch(const Message& message, bool reliable,
       on_sync_request(decode_sync_request(reader), message.from, reliable,
                       network);
       break;
-    case MsgType::kSyncResponse:
-      on_sync_response(decode_sync_response(reader), network);
+    case MsgType::kSyncResponse: {
+      SyncResponse response = decode_sync_response(reader);
+      if (whole()) on_sync_response(std::move(response), network);
       break;
+    }
     default:
       unknown_message_.inc();
       break;
   }
 }
 
-void WorkerNode::on_ingest(const IngestBatch& batch, NodeId source,
+void WorkerNode::on_ingest(const IngestBatch& batch,
+                           std::span<const std::uint8_t> rows, NodeId source,
                            SimNetwork& network) {
   WorkerIndexes& indexes = partition(batch.partition);
   std::uint64_t fresh_rows = 0;
@@ -248,7 +263,7 @@ void WorkerNode::on_ingest(const IngestBatch& batch, NodeId source,
     watermarks_[batch.partition][source.value()].note(batch.pbid);
   }
   replay_log(batch.partition).append(source.value(), batch.pbid,
-                                     batch.detections);
+                                     {rows.begin(), rows.end()});
   if (pending_deltas_.size() >= config_.delta_flush_threshold) {
     flush_deltas(network);
   }
@@ -357,82 +372,62 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
     tracer_->tag(qspan, "wall_us", std::to_string(total_wall_us));
     tracer_->end_span(qspan, network.now());
   }
-  if (reliable) {
-    channel_.send(reply_to,
-                  static_cast<std::uint32_t>(MsgType::kQueryResponse),
-                  std::move(payload), network, qspan);
-  } else {
-    Message reply;
-    reply.from = node_id();
-    reply.to = reply_to;
-    reply.type = static_cast<std::uint32_t>(MsgType::kQueryResponse);
-    reply.payload = std::move(payload);
-    reply.sent_at = network.now();
-    reply.trace = qspan;
-    network.send(std::move(reply));
-  }
+  reply(reply_to, MsgType::kQueryResponse, std::move(payload), reliable, qspan,
+        network);
 }
 
 void WorkerNode::on_sync_request(const SyncRequest& request, NodeId reply_to,
                                  bool reliable, SimNetwork& network) {
   const PartitionId p = request.partition;
-  SyncResponse response;
-  response.partition = p;
   auto it = partitions_.find(p);
-  if (it != partitions_.end() && request.since &&
-      replay_log(p).can_serve(*request.since)) {
-    response.watermark = watermark_of(p);
-    response.entries = replay_log(p).collect(*request.since);
-    delta_syncs_served_.inc();
-  } else {
-    // No snapshot on the requester, or the log was pruned past its
-    // watermark: ship the store image. A partition this worker does not
-    // hold is an empty image.
-    response.image = true;
-    if (it != partitions_.end()) {
-      const DetectionStore& store = it->second->store;
-      response.detections.reserve(store.size());
-      for (std::size_t i = 0; i < store.size(); ++i) {
-        response.detections.push_back(
-            store.get(static_cast<DetectionRef>(i)));
-      }
-      response.watermark = watermark_of(p);
-      response.entries = replay_log(p).collect(response.watermark);
-    }
-    sync_requests_served_.inc();
-    if (request.since) delta_sync_fallback_.inc();
-  }
+  const bool held = it != partitions_.end();
+  // A delta when the log reaches back to the requester's snapshot;
+  // otherwise (no snapshot, or a log pruned past it) the store image, cold
+  // blocks still compressed. A partition not held here is an empty image.
+  const bool delta =
+      held && request.since && replay_log(p).can_serve(*request.since);
+  (delta ? delta_syncs_served_ : sync_requests_served_).inc();
+  if (!delta && request.since) delta_sync_fallback_.inc();
+  DetectionStore none;
+  const Watermark mark = watermark_of(p);
+  std::vector<ReplayEntry> entries;
+  if (held) entries = replay_log(p).collect(delta ? *request.since : mark);
+  reply(reply_to, MsgType::kSyncResponse,
+        encode_sync_response(
+            p, delta ? nullptr : held ? &it->second->store : &none, mark,
+            entries),
+        reliable, {}, network);
+}
+
+void WorkerNode::reply(NodeId to, MsgType type,
+                       std::vector<std::uint8_t> payload, bool reliable,
+                       TraceContext trace, SimNetwork& network) {
+  auto wire_type = static_cast<std::uint32_t>(type);
   if (reliable) {
-    channel_.send(reply_to,
-                  static_cast<std::uint32_t>(MsgType::kSyncResponse),
-                  encode(response), network);
+    channel_.send(to, wire_type, std::move(payload), network, trace);
   } else {
-    network.send({node_id(), reply_to,
-                  static_cast<std::uint32_t>(MsgType::kSyncResponse),
-                  encode(response), network.now(), {}});
+    network.send({node_id(), to, wire_type, std::move(payload), network.now(),
+                  trace});
   }
 }
 
-void WorkerNode::on_sync_response(const SyncResponse& response,
+void WorkerNode::on_sync_response(SyncResponse&& response,
                                   SimNetwork& network) {
   auto task_it = task_by_partition_.find(response.partition);
   if (task_it == task_by_partition_.end()) return;  // stale / finished
   const PartitionId p = response.partition;
-  // The rejoiner holds the partition from here on, even if the image is
-  // empty.
-  (void)partition(p);
-  for (const Detection& d : response.detections) {
-    if (dedup_ingest(p, d)) ingested_resync_.inc();
+  if (response.image) {
+    ingested_resync_.add(install_image(p, std::move(*response.image),
+                                       response.watermark,
+                                       std::move(response.entries)));
+  } else {
+    auto& trackers = watermarks_[p];
+    for (const auto& [src, pbid] : response.watermark) {
+      trackers[src].advance_to(pbid);
+    }
+    apply_replay_entries(p, std::move(response.entries));
   }
-  auto& trackers = watermarks_[p];
-  for (const auto& [src, pbid] : response.watermark) {
-    trackers[src].advance_to(pbid);
-  }
-  // An image's rows at or below the watermark live only in the store now,
-  // so this partition serves deltas from the watermark on, nothing older.
-  if (response.image) replay_log(p).set_floor(response.watermark);
-  apply_replay_entries(p, response.entries);
-  finish_task(task_it->second, response.image, network);
+  finish_task(task_it->second, response.image.has_value(), network);
 }
 
 void WorkerNode::flush_deltas(SimNetwork& network) {
@@ -522,47 +517,61 @@ bool WorkerNode::install_snapshot(PartitionId p) {
     snapshot_corrupt_.inc();
     return false;
   }
+  snapshot_rows_installed_.add(
+      install_image(p, std::move(decoded), snap.watermark, snap.tail));
+  snapshots_installed_.inc();
+  return true;
+}
+
+std::size_t WorkerNode::install_image(PartitionId p, DetectionStore&& image,
+                                      const Watermark& watermark,
+                                      std::vector<ReplayEntry> entries) {
+  // The rejoiner holds the partition from here on, even if the image is
+  // empty.
   WorkerIndexes& indexes = partition(p);
-  // The store no longer extends its vault image by appends alone.
-  vault_rewrite_.insert(p);
+  std::size_t installed = 0;
   if (indexes.store.empty()) {
     // Bulk path: adopt the decoded columns wholesale (cold blocks stay
     // compressed) and index from them. The move clobbers the partition's
     // tier config, so reapply it for subsequent demotion.
     StoreTierConfig tier = indexes.store.tier_config();
-    indexes.store = std::move(decoded);
+    indexes.store = std::move(image);
     indexes.store.set_tier_config(tier);
     indexes.index_rows_from(0);
-    snapshot_rows_installed_.add(indexes.store.size());
+    installed = indexes.store.size();
   } else {
     // A live replica stream beat the install: merge row-by-row through the
     // dedup gate so nothing double-counts.
-    for (std::size_t i = 0; i < decoded.size(); ++i) {
-      if (dedup_ingest(p, decoded.get(static_cast<DetectionRef>(i)))) {
-        snapshot_rows_installed_.inc();
+    for (std::size_t i = 0; i < image.size(); ++i) {
+      if (dedup_ingest(p, image.get(static_cast<DetectionRef>(i)))) {
+        ++installed;
       }
     }
   }
+  // The store no longer extends its vault image by appends alone.
+  vault_rewrite_.insert(p);
   auto& trackers = watermarks_[p];
-  for (const auto& [src, pbid] : snap.watermark) {
-    trackers[src].advance_to(pbid);
-  }
-  replay_log(p).set_floor(snap.watermark);
-  apply_replay_entries(p, snap.tail);
-  snapshots_installed_.inc();
-  return true;
+  for (const auto& [src, pbid] : watermark) trackers[src].advance_to(pbid);
+  // The image's rows at or below the watermark live only in the store now,
+  // so this partition serves deltas from the watermark on, nothing older.
+  replay_log(p).set_floor(watermark);
+  apply_replay_entries(p, std::move(entries));
+  return installed;
 }
 
-void WorkerNode::apply_replay_entries(
-    PartitionId p, const std::vector<ReplayEntry>& entries) {
+void WorkerNode::apply_replay_entries(PartitionId p,
+                                      std::vector<ReplayEntry> entries) {
   auto& trackers = watermarks_[p];
   ReplayLog& log = replay_log(p);
-  for (const ReplayEntry& e : entries) {
-    for (const Detection& d : e.detections) {
-      if (dedup_ingest(p, d)) replayed_detections_.inc();
+  for (ReplayEntry& e : entries) {
+    BinaryReader rows(e.rows);  // framing checked when the entry arrived
+    for (std::uint32_t n = rows.read_u32(); n > 0 && !rows.failed(); --n) {
+      if (dedup_ingest(p, deserialize_detection(rows))) {
+        replayed_detections_.inc();
+      }
     }
-    log.append(e.source, e.pbid, e.detections);
     if (e.pbid != 0) trackers[e.source].note(e.pbid);
+    log.append(e.source, e.pbid, std::move(e.rows));
   }
 }
 

@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -349,13 +350,17 @@ class WorkerNode final : public NetworkNode {
   /// transport the requester chose.
   void dispatch(const Message& message, bool reliable, SimNetwork& network);
 
-  void on_ingest(const IngestBatch& batch, NodeId source,
-                 SimNetwork& network);
+  /// `rows` is the batch's encoded row vector, kept by the replay log.
+  void on_ingest(const IngestBatch& batch, std::span<const std::uint8_t> rows,
+                 NodeId source, SimNetwork& network);
   void on_query(const QueryRequest& request, NodeId reply_to, bool reliable,
                 TraceContext parent, SimNetwork& network);
   void on_sync_request(const SyncRequest& request, NodeId reply_to,
                        bool reliable, SimNetwork& network);
-  void on_sync_response(const SyncResponse& response, SimNetwork& network);
+  void on_sync_response(SyncResponse&& response, SimNetwork& network);
+  /// Answers a request over the transport it arrived on.
+  void reply(NodeId to, MsgType type, std::vector<std::uint8_t> payload,
+             bool reliable, TraceContext trace, SimNetwork& network);
   void flush_deltas(SimNetwork& network);
 
   // ----------------------------------------------------------- recovery
@@ -377,11 +382,16 @@ class WorkerNode final : public NetworkNode {
   /// Installs the vault snapshot for `p` (no-op without one). Returns true
   /// iff a snapshot was applied, so the sync request can carry `since`.
   bool install_snapshot(PartitionId p);
+  /// Installs a vault snapshot or sync image taken at `watermark`, which
+  /// becomes the partition's progress and replay floor, then applies
+  /// `entries`. Returns the image rows it installed.
+  std::size_t install_image(PartitionId p, DetectionStore&& image,
+                            const Watermark& watermark,
+                            std::vector<ReplayEntry> entries);
   void send_recovery_request(RecoveryTask& task, SimNetwork& network);
   /// `image` records the answer's form in the span's `mode` tag.
   void finish_task(std::uint64_t token, bool image, SimNetwork& network);
-  void apply_replay_entries(PartitionId p,
-                            const std::vector<ReplayEntry>& entries);
+  void apply_replay_entries(PartitionId p, std::vector<ReplayEntry> entries);
   void update_recovery_gauges();
 
   WorkerId id_;
@@ -464,6 +474,9 @@ class WorkerNode final : public NetworkNode {
       metrics_.counter("compactions", "Retention compaction sweeps run");
   Counter& unknown_message_ = metrics_.counter(
       "unknown_message", "Messages dropped for an unrecognized type");
+  Counter& malformed_message_ = metrics_.counter(
+      "malformed_message",
+      "Ingest batches and sync answers dropped because they did not decode");
   Counter& sync_requests_served_ = metrics_.counter(
       "sync_requests_served", "Sync requests answered with a store image");
   Counter& state_losses_ = metrics_.counter(

@@ -686,5 +686,275 @@ TEST(RecoveryChaos, PrunedLogAnswersWithImageInOneExchange) {
   }
 }
 
+// ------------------------------------------------------------- replay log
+
+/// An encoded row vector of `n` rows with `dim`-float embeddings.
+std::vector<std::uint8_t> rows_of(std::size_t n, std::size_t dim = 0) {
+  std::vector<Detection> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rows[i].id = DetectionId(i + 1);
+    rows[i].appearance.values.assign(dim, 0.25f);
+  }
+  BinaryWriter w;
+  w.write_vector(rows,
+                 [](BinaryWriter& bw, const Detection& d) { serialize(bw, d); });
+  return w.take();
+}
+
+/// (source, pbid) of every entry, in log order.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> identities(
+    const std::vector<ReplayEntry>& entries) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const ReplayEntry& e : entries) out.emplace_back(e.source, e.pbid);
+  return out;
+}
+
+// One one-row entry with no embedding costs 16 + 4 + 60 bytes.
+constexpr std::size_t kOneRowEntry = 80;
+
+TEST(ReplayLog, PrunesOldestFirstByBytesAndKeepsOneEntry) {
+  ReplayLog log;
+  log.set_max_bytes(3 * kOneRowEntry);
+  for (std::uint64_t pbid = 1; pbid <= 3; ++pbid) log.append(7, pbid, rows_of(1));
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.bytes(), 3 * kOneRowEntry);
+  EXPECT_TRUE(log.floor().empty());
+  log.append(7, 4, rows_of(1));
+  EXPECT_EQ(identities(log.collect({})),
+            (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                {7, 2}, {7, 3}, {7, 4}}));
+  EXPECT_EQ(log.floor().at(7), 1u);
+  // An entry larger than the whole budget is still kept, alone.
+  log.append(9, 1, rows_of(5, 16));
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log.collect({})[0].source, 9u);
+  EXPECT_GT(log.bytes(), 3 * kOneRowEntry);
+  EXPECT_EQ(log.floor().at(7), 4u);
+}
+
+TEST(ReplayLog, ServesFromItsFloor) {
+  ReplayLog log;
+  log.set_max_bytes(2 * kOneRowEntry);
+  for (std::uint64_t pbid = 1; pbid <= 4; ++pbid) log.append(7, pbid, rows_of(1));
+  ASSERT_EQ(log.floor().at(7), 2u);
+  EXPECT_TRUE(log.can_serve({{7, 2}}));   // at the floor
+  EXPECT_TRUE(log.can_serve({{7, 3}}));   // above it
+  EXPECT_FALSE(log.can_serve({{7, 1}}));  // below it
+  EXPECT_FALSE(log.can_serve({}));        // a peer with nothing from 7
+  // A source the log never pruned does not constrain the answer.
+  EXPECT_TRUE(log.can_serve({{7, 2}, {9, 0}}));
+  // set_floor max-merges: it raises, never lowers.
+  log.set_floor({{7, 5}, {9, 3}});
+  log.set_floor({{7, 4}});
+  EXPECT_EQ(log.floor(), (Watermark{{7, 5}, {9, 3}}));
+  EXPECT_FALSE(log.can_serve({{7, 4}, {9, 3}}));
+  EXPECT_TRUE(log.can_serve({{7, 5}, {9, 3}}));
+}
+
+TEST(ReplayLog, PrunedUnsequencedEntryDisablesServing) {
+  ReplayLog log;
+  log.set_max_bytes(2 * kOneRowEntry);
+  log.append(7, 0, rows_of(1));
+  log.append(7, 1, rows_of(1));
+  EXPECT_TRUE(log.can_serve({}));
+  log.append(7, 2, rows_of(1));  // prunes the unsequenced entry
+  EXPECT_TRUE(log.floor().empty());
+  EXPECT_FALSE(log.can_serve({{7, 100}}))
+      << "no watermark covers an unsequenced batch";
+}
+
+TEST(ReplayLog, CollectsEntriesPastSinceAndEveryUnsequenced) {
+  ReplayLog log;
+  log.append(7, 1, rows_of(1));
+  log.append(7, 2, rows_of(2));
+  log.append(9, 1, rows_of(1));
+  log.append(7, 0, rows_of(3));
+  log.append(9, 2, rows_of(1, 8));
+  log.append(7, 3, rows_of(1));
+  std::vector<ReplayEntry> past = log.collect({{7, 2}, {9, 1}});
+  EXPECT_EQ(identities(past),
+            (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                {7, 0}, {9, 2}, {7, 3}}));
+  EXPECT_EQ(past[0].rows, rows_of(3));
+  EXPECT_EQ(past[1].rows, rows_of(1, 8));
+  // A source missing from `since` is wholly past it.
+  EXPECT_EQ(log.collect({{7, 3}}).size(), 3u);
+  EXPECT_EQ(log.collect({}).size(), log.size());
+}
+
+TEST(ReplayLog, BytesAreTheEntriesWireBytes) {
+  ReplayLog log;
+  std::size_t expect = 0;
+  for (std::uint64_t pbid = 1; pbid <= 6; ++pbid) {
+    std::vector<std::uint8_t> rows = rows_of(pbid, pbid % 3 == 0 ? 0 : 16);
+    expect += 16 + rows.size();
+    log.append(pbid % 2, pbid, std::move(rows));
+  }
+  EXPECT_EQ(log.bytes(), expect);
+  // What the log counts is what a delta answer ships for its entries.
+  BinaryWriter w;
+  for (const ReplayEntry& e : log.collect({})) write_replay_entry(w, e);
+  EXPECT_EQ(w.size(), log.bytes());
+}
+
+// ------------------------------------------------------------- sync image
+
+TEST(SyncImage, TieredImageArrivesCompressedAndAnswersLikeTheOracle) {
+  // No snapshot: every partition the victim held comes back as its
+  // holder's store image, sealed blocks already cold.
+  TraceConfig tc;
+  tc.roads.grid_cols = 6;
+  tc.roads.grid_rows = 6;
+  tc.cameras.camera_count = 40;
+  tc.mobility.object_count = 600;
+  tc.detection.redetect_interval = Duration::millis(500);
+  tc.tick = Duration::millis(500);
+  tc.duration = Duration::seconds(90);
+  tc.seed = 909;
+  Trace trace = TraceGenerator::generate(tc);
+  Rect world = trace.roads.bounds(120.0);
+  ClusterConfig config = config_with_workers(3);
+  config.tiered_storage = true;
+  config.hot_sealed_blocks = 0;
+  config.snapshot_every_ticks = 0;
+  Cluster cluster(
+      world, std::make_unique<SpatialGridStrategy>(world, 2, 2, trace.cameras),
+      config);
+  cluster.ingest_all(trace.detections);
+  cluster.pump();
+
+  WorkerId victim(1);
+  cluster.crash_worker(victim);
+  auto plan = begin_manual_restart(cluster, victim);
+  ASSERT_FALSE(plan.specs.empty());
+  const MetricsRegistry& net = cluster.network().metrics();
+  std::uint64_t bytes0 = net.counter_value("bytes_sent");
+  cluster.worker(victim).start_recovery(plan.recovery_id, plan.specs, {},
+                                        cluster.network());
+  pump_recovery(cluster, victim, Duration::seconds(20));
+  std::uint64_t wire = net.counter_value("bytes_sent") - bytes0;
+  const WorkerNode& w = cluster.worker(victim);
+  ASSERT_TRUE(w.resync_complete());
+  ASSERT_EQ(w.recovery_failed_count(), 0u);
+  EXPECT_EQ(w.metrics().counter_value("snapshots_installed"), 0u);
+
+  // What the partitions would cost on the wire as rows.
+  std::size_t cold = 0, rows = 0, row_bytes = 0;
+  for (const RecoverySpec& spec : plan.specs) {
+    const DetectionStore* mine = w.store_of(spec.partition);
+    const DetectionStore* theirs =
+        cluster.worker(WorkerId(spec.holder.value())).store_of(spec.partition);
+    ASSERT_NE(mine, nullptr);
+    ASSERT_NE(theirs, nullptr);
+    EXPECT_EQ(mine->size(), theirs->size());
+    EXPECT_EQ(mine->cold_block_count(), theirs->cold_block_count())
+        << "partition " << spec.partition.value();
+    EXPECT_EQ(mine->compressed_bytes(), theirs->compressed_bytes());
+    cold += mine->cold_block_count();
+    rows += mine->size();
+    for (std::size_t i = 0; i < theirs->size(); ++i) {
+      row_bytes += theirs->row_wire_size(static_cast<DetectionRef>(i));
+    }
+  }
+  EXPECT_GT(cold, 0u) << "no holder sent a cold block";
+  EXPECT_LT(wire, row_bytes) << "the images crossed the wire as rows";
+  EXPECT_EQ(w.metrics().counter_value("ingested_resync"), rows);
+
+  CentralizedIndex oracle(world);
+  oracle.ingest_all(trace.detections);
+  auto same = [&](const Query& q) {
+    QueryResult got = cluster.execute(q);
+    QueryResult want = oracle.execute(q);
+    EXPECT_EQ(got.detections.size(), ids_of(got).size())
+        << "duplicate detections";
+    EXPECT_EQ(ids_of(got), ids_of(want));
+    EXPECT_EQ(got.counts, want.counts);
+  };
+  TimeInterval all = TimeInterval::all();
+  TimeInterval late{TimePoint(static_cast<std::int64_t>(40e6)),
+                    TimePoint(static_cast<std::int64_t>(70e6))};
+  Point centre = world.center();
+  same(Query::range(cluster.next_query_id(), world, all));
+  same(Query::range(cluster.next_query_id(), world, late));
+  same(Query::circle_query(cluster.next_query_id(), {centre, 150.0}, all));
+  same(Query::knn(cluster.next_query_id(), centre, 25, late));
+  same(Query::count(cluster.next_query_id(), world, all, GroupBy::kCamera));
+  same(Query::heatmap(cluster.next_query_id(), world, 100.0, late));
+  same(Query::camera_window(cluster.next_query_id(),
+                            trace.detections.front().camera, all));
+  same(Query::trajectory(cluster.next_query_id(),
+                         trace.detections.back().object, all));
+}
+
+TEST(SyncImage, DamagedImageInstallsNothingAndTheTaskRetries) {
+  FailureScenario s;
+  ClusterConfig config = config_with_workers(3);
+  config.snapshot_every_ticks = 0;
+  Cluster cluster(
+      s.world,
+      std::make_unique<SpatialGridStrategy>(s.world, 2, 2, s.trace.cameras),
+      config);
+  cluster.ingest_all(s.trace.detections);
+  cluster.pump();
+  SimNetwork& net = cluster.network();
+
+  // The answer a holder of `p` gives a rejoiner with no snapshot.
+  WorkerId holder(2);
+  const WorkerNode& h = cluster.worker(holder);
+  PartitionId p(0);
+  while (h.store_of(p) == nullptr && p.value() < 64) {
+    p = PartitionId(p.value() + 1);
+  }
+  ASSERT_NE(h.store_of(p), nullptr);
+  ASSERT_GT(h.store_of(p)->size(), 0u);
+  std::vector<std::uint8_t> valid =
+      encode_sync_response(p, h.store_of(p), h.watermark_of(p), {});
+
+  // The victim's request goes to a node nobody answers for, so only the
+  // messages handed to it below ever reach it.
+  const NodeId silent(4242);
+  WorkerNode& w = cluster.worker(WorkerId(1));
+  const MetricsRegistry& vm = w.metrics();
+  w.lose_state();
+  w.start_recovery(77, {{p, silent}}, {}, net);
+  auto deliver = [&](std::vector<std::uint8_t> payload) {
+    std::uint64_t sent0 = net.metrics().counter_value("messages_sent");
+    w.handle_message({silent, w.node_id(),
+                      static_cast<std::uint32_t>(MsgType::kSyncResponse),
+                      std::move(payload), net.now(), {}},
+                     net);
+    return net.metrics().counter_value("messages_sent") - sent0;
+  };
+
+  // Cut inside the image, and one bit flipped inside its first segment's
+  // payload (partition, image flag, magic, count, segment header).
+  std::vector<std::uint8_t> truncated(
+      valid.begin(), valid.begin() + static_cast<long>(valid.size() / 2));
+  std::vector<std::uint8_t> flipped = valid;
+  flipped[8 + 1 + 4 + 4 + DetectionStore::kSegmentHeaderBytes + 10] ^= 0x10;
+  for (const auto& damaged : {truncated, flipped}) {
+    EXPECT_EQ(deliver(damaged), 0u) << "a damaged image sent RecoveryDone";
+    EXPECT_EQ(w.store_of(p), nullptr);
+    EXPECT_EQ(w.stored_detections(), 0u);
+    EXPECT_FALSE(w.resync_complete());
+  }
+  EXPECT_EQ(vm.counter_value("malformed_message"), 2u);
+  EXPECT_EQ(vm.counter_value("ingested_resync"), 0u);
+  EXPECT_EQ(w.recovery_recovered_count(), 0u);
+
+  // The task is still open: its retry ladder re-sends the request...
+  net.run_until(net.now() + config.resync_retry_timeout +
+                Duration::millis(1));
+  EXPECT_GT(vm.counter_value("resync_exchange_retries"), 0u);
+  EXPECT_FALSE(w.resync_complete());
+  // ... and a whole image then completes it.
+  EXPECT_GT(deliver(valid), 0u);
+  EXPECT_TRUE(w.resync_complete());
+  EXPECT_EQ(w.recovery_recovered_count(), 1u);
+  ASSERT_NE(w.store_of(p), nullptr);
+  EXPECT_EQ(w.store_of(p)->size(), h.store_of(p)->size());
+  EXPECT_EQ(vm.counter_value("ingested_resync"), h.store_of(p)->size());
+}
+
 }  // namespace
 }  // namespace stcn

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <span>
+#include <tuple>
 
 #include "common/rng.h"
 
@@ -27,6 +29,34 @@ Detection make_detection(std::uint64_t id) {
   d.appearance.values = {0.5f, -0.5f, 0.5f, -0.5f};
   d.confidence = 0.9;
   return d;
+}
+
+/// A batch's encoded row vector, written the way every detection vector
+/// crosses the wire.
+std::vector<std::uint8_t> rows_of(const std::vector<Detection>& detections) {
+  BinaryWriter w;
+  w.write_vector(detections,
+                 [](BinaryWriter& bw, const Detection& d) { serialize(bw, d); });
+  return w.take();
+}
+
+/// A store holding rows 1..n; `tiered` demotes every sealed block.
+DetectionStore store_of(std::size_t n, bool tiered) {
+  DetectionStore store;
+  if (tiered) store.set_tier_config({true, 0});
+  for (std::uint64_t id = 1; id <= n; ++id) {
+    (void)store.append(make_detection(id));
+  }
+  return store;
+}
+
+/// The rows of a store, in row order.
+std::vector<Detection> rows_in(const DetectionStore& store) {
+  std::vector<Detection> rows;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    rows.push_back(store.get(static_cast<DetectionRef>(i)));
+  }
+  return rows;
 }
 
 TEST(Protocol, IngestBatchRoundTrip) {
@@ -165,33 +195,30 @@ TEST(Protocol, SyncMessagesRoundTrip) {
   ASSERT_TRUE(ask_back.since.has_value());
   EXPECT_EQ(ask_back.since->at(1'000'000), 12u);
 
-  // Image answer: the store rows.
-  SyncResponse image{PartitionId(6), true, {make_detection(1)}, {}, {}};
-  auto image_bytes = encode(image);
+  // Image answer: the holder's store.
+  DetectionStore store = store_of(1, false);
+  auto image_bytes = encode_sync_response(PartitionId(6), &store, {}, {});
   BinaryReader ir(image_bytes);
   SyncResponse image_back = decode_sync_response(ir);
-  EXPECT_FALSE(ir.failed());
+  EXPECT_TRUE(ir.at_end());
   EXPECT_EQ(image_back.partition, PartitionId(6));
-  EXPECT_TRUE(image_back.image);
-  ASSERT_EQ(image_back.detections.size(), 1u);
-  EXPECT_EQ(image_back.detections[0], make_detection(1));
+  ASSERT_TRUE(image_back.image.has_value());
+  ASSERT_EQ(image_back.image->size(), 1u);
+  EXPECT_EQ(image_back.image->get(DetectionRef{0}), make_detection(1));
 
   // Delta answer: log entries past `since` plus the holder's watermark.
-  SyncResponse delta{PartitionId(5), false, {}, {}, {}};
-  delta.watermark[1'000'000] = 20;
-  delta.entries.push_back({1'000'000, 13, {make_detection(4)}});
-  auto delta_bytes = encode(delta);
+  auto delta_bytes = encode_sync_response(
+      PartitionId(5), nullptr, {{1'000'000, 20}},
+      {{1'000'000, 13, rows_of({make_detection(4)})}});
   BinaryReader dr(delta_bytes);
   SyncResponse delta_back = decode_sync_response(dr);
-  EXPECT_FALSE(dr.failed());
+  EXPECT_TRUE(dr.at_end());
   EXPECT_EQ(delta_back.partition, PartitionId(5));
-  EXPECT_FALSE(delta_back.image);
-  EXPECT_TRUE(delta_back.detections.empty());
+  EXPECT_FALSE(delta_back.image.has_value());
   EXPECT_EQ(delta_back.watermark.at(1'000'000), 20u);
   ASSERT_EQ(delta_back.entries.size(), 1u);
   EXPECT_EQ(delta_back.entries[0].pbid, 13u);
-  ASSERT_EQ(delta_back.entries[0].detections.size(), 1u);
-  EXPECT_EQ(delta_back.entries[0].detections[0], make_detection(4));
+  EXPECT_EQ(delta_back.entries[0].rows, rows_of({make_detection(4)}));
 }
 
 TEST(Protocol, IngestBatchPbidRoundTrip) {
@@ -204,23 +231,74 @@ TEST(Protocol, IngestBatchPbidRoundTrip) {
 }
 
 TEST(Protocol, SyncResponseWatermarkAndTailRoundTrip) {
-  SyncResponse response{PartitionId(6), true, {make_detection(1)}, {}, {}};
-  response.watermark[1'000'000] = 41;
-  response.watermark[2'000'003] = 7;
-  response.entries.push_back({1'000'000, 42, {make_detection(2)}});
-  response.entries.push_back({2'000'003, 8, {}});
-  auto bytes = encode(response);
-  BinaryReader r(bytes);
-  SyncResponse back = decode_sync_response(r);
-  EXPECT_FALSE(r.failed());
-  EXPECT_EQ(back.watermark.at(1'000'000), 41u);
-  EXPECT_EQ(back.watermark.at(2'000'003), 7u);
-  ASSERT_EQ(back.entries.size(), 2u);
-  EXPECT_EQ(back.entries[0].source, 1'000'000u);
-  EXPECT_EQ(back.entries[0].pbid, 42u);
-  ASSERT_EQ(back.entries[0].detections.size(), 1u);
-  EXPECT_EQ(back.entries[0].detections[0], make_detection(2));
-  EXPECT_TRUE(back.entries[1].detections.empty());
+  for (bool tiered : {false, true}) {
+    SCOPED_TRACE(tiered ? "tiered" : "hot");
+    DetectionStore store = store_of(kDetectionBlockRows + 100, tiered);
+    ASSERT_EQ(store.cold_block_count(), tiered ? 1u : 0u);
+    auto bytes = encode_sync_response(
+        PartitionId(6), &store, {{1'000'000, 41}, {2'000'003, 7}},
+        {{1'000'000, 42, rows_of({make_detection(2)})},
+         {2'000'003, 8, rows_of({})}});
+    BinaryReader r(bytes);
+    SyncResponse back = decode_sync_response(r);
+    EXPECT_TRUE(r.at_end());
+    // The image arrives block for block: cold blocks stay compressed.
+    ASSERT_TRUE(back.image.has_value());
+    EXPECT_EQ(back.image->cold_block_count(), store.cold_block_count());
+    EXPECT_EQ(back.image->compressed_bytes(), store.compressed_bytes());
+    EXPECT_EQ(rows_in(*back.image), rows_in(store));
+    EXPECT_EQ(back.watermark.at(1'000'000), 41u);
+    EXPECT_EQ(back.watermark.at(2'000'003), 7u);
+    ASSERT_EQ(back.entries.size(), 2u);
+    EXPECT_EQ(back.entries[0].source, 1'000'000u);
+    EXPECT_EQ(back.entries[0].pbid, 42u);
+    EXPECT_EQ(back.entries[0].rows, rows_of({make_detection(2)}));
+    EXPECT_EQ(back.entries[1].rows, rows_of({}));
+  }
+}
+
+TEST(Protocol, SyncResponseEntriesAreTheIngestRowBytes) {
+  // A replay entry keeps the row bytes its ingest batch carried, and an
+  // answer ships them verbatim: the encoding equals one built field by
+  // field, with each entry's rows written as any detection vector is.
+  std::vector<Detection> first = {make_detection(4), make_detection(5)};
+  std::vector<Detection> second = {make_detection(6)};
+  auto batch = encode(IngestBatch{PartitionId(5), true, first, 13});
+  std::span<const std::uint8_t> kept = ingest_batch_rows(batch);
+  ASSERT_EQ(std::vector<std::uint8_t>(kept.begin(), kept.end()),
+            rows_of(first));
+
+  Watermark mark{{1'000'000, 20}, {2'000'003, 3}};
+  std::vector<ReplayEntry> entries = {
+      {1'000'000, 13, {kept.begin(), kept.end()}},
+      {2'000'003, 0, rows_of(second)}};
+  auto expected = [&](bool image, const DetectionStore& store) {
+    BinaryWriter w;
+    w.write_u64(5);
+    w.write_u8(image ? 1 : 0);
+    if (image) store.serialize_to(w);
+    w.write_u32(2);
+    w.write_u64(1'000'000);
+    w.write_u64(20);
+    w.write_u64(2'000'003);
+    w.write_u64(3);
+    w.write_u32(2);
+    for (auto [source, pbid, rows] :
+         {std::tuple{1'000'000u, 13u, &first},
+          std::tuple{2'000'003u, 0u, &second}}) {
+      w.write_u64(source);
+      w.write_u64(pbid);
+      w.write_vector(*rows, [](BinaryWriter& bw, const Detection& d) {
+        serialize(bw, d);
+      });
+    }
+    return w.take();
+  };
+  EXPECT_EQ(encode_sync_response(PartitionId(5), nullptr, mark, entries),
+            expected(false, {}));
+  DetectionStore tiered = store_of(kDetectionBlockRows + 3, true);
+  EXPECT_EQ(encode_sync_response(PartitionId(5), &tiered, mark, entries),
+            expected(true, tiered));
 }
 
 TEST(Protocol, RecoveryDoneRoundTrip) {
@@ -347,22 +425,24 @@ TEST(ProtocolFuzz, SyncRequestDecoderRobust) {
 }
 
 TEST(ProtocolFuzz, SyncResponseDecoderRobust) {
-  // Image form: store rows, watermark and tail.
-  SyncResponse image{PartitionId(2), true, {}, {{1, 5}}, {}};
-  for (std::uint64_t i = 1; i <= 15; ++i) {
-    image.detections.push_back(make_detection(i));
+  // Image form, hot and tiered: store image, watermark and tail.
+  for (bool tiered : {false, true}) {
+    DetectionStore store =
+        store_of(tiered ? kDetectionBlockRows + 15 : 15, tiered);
+    fuzz_decoder(encode_sync_response(PartitionId(2), &store, {{1, 5}},
+                                      {{1, 7, rows_of({make_detection(99)})}}),
+                 [](BinaryReader& r) { return decode_sync_response(r); },
+                 tiered ? 11 : 5);
   }
-  image.entries.push_back({1, 7, {make_detection(99)}});
-  fuzz_decoder(encode(image),
-               [](BinaryReader& r) { return decode_sync_response(r); }, 5);
 
   // Delta form: log entries only.
-  SyncResponse delta{PartitionId(2), false, {}, {{1, 5}, {2, 9}}, {}};
+  std::vector<ReplayEntry> entries;
   for (std::uint64_t i = 1; i <= 6; ++i) {
-    delta.entries.push_back(
-        {i % 2, 10 + i, {make_detection(i), make_detection(100 + i)}});
+    entries.push_back(
+        {i % 2, 10 + i, rows_of({make_detection(i), make_detection(100 + i)})});
   }
-  fuzz_decoder(encode(delta),
+  fuzz_decoder(encode_sync_response(PartitionId(2), nullptr, {{1, 5}, {2, 9}},
+                                    entries),
                [](BinaryReader& r) { return decode_sync_response(r); }, 6);
 }
 
@@ -412,6 +492,28 @@ TEST(ProtocolFuzz, QueryResponseOversizedDimFails) {
   EXPECT_TRUE(r.failed());
   fuzz_decoder(bytes,
                [](BinaryReader& br) { return decode_query_response(br); }, 10);
+}
+
+TEST(ProtocolFuzz, SyncResponseEntryOversizedDimFails) {
+  auto valid = encode_sync_response(
+      PartitionId(2), nullptr, {{1, 5}},
+      {{1, 6, rows_of({make_detection(1)})},
+       {1, 7, rows_of({make_detection(2), make_detection(3)})}});
+  // partition, image flag, watermark (count + one pair), entry count, the
+  // first entry (identity + rows), the second's identity and row count,
+  // one full row, then the second row's dim.
+  std::size_t first_entry = 16 + 4 + wire_size(make_detection(1));
+  std::size_t dim_at = 8 + 1 + (4 + 16) + 4 + first_entry + 16 + 4 +
+                       wire_size(make_detection(2)) + 56;
+  auto bytes = with_oversized_dim(valid, dim_at);
+  BinaryReader r(bytes);
+  SyncResponse back = decode_sync_response(r);
+  EXPECT_TRUE(r.failed());
+  // The entry is dropped before its row bytes are kept.
+  ASSERT_EQ(back.entries.size(), 2u);
+  EXPECT_TRUE(back.entries[1].rows.empty());
+  fuzz_decoder(bytes,
+               [](BinaryReader& br) { return decode_sync_response(br); }, 12);
 }
 
 // ------------------------------------- fragments written from the stores
