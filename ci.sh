@@ -227,6 +227,10 @@ assert any(e["kind"] == "firing" and e["subject"].startswith("worker.")
            for e in events), events
 assert any(e["kind"] == "resolved" for e in events), events
 assert health["nodes"], "health rollup has no nodes"
+# The SLOs are ordinary monitor rules: both must have sampled into alerts.
+slo_rules = {a["rule"] for a in health["alerts"]}
+for rule in ("slo:query_availability", "slo:query_latency"):
+    assert rule in slo_rules, f"{rule} missing from health alerts"
 
 # E9d gate: recovery cost must be monotone in snapshot age — a fresher
 # snapshot means strictly less replayed data, and every snapshot age must

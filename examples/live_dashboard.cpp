@@ -55,10 +55,12 @@ void render_slo_table(Cluster& cluster) {
   std::printf("\n--- SLO burn rates (5m/1h windows, sim clock) ---\n");
   std::printf("   %-20s %10s %10s %10s %8s\n", "objective", "target",
               "burn_5m", "burn_1h", "state");
-  for (const SloEngine::Status& st : cluster.slo_engine().status()) {
-    std::printf("   %-20s %9.2f%% %10.2f %10.2f %8s\n", st.name.c_str(),
-                st.objective * 100.0, st.short_burn, st.long_burn,
-                st.firing ? "FIRING" : "ok");
+  const HealthMonitor& monitor = cluster.health_monitor();
+  for (const SloState& slo : monitor.slos()) {
+    std::printf("   %-20s %9.2f%% %10.2f %10.2f %8s\n", slo.name().c_str(),
+                slo.objective * 100.0, slo.burn_short.back(),
+                slo.burn_long.back(),
+                monitor.is_firing(slo.rule) ? "FIRING" : "ok");
   }
 }
 

@@ -15,7 +15,6 @@ Cluster::Cluster(Rect world, std::unique_ptr<PartitionStrategy> strategy,
       tracer_(config.tracer),
       estimator_(SelectivityConfig{world, 16, 16, Duration::minutes(1), 32}),
       health_monitor_(config.health.monitor),
-      slo_engine_(health_monitor_, config.health.monitor.ring_capacity),
       flight_recorder_(config.health.flight) {
   STCN_CHECK(strategy_ != nullptr);
   STCN_CHECK(config_.worker_count > 0);
@@ -68,24 +67,7 @@ Cluster::Cluster(Rect world, std::unique_ptr<PartitionStrategy> strategy,
         "worker." + std::to_string(worker_ids_[i].value()),
         &workers_[i]->metrics());
   }
-  if (config_.health.install_default_rules) {
-    health_monitor_.add_default_rules(config_.health.thresholds);
-  }
-
-  // SLO engine: reads the same live registries the monitor samples, fires
-  // through the monitor's hysteresis, so SLO alerts land in the same event
-  // log and health rollup as rule-based alerts.
-  slo_engine_.add_source("coordinator", &coordinator_->metrics());
-  if (config_.health.install_default_slos) {
-    for (SloSpec spec :
-         default_slos(config_.health.slo_latency_threshold_us,
-                      config_.health.slo_availability_objective,
-                      config_.health.slo_latency_objective)) {
-      spec.short_window = config_.health.slo_short_window;
-      spec.long_window = config_.health.slo_long_window;
-      slo_engine_.add_slo(std::move(spec));
-    }
-  }
+  health_monitor_.add_default_rules(config_.health.thresholds);
 
   if (config_.health.enabled) {
     health_ticker_ = std::make_unique<HealthTicker>(
@@ -337,7 +319,6 @@ void Cluster::sample_health_at(TimePoint now) {
   // rules below sample fresh skew values, not the last heartbeat's.
   coordinator_->refresh_heat_gauges(now);
   health_monitor_.sample(now);
-  slo_engine_.sample(now);
   record_flight_frame(now);
   check_flight_triggers(now);
 }
@@ -373,9 +354,9 @@ void Cluster::record_flight_frame(TimePoint now) {
   w.value(recovery_failed_total());
   w.key("slo_burn");
   w.begin_object();
-  for (const SloEngine::Status& st : slo_engine_.status()) {
-    w.key(st.name);
-    w.value(st.burn);
+  for (const SloState& slo : health_monitor_.slos()) {
+    w.key(slo.name());
+    w.value(slo.burn());
   }
   w.end_object();
   w.end_object();
@@ -383,8 +364,8 @@ void Cluster::record_flight_frame(TimePoint now) {
 }
 
 void Cluster::check_flight_triggers(TimePoint) {
-  // New firing transitions since the last check (SLO rules included: they
-  // fire through the same monitor, named "slo:<objective>").
+  // New firing transitions since the last check (SLO rules included, named
+  // "slo:<objective>").
   const EventLog& log = health_monitor_.events();
   std::uint64_t total = log.total();
   if (total > flight_events_seen_) {
@@ -453,8 +434,10 @@ void append_spans_json(obs::JsonWriter& w,
 
 const PostmortemBundle& Cluster::freeze_postmortem(
     const FlightTrigger& trigger) {
-  FlightRecorder::Sections s;
-  s.slo_json = slo_engine_.to_json();
+  PostmortemSections s;
+  obs::JsonWriter sw;
+  health_monitor_.append_slo_json(sw);
+  s.slo_json = sw.take();
   s.cost_json = coordinator_->cost_ledger().to_json();
 
   // Exemplars: every pinned bucket of the query-latency histogram, each
@@ -509,9 +492,9 @@ const PostmortemBundle& Cluster::freeze_postmortem(
   cw.key("health_sample_period_us");
   cw.value(config_.health.sample_period.count_micros());
   cw.key("slo_short_window_us");
-  cw.value(config_.health.slo_short_window.count_micros());
+  cw.value(config_.health.thresholds.slo_short_window.count_micros());
   cw.key("slo_long_window_us");
-  cw.value(config_.health.slo_long_window.count_micros());
+  cw.value(config_.health.thresholds.slo_long_window.count_micros());
   cw.end_object();
   s.config_json = cw.take();
 

@@ -30,7 +30,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "obs/tracer.h"
 #include "partition/partition_map.h"
 #include "query/planner.h"
@@ -47,20 +46,9 @@ namespace stcn {
 struct ClusterHealthConfig {
   bool enabled = false;
   Duration sample_period = Duration::millis(500);
-  bool install_default_rules = true;
+  /// Knobs of the default rule set, SLO burn rates included.
   HealthThresholds thresholds;
   HealthMonitorConfig monitor;
-  /// SLO burn-rate engine: ships with a query-availability and a
-  /// query-latency objective unless disabled; specs evaluate on every
-  /// health sample through the monitor's hysteresis.
-  bool install_default_slos = true;
-  double slo_latency_threshold_us = 25'000.0;
-  double slo_availability_objective = 0.99;
-  double slo_latency_objective = 0.90;
-  /// Burn-rate windows (sim clock), applied to the default SLOs. Tests
-  /// shrink these so a chaos scenario burns visibly within seconds.
-  Duration slo_short_window = Duration::minutes(5);
-  Duration slo_long_window = Duration::hours(1);
   /// Alert-triggered flight recorder (see obs/flight_recorder.h).
   FlightRecorderConfig flight;
 };
@@ -100,8 +88,8 @@ struct ClusterConfig {
   Duration demote_after = Duration::max();
 };
 
-/// Dedicated node that drives the health-sampling pipeline (monitor, SLO
-/// engine, flight recorder) on a recurring timer, so health sampling
+/// Dedicated node that drives the health-sampling pipeline (monitor and
+/// flight recorder) on a recurring timer, so health sampling
 /// advances with the virtual clock like every other periodic process in
 /// the simulation.
 class HealthTicker final : public NetworkNode {
@@ -267,14 +255,10 @@ class Cluster {
   [[nodiscard]] ClusterHealth health() const {
     return health_monitor_.health();
   }
-  /// Takes one health sample now (manual drive for tests): monitor, SLO
-  /// burn rates, flight-recorder frame, and trigger check, in that order —
-  /// the same pipeline the ticker runs.
+  /// Takes one health sample now (manual drive for tests): monitor rules
+  /// (SLO burn rates included), flight-recorder frame, and trigger check,
+  /// in that order — the same pipeline the ticker runs.
   void sample_health() { sample_health_at(network_.now()); }
-
-  /// SLO burn-rate engine (objectives evaluated on every health sample).
-  [[nodiscard]] SloEngine& slo_engine() { return slo_engine_; }
-  [[nodiscard]] const SloEngine& slo_engine() const { return slo_engine_; }
 
   /// Per-query cost ledger assembled by the coordinator.
   [[nodiscard]] const ResourceLedger& cost_ledger() const {
@@ -342,7 +326,6 @@ class Cluster {
   SelectivityEstimator estimator_;
   QueryProfiler profiler_;
   HealthMonitor health_monitor_;
-  SloEngine slo_engine_;
   FlightRecorder flight_recorder_;
   // Trigger-edge detection state for the flight recorder.
   std::uint64_t flight_events_seen_ = 0;

@@ -75,7 +75,6 @@ void WorkerNode::handle_timer(std::uint64_t timer_token, SimNetwork& network) {
     // explicit outcomes, never a silent hang.
     if (++task.attempts >= config_.resync_max_attempts) {
       recovery_failed_.inc();
-      recovery_failed_partitions_.inc();
       if (task.span.valid()) {
         tracer_->tag(task.span, "outcome", "failed");
         tracer_->tag(task.span, "attempts", std::to_string(task.attempts - 1));

@@ -462,9 +462,6 @@ class WorkerNode final : public NetworkNode {
   /// index work shows up.
   LatencyHistogram& scan_wall_us_;
   // Background and recovery events.
-  Counter& recovery_failed_partitions_ = metrics_.counter(
-      "recovery_failed_partitions",
-      "Partitions whose recovery gave up permanently");
   Counter& summaries_published_ = metrics_.counter(
       "summaries_published",
       "Object-presence summaries shipped on heartbeats");

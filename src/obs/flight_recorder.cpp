@@ -1,73 +1,7 @@
 #include "obs/flight_recorder.h"
 
-#include <cmath>
-
 namespace stcn {
 namespace {
-
-// Re-serializes a parsed JsonValue. Numbers that are exactly integral (the
-// overwhelming majority in bundles: counts, ids, microsecond timestamps)
-// are written through the integer paths so a parse → serialize pass is
-// byte-stable for them; genuine fractions go through the shortest-double
-// writer, which is itself idempotent.
-void write_value(obs::JsonWriter& w, const obs::JsonValue& v) {
-  switch (v.kind()) {
-    case obs::JsonValue::Kind::kNull:
-      w.raw_value("null");
-      break;
-    case obs::JsonValue::Kind::kBool:
-      w.value(v.boolean());
-      break;
-    case obs::JsonValue::Kind::kNumber: {
-      double d = v.number();
-      if (std::isfinite(d) && d == std::floor(d) && std::abs(d) < 9.0e15) {
-        if (d >= 0.0) {
-          w.value(static_cast<std::uint64_t>(d));
-        } else {
-          w.value(static_cast<std::int64_t>(d));
-        }
-      } else {
-        w.value(d);
-      }
-      break;
-    }
-    case obs::JsonValue::Kind::kString:
-      w.value(v.string());
-      break;
-    case obs::JsonValue::Kind::kObject:
-      w.begin_object();
-      for (const auto& [k, child] : v.object()) {
-        w.key(k);
-        write_value(w, child);
-      }
-      w.end_object();
-      break;
-    case obs::JsonValue::Kind::kArray:
-      w.begin_array();
-      for (const obs::JsonValue& child : v.array()) {
-        write_value(w, child);
-      }
-      w.end_array();
-      break;
-  }
-}
-
-std::string reserialize(const obs::JsonValue& v) {
-  obs::JsonWriter w;
-  write_value(w, v);
-  return w.take();
-}
-
-// Canonicalizes a raw JSON fragment into the parse-order-normalized form
-// reserialize() produces (object keys sorted). Sections are normalized at
-// freeze time so to_json → parse_bundle → to_json is byte-stable; an
-// unparseable fragment is kept verbatim rather than dropped.
-std::string normalize(std::string raw) {
-  if (raw.empty()) return raw;
-  obs::JsonValue v;
-  if (!obs::JsonValue::parse(raw, v)) return raw;
-  return reserialize(v);
-}
 
 void append_section(obs::JsonWriter& w, const char* key,
                     const std::string& raw) {
@@ -116,53 +50,14 @@ std::string PostmortemBundle::to_json() const {
   return w.take();
 }
 
-bool parse_bundle(const std::string& json, PostmortemBundle& out) {
-  obs::JsonValue root;
-  if (!obs::JsonValue::parse(json, root) || !root.is_object()) return false;
-  if (!root.has("frozen_at_us") || !root.has("trigger")) return false;
-  const obs::JsonValue& trig = root.at("trigger");
-  if (!trig.is_object()) return false;
-
-  PostmortemBundle b;
-  b.frozen_at =
-      TimePoint(static_cast<std::int64_t>(root.at("frozen_at_us").number()));
-  b.sequence = static_cast<std::uint64_t>(root.at("sequence").number());
-  b.trigger.kind = trig.at("kind").string();
-  b.trigger.rule = trig.at("rule").string();
-  b.trigger.subject = trig.at("subject").string();
-  b.trigger.severity = trig.at("severity").string();
-  b.trigger.value = trig.at("value").number();
-  b.trigger.threshold = trig.at("threshold").number();
-  if (root.has("slo")) b.slo_json = reserialize(root.at("slo"));
-  if (root.has("cost")) b.cost_json = reserialize(root.at("cost"));
-  if (root.has("exemplars")) {
-    b.exemplars_json = reserialize(root.at("exemplars"));
-  }
-  if (root.has("events")) b.events_json = reserialize(root.at("events"));
-  if (root.has("slow_queries")) {
-    b.slow_queries_json = reserialize(root.at("slow_queries"));
-  }
-  if (root.has("config")) b.config_json = reserialize(root.at("config"));
-  if (root.has("heat")) b.heat_json = reserialize(root.at("heat"));
-  if (root.has("frames")) b.frames_json = reserialize(root.at("frames"));
-  out = std::move(b);
-  return true;
-}
-
 const PostmortemBundle& FlightRecorder::freeze(TimePoint now,
                                                const FlightTrigger& trigger,
-                                               Sections sections) {
+                                               PostmortemSections sections) {
   PostmortemBundle b;
+  static_cast<PostmortemSections&>(b) = std::move(sections);
   b.frozen_at = now;
   b.sequence = ++total_frozen_;
   b.trigger = trigger;
-  b.slo_json = normalize(std::move(sections.slo_json));
-  b.cost_json = normalize(std::move(sections.cost_json));
-  b.exemplars_json = normalize(std::move(sections.exemplars_json));
-  b.events_json = normalize(std::move(sections.events_json));
-  b.slow_queries_json = normalize(std::move(sections.slow_queries_json));
-  b.config_json = normalize(std::move(sections.config_json));
-  b.heat_json = normalize(std::move(sections.heat_json));
 
   obs::JsonWriter w;
   w.begin_array();
@@ -177,30 +72,13 @@ const PostmortemBundle& FlightRecorder::freeze(TimePoint now,
     w.end_object();
   }
   w.end_array();
-  b.frames_json = normalize(w.take());
+  b.frames_json = w.take();
 
   while (bundles_.size() >= config_.max_bundles && !bundles_.empty()) {
     bundles_.pop_front();
   }
   bundles_.push_back(std::move(b));
   return bundles_.back();
-}
-
-std::string FlightRecorder::to_json() const {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("frames_retained");
-  w.value(static_cast<std::uint64_t>(frames_.size()));
-  w.key("bundles_frozen");
-  w.value(total_frozen_);
-  w.key("bundles");
-  w.begin_array();
-  for (const PostmortemBundle& b : bundles_) {
-    b.append_json(w);
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
 }
 
 }  // namespace stcn

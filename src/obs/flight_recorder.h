@@ -11,11 +11,8 @@
 // rows from the ResourceLedger, slow-query entries, recent health events,
 // cluster config, and the frame ring itself — one JSON document a human (or
 // ci.sh chaos run) can read to answer "what happened and who did it".
-//
-// The bundle round-trips: parse_bundle(bundle.to_json()) reconstructs an
-// equivalent bundle whose to_json() is byte-identical after one
-// normalization pass — chaos tests assert this so bundles written to disk
-// stay machine-readable.
+// Sections are stored exactly as the Cluster wrote them; the bundle only
+// frames them.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +34,9 @@ struct FlightTrigger {
   double threshold = 0.0;
 };
 
-/// A frozen postmortem. Sections are raw JSON fragments supplied by the
-/// Cluster at freeze time (each a complete value; empty string = omitted).
-struct PostmortemBundle {
-  TimePoint frozen_at;
-  std::uint64_t sequence = 0;  // 0-based freeze index
-  FlightTrigger trigger;
+/// The sections the Cluster writes at freeze time: raw JSON fragments, each
+/// a complete value (empty string = omitted), kept verbatim.
+struct PostmortemSections {
   std::string slo_json;           // SLO status + burn series
   std::string cost_json;          // ledger totals + top-K heavy hitters
   std::string exemplars_json;     // exemplar rows with attached span trees
@@ -50,17 +44,19 @@ struct PostmortemBundle {
   std::string slow_queries_json;  // slow-query log entries
   std::string config_json;        // cluster config scalars
   std::string heat_json;          // heat table + top-K placement advice
-  std::string frames_json;        // the ring of pre-trigger frames
+};
+
+/// A frozen postmortem: the Cluster's sections plus the trigger and the
+/// ring of pre-trigger frames.
+struct PostmortemBundle : PostmortemSections {
+  TimePoint frozen_at;
+  std::uint64_t sequence = 0;  // 1-based freeze index
+  FlightTrigger trigger;
+  std::string frames_json;     // the ring of pre-trigger frames
 
   [[nodiscard]] std::string to_json() const;
   void append_json(obs::JsonWriter& w) const;
 };
-
-/// Rebuilds a bundle from PostmortemBundle::to_json output. Section
-/// fragments are re-serialized from the parsed form (integral numbers stay
-/// integral), so a second to_json round-trips byte-identically. Returns
-/// false on malformed input.
-bool parse_bundle(const std::string& json, PostmortemBundle& out);
 
 struct FlightRecorderConfig {
   /// Pre-trigger frames retained in the ring.
@@ -89,20 +85,10 @@ class FlightRecorder {
     }
   }
 
-  /// Sections the Cluster assembles at freeze time.
-  struct Sections {
-    std::string slo_json;
-    std::string cost_json;
-    std::string exemplars_json;
-    std::string events_json;
-    std::string slow_queries_json;
-    std::string config_json;
-    std::string heat_json;
-  };
-
-  /// Freezes the current ring plus `sections` into a bundle.
+  /// Freezes the current ring plus `sections` (kept verbatim) into a
+  /// bundle.
   const PostmortemBundle& freeze(TimePoint now, const FlightTrigger& trigger,
-                                 Sections sections);
+                                 PostmortemSections sections);
 
   [[nodiscard]] const std::deque<Frame>& frames() const { return frames_; }
   [[nodiscard]] const std::deque<PostmortemBundle>& bundles() const {
@@ -113,9 +99,6 @@ class FlightRecorder {
   [[nodiscard]] const PostmortemBundle* latest() const {
     return bundles_.empty() ? nullptr : &bundles_.back();
   }
-
-  /// {"frames": N, "bundles": [...]} overview.
-  [[nodiscard]] std::string to_json() const;
 
  private:
   FlightRecorderConfig config_;

@@ -1,9 +1,34 @@
 #include "obs/health.h"
 
+#include <algorithm>
+
 namespace stcn {
 
 namespace {
+
 constexpr char kSep = '\x1f';
+
+// Burn over `window`: event deltas against the newest sample at least
+// `window` old, or the oldest retained one while the rings warm up; with no
+// sample yet, the window covers everything since start.
+double burn_over(const SloState& s, TimePoint now, Duration window,
+                 double good_now, double total_now) {
+  double good_then = 0.0;
+  double total_then = 0.0;
+  if (s.total.size() > 0) {
+    std::size_t i = s.total.baseline_index(now - window);
+    good_then = s.good.at(i);
+    total_then = s.total.at(i);
+  }
+  double dt_total = total_now - total_then;
+  if (dt_total <= 0.0) return 0.0;  // no traffic in window → no burn
+  double dt_bad = std::max(0.0, dt_total - (good_now - good_then));
+  double error_rate = dt_bad / dt_total;
+  double budget = 1.0 - s.objective;
+  if (budget <= 0.0) return error_rate > 0.0 ? 1e9 : 0.0;
+  return error_rate / budget;
+}
+
 }  // namespace
 
 std::vector<AlertRule> default_health_rules(const HealthThresholds& t) {
@@ -121,6 +146,39 @@ std::vector<AlertRule> default_health_rules(const HealthThresholds& t) {
   hot.severity = AlertSeverity::kDegraded;
   hot.source_filter = "coordinator";
   rules.push_back(std::move(hot));
+
+  // SLOs, last so that each sample's events keep their order. Availability:
+  // a partial answer (failover retries exhausted, no replica to take over)
+  // spends the budget.
+  constexpr double kAvailabilityObjective = 0.99;
+  constexpr double kLatencyObjective = 0.90;
+  AlertRule avail;
+  avail.name = "slo:query_availability";
+  avail.metric = "queries_submitted";
+  avail.kind = MetricKind::kCounterBurn;
+  avail.bad_metric = "queries_partial";
+  avail.objective = kAvailabilityObjective;
+  avail.threshold = 1.0;
+  avail.severity = AlertSeverity::kSuspect;
+  avail.source_filter = "coordinator";
+  avail.short_window = t.slo_short_window;
+  avail.long_window = t.slo_long_window;
+  rules.push_back(std::move(avail));
+
+  // Latency: the share of queries finishing under the threshold. A gray-slow
+  // worker burns this budget long before anything goes partial.
+  AlertRule latency;
+  latency.name = "slo:query_latency";
+  latency.metric = "query_latency_us";
+  latency.kind = MetricKind::kHistogramBurn;
+  latency.bad_above = t.slo_latency_threshold_us;
+  latency.objective = kLatencyObjective;
+  latency.threshold = 1.0;
+  latency.severity = AlertSeverity::kDegraded;
+  latency.source_filter = "coordinator";
+  latency.short_window = t.slo_short_window;
+  latency.long_window = t.slo_long_window;
+  rules.push_back(std::move(latency));
 
   return rules;
 }
@@ -257,7 +315,49 @@ void HealthMonitor::sample_rule(const AlertRule& rule, const Source& src,
       }
       break;
     }
+    case MetricKind::kCounterBurn:
+    case MetricKind::kHistogramBurn:
+      sample_burn(rule, src, now);
+      break;
   }
+}
+
+void HealthMonitor::sample_burn(const AlertRule& rule, const Source& src,
+                                TimePoint now) {
+  double good = 0.0;
+  double total = 0.0;
+  if (rule.kind == MetricKind::kCounterBurn) {
+    const auto& counters = src.registry->counters();
+    auto t = counters.find(rule.metric);
+    if (t == counters.end()) return;
+    auto b = counters.find(rule.bad_metric);
+    double bad =
+        b == counters.end() ? 0.0 : static_cast<double>(b->second->value());
+    total = static_cast<double>(t->second->value());
+    good = std::max(0.0, total - bad);
+  } else {
+    auto h = src.registry->histograms().find(rule.metric);
+    if (h == src.registry->histograms().end()) return;
+    total = static_cast<double>(h->second->count());
+    good = h->second->count_at_or_below(rule.bad_above);
+  }
+
+  auto it = std::find_if(slos_.begin(), slos_.end(), [&](const SloState& s) {
+    return s.rule == rule.name && s.source == src.name;
+  });
+  if (it == slos_.end()) {
+    it = slos_.insert(slos_.end(),
+                      SloState(rule, src.name, config_.ring_capacity));
+  }
+  SloState& s = *it;
+  double short_burn = burn_over(s, now, rule.short_window, good, total);
+  double long_burn = burn_over(s, now, rule.long_window, good, total);
+  s.good.push(now, good);
+  s.total.push(now, total);
+  s.burn_short.push(now, short_burn);
+  s.burn_long.push(now, long_burn);
+  evaluate(rule, src.name, "slo." + s.name(), /*capture=*/"",
+           std::min(short_burn, long_burn), now);
 }
 
 void HealthMonitor::evaluate(const AlertRule& rule,
@@ -370,6 +470,41 @@ const TimeSeries* HealthMonitor::series(const std::string& source,
     return nullptr;
   }
   return &it->second.series;
+}
+
+void HealthMonitor::append_slo_json(obs::JsonWriter& w) const {
+  w.begin_array();
+  for (const SloState& s : slos_) {
+    w.begin_object();
+    w.key("name");
+    w.value(s.name());
+    w.key("objective");
+    w.value(s.objective);
+    w.key("burn_short");
+    w.value(s.burn_short.back());
+    w.key("burn_long");
+    w.value(s.burn_long.back());
+    w.key("burn_threshold");
+    w.value(s.burn_threshold);
+    w.key("good");
+    w.value(static_cast<std::uint64_t>(s.good.back()));
+    w.key("total");
+    w.value(static_cast<std::uint64_t>(s.total.back()));
+    w.key("firing");
+    w.value(is_firing(s.rule, s.source));
+    w.key("burn_series");
+    w.begin_array();
+    for (std::size_t i = 0; i < s.burn_short.size(); ++i) {
+      w.begin_array();
+      w.value(s.burn_short.time_at(i).micros_since_origin());
+      w.value(s.burn_short.at(i));
+      w.value(s.burn_long.at(i));
+      w.end_array();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
 }
 
 std::string HealthMonitor::to_json() const {

@@ -15,12 +15,24 @@
 // coordinator-side observation ("worker 3's fragments got slow") indicts
 // the worker rather than the coordinator.
 //
+// SLOs are rules too: a burn-rate rule turns cumulative (good, total) event
+// counts into an error-budget burn over a short and a long window,
+//
+//   burn(W) = error_rate(W) / (1 - objective),
+//
+// where error_rate(W) is the share of bad events among those inside W.
+// burn == 1 spends the budget exactly at the rate that exhausts it by the
+// end of the SLO period. The rule evaluates min(short, long) — the short
+// window proves it is happening now, the long one that it is not a blip —
+// through the same hysteresis and event log as every other rule.
+//
 // ClusterHealth reduces firing alerts to a per-node status
 // (healthy/degraded/suspect) that chaos tests assert against: gray-failure
 // injection must drive the victim to `suspect` within a bounded number of
 // samples, and healing must return it to `healthy`.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -56,6 +68,8 @@ enum class MetricKind {
   kGaugeLevel,      // instantaneous gauge value
   kHistogramMean,   // windowed mean: delta(sum) / delta(count)
   kHistogramP99,    // cumulative p99 level
+  kCounterBurn,     // burn rate: `metric` counts events, `bad_metric` bad ones
+  kHistogramBurn,   // burn rate: observations above `bad_above` are bad
 };
 
 enum class AlertComparison { kAbove, kBelow };
@@ -79,6 +93,15 @@ struct AlertRule {
   /// Subject = subject_prefix + wildcard capture (or the source name when
   /// the metric has no wildcard).
   std::string subject_prefix;
+  /// Burn-rate kinds only: the target share of good events, and the two
+  /// windows (sim clock) whose weaker burn is compared with `threshold`.
+  /// `metric` is literal and names the total; the alert's metric is
+  /// "slo.<name>" (see SloState::name).
+  double objective = 0.99;
+  Duration short_window = Duration::minutes(5);
+  Duration long_window = Duration::hours(1);
+  std::string bad_metric;  // kCounterBurn
+  double bad_above = 0.0;  // kHistogramBurn
 };
 
 /// Tuning knobs for the default rule set.
@@ -96,10 +119,17 @@ struct HealthThresholds {
   /// Hottest/coldest partition load ratio above which one partition is
   /// flagged hot (coldest load floored at 1 so the ratio is defined).
   double hot_partition_ratio = 8.0;
+  /// A query slower than this spends the latency SLO's error budget.
+  double slo_latency_threshold_us = 25'000.0;
+  /// Burn-rate windows (sim clock) of the default SLO rules. Tests shrink
+  /// these so a chaos scenario burns visibly within seconds.
+  Duration slo_short_window = Duration::minutes(5);
+  Duration slo_long_window = Duration::hours(1);
 };
 
-/// The rule set the ISSUE/DESIGN describe: retransmit storm, hedge-win
-/// spike, worker queue buildup, ingest stall, per-node latency burn.
+/// The default rule set: retransmit storm, hedge-win spike, per-node
+/// latency burn, queue buildup, ingest stall, recovery and resync trouble,
+/// partition skew, then the query availability and latency SLOs.
 [[nodiscard]] std::vector<AlertRule> default_health_rules(
     const HealthThresholds& t = {});
 
@@ -171,7 +201,10 @@ class TimeSeries {
   [[nodiscard]] TimePoint time_at(std::size_t i) const {
     return times_[(head_ + i) % values_.size()];
   }
-  [[nodiscard]] double back() const { return at(count_ - 1); }
+  /// Newest sample, or 0 when the ring is empty.
+  [[nodiscard]] double back() const {
+    return count_ == 0 ? 0.0 : at(count_ - 1);
+  }
 
   /// Index of the newest sample at least as old as `cutoff` — the baseline
   /// for a windowed delta. When the ring has wrapped and no longer reaches
@@ -215,6 +248,33 @@ class TimeSeries {
   std::size_t count_ = 0;
 };
 
+/// One burn-rate rule at one source: the samples behind an SLO.
+struct SloState {
+  std::string rule;    // "slo:query_latency"
+  std::string source;  // also the alert's subject
+  double objective = 0.0;
+  double burn_threshold = 0.0;
+  TimeSeries good;        // cumulative good events per sample
+  TimeSeries total;       // cumulative events per sample
+  TimeSeries burn_short;  // burn over the short window per sample
+  TimeSeries burn_long;
+
+  SloState(const AlertRule& spec, std::string src, std::size_t capacity)
+      : rule(spec.name), source(std::move(src)),
+        objective(spec.objective), burn_threshold(spec.threshold),
+        good(capacity), total(capacity), burn_short(capacity),
+        burn_long(capacity) {}
+
+  /// The rule name without its "slo:" prefix ("query_latency").
+  [[nodiscard]] std::string name() const {
+    return rule.rfind("slo:", 0) == 0 ? rule.substr(4) : rule;
+  }
+  /// The value the rule evaluates: min(short, long) of the newest sample.
+  [[nodiscard]] double burn() const {
+    return std::min(burn_short.back(), burn_long.back());
+  }
+};
+
 struct HealthMonitorConfig {
   /// Ring-buffer capacity per sampled series.
   std::size_t ring_capacity = 128;
@@ -243,16 +303,6 @@ class HealthMonitor {
   /// every rule, records firing/resolved transitions.
   void sample(TimePoint now);
 
-  /// Runs an externally-derived value (e.g. an SLO burn rate) through the
-  /// same hysteresis state machine and event log as sampled rules. The rule
-  /// supplies name/threshold/streak lengths/severity; `source` and `metric`
-  /// key the alert state; the alert's subject is the source.
-  void evaluate_external(const AlertRule& rule, const std::string& source,
-                         const std::string& metric, double value,
-                         TimePoint now) {
-    evaluate(rule, source, metric, /*capture=*/"", value, now);
-  }
-
   [[nodiscard]] std::uint64_t samples_taken() const { return samples_; }
   [[nodiscard]] const EventLog& events() const { return events_; }
   [[nodiscard]] const std::vector<AlertRule>& rules() const { return rules_; }
@@ -273,6 +323,13 @@ class HealthMonitor {
   [[nodiscard]] const TimeSeries* series(const std::string& source,
                                          const std::string& metric,
                                          MetricKind kind) const;
+
+  /// Every (burn-rate rule, source) sampled so far, in rule order.
+  [[nodiscard]] const std::vector<SloState>& slos() const { return slos_; }
+  /// [{"name", "objective", "burn_short", "burn_long", "burn_threshold",
+  ///   "good", "total", "firing", "burn_series": [[t_us, short, long], ...]},
+  ///  ...] — the postmortem bundle's "slo" section.
+  void append_slo_json(obs::JsonWriter& w) const;
 
   /// {"samples", "nodes", "alerts", "events"} snapshot for bench reports.
   [[nodiscard]] std::string to_json() const;
@@ -306,6 +363,7 @@ class HealthMonitor {
                 double value, TimePoint now);
   void sample_rule(const AlertRule& rule, const Source& src, TimePoint now,
                    double dt_seconds);
+  void sample_burn(const AlertRule& rule, const Source& src, TimePoint now);
 
   SeriesState& series_state(const std::string& key) {
     auto it = series_.find(key);
@@ -320,6 +378,7 @@ class HealthMonitor {
   std::vector<AlertRule> rules_;
   std::map<std::string, SeriesState> series_;  // source \x1f metric \x1f kind
   std::map<std::string, AlertState> alerts_;   // rule \x1f source \x1f metric
+  std::vector<SloState> slos_;
   EventLog events_;
   TimePoint last_sample_;
   std::uint64_t samples_ = 0;

@@ -1,19 +1,20 @@
-// Cost ledger, exemplar-linked histograms, SLO burn-rate engine, and the
+// Cost ledger, exemplar-linked histograms, SLO burn-rate rules, and the
 // flight recorder: unit coverage for the sketch's conservation invariant,
 // the exemplar export formats, burn-rate math against hand-computed
-// windows, and bundle freezing/round-tripping — plus cluster-level
+// windows, and bundle freezing — plus cluster-level
 // integration (tenant attribution, EXPLAIN cost stage, slow-log cost
 // lines, Prometheus HELP output).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/framework.h"
 #include "obs/cost.h"
 #include "obs/flight_recorder.h"
-#include "obs/slo.h"
 #include "partition/strategies.h"
 #include "trace/generator.h"
 
@@ -208,129 +209,136 @@ TEST(Exemplars, CountAtOrBelowInterpolatesWithinBuckets) {
   EXPECT_LT(lo, hi);
 }
 
-// ------------------------------------------------------------- SLO engine
+// ------------------------------------------------- SLO burn-rate rules
+
+// An SLO is a burn-rate AlertRule: the monitor keeps its (good, total)
+// rings and fires it through the shared hysteresis.
+AlertRule slo_rule(std::string name, MetricKind kind, std::string metric) {
+  AlertRule rule;
+  rule.name = std::move(name);
+  rule.kind = kind;
+  rule.metric = std::move(metric);
+  rule.short_window = Duration::seconds(5);
+  rule.long_window = Duration::seconds(20);
+  rule.threshold = 1.0;
+  return rule;
+}
 
 struct SloHarness {
   MetricsRegistry reg;
   Counter& total;
   Counter& bad;
   HealthMonitor monitor;
-  SloEngine engine;
 
   SloHarness()
       : total(reg.counter("queries_submitted")),
         bad(reg.counter("queries_partial")),
-        monitor(),
-        engine(monitor, 64) {
-    engine.add_source("coordinator", &reg);
-    SloSpec spec;
-    spec.kind = SloSpec::Kind::kAvailability;
-    spec.name = "avail";
-    spec.total_metric = "queries_submitted";
-    spec.bad_metric = "queries_partial";
-    spec.objective = 0.99;  // 1% error budget
-    spec.short_window = Duration::seconds(5);
-    spec.long_window = Duration::seconds(20);
-    spec.burn_threshold = 1.0;
-    spec.for_samples = 2;
-    spec.resolve_samples = 2;
-    engine.add_slo(spec);
+        monitor(HealthMonitorConfig{64, 256}) {
+    monitor.add_source("coordinator", &reg);
+    AlertRule rule =
+        slo_rule("slo:avail", MetricKind::kCounterBurn, "queries_submitted");
+    rule.bad_metric = "queries_partial";
+    rule.objective = 0.99;  // 1% error budget
+    rule.for_samples = 2;
+    rule.resolve_samples = 2;
+    monitor.add_rule(rule);
   }
+
+  [[nodiscard]] const SloState& slo() const { return monitor.slos().at(0); }
 };
 
-TEST(SloEngine, BurnRateMatchesHandComputedWindow) {
+TEST(SloRule, BurnRateMatchesHandComputedWindow) {
   SloHarness x;
   // 100 queries/second, all good: burn 0.
   for (int t = 0; t <= 10; ++t) {
     x.total.add(100);
-    x.engine.sample(at(t));
+    x.monitor.sample(at(t));
   }
-  auto status = x.engine.status();
-  ASSERT_EQ(status.size(), 1u);
-  EXPECT_DOUBLE_EQ(status[0].short_burn, 0.0);
-  EXPECT_FALSE(status[0].firing);
+  ASSERT_EQ(x.monitor.slos().size(), 1u);
+  EXPECT_EQ(x.slo().name(), "avail");
+  EXPECT_DOUBLE_EQ(x.slo().burn_short.back(), 0.0);
+  EXPECT_FALSE(x.monitor.is_firing("slo:avail"));
 
   // 10% of traffic goes bad: error rate 0.1 against a 1% budget is a
   // burn rate of 10 in the short window.
   for (int t = 11; t <= 16; ++t) {
     x.total.add(100);
     x.bad.add(10);
-    x.engine.sample(at(t));
+    x.monitor.sample(at(t));
   }
-  status = x.engine.status();
-  EXPECT_NEAR(status[0].short_burn, 10.0, 1.0);
-  EXPECT_GT(status[0].long_burn, 1.0);
-  // min(short, long) crossed 1.0 for >= 2 samples: the rule fires through
-  // the shared monitor with its hysteresis.
-  EXPECT_TRUE(status[0].firing);
-  EXPECT_TRUE(x.monitor.is_firing("slo:avail"));
+  EXPECT_NEAR(x.slo().burn_short.back(), 10.0, 1.0);
+  EXPECT_GT(x.slo().burn_long.back(), 1.0);
+  // min(short, long) crossed 1.0 for >= 2 samples: the rule fires with the
+  // monitor's hysteresis, indicting its source under the metric slo.avail.
+  EXPECT_TRUE(x.monitor.is_firing("slo:avail", "coordinator"));
+  ASSERT_EQ(x.monitor.alerts().size(), 1u);
+  EXPECT_EQ(x.monitor.alerts().front()->metric, "slo.avail");
 
   // Traffic heals; the short window clears first, and once the long
   // window drains the alert resolves.
   for (int t = 17; t <= 45; ++t) {
     x.total.add(100);
-    x.engine.sample(at(t));
+    x.monitor.sample(at(t));
   }
-  status = x.engine.status();
-  EXPECT_DOUBLE_EQ(status[0].short_burn, 0.0);
-  EXPECT_FALSE(status[0].firing);
+  EXPECT_DOUBLE_EQ(x.slo().burn_short.back(), 0.0);
+  EXPECT_FALSE(x.monitor.is_firing("slo:avail"));
   EXPECT_GE(x.monitor.events().count("resolved", "slo:avail"), 1u);
 
   // The burn series ring retained the episode for the flight recorder.
-  const TimeSeries* burn = x.engine.burn_series("avail", true);
-  ASSERT_NE(burn, nullptr);
+  const TimeSeries& burn = x.slo().burn_short;
   double peak = 0.0;
-  for (std::size_t i = 0; i < burn->size(); ++i) {
-    peak = std::max(peak, burn->at(i));
+  for (std::size_t i = 0; i < burn.size(); ++i) {
+    peak = std::max(peak, burn.at(i));
   }
   EXPECT_GT(peak, 5.0);
 }
 
-TEST(SloEngine, LatencySloCountsSlowFractionAgainstObjective) {
+TEST(SloRule, LatencySloCountsSlowFractionAgainstObjective) {
   MetricsRegistry reg;
   LatencyHistogram& lat = reg.histogram("query_latency_us");
-  HealthMonitor monitor;
-  SloEngine engine(monitor, 64);
-  engine.add_source("coordinator", &reg);
-  SloSpec spec;
-  spec.kind = SloSpec::Kind::kLatency;
-  spec.name = "latency";
-  spec.latency_metric = "query_latency_us";
-  spec.latency_threshold_us = 4096.0;  // a bucket boundary: no interpolation
-  spec.objective = 0.90;               // 10% may be slow
-  spec.short_window = Duration::seconds(5);
-  spec.long_window = Duration::seconds(20);
-  engine.add_slo(spec);
+  HealthMonitor monitor(HealthMonitorConfig{64, 256});
+  monitor.add_source("coordinator", &reg);
+  AlertRule rule =
+      slo_rule("slo:latency", MetricKind::kHistogramBurn, "query_latency_us");
+  rule.bad_above = 4096.0;  // a bucket boundary: no interpolation
+  rule.objective = 0.90;    // 10% may be slow
+  monitor.add_rule(rule);
 
   // All fast: no burn.
   for (int t = 0; t <= 6; ++t) {
     for (int i = 0; i < 50; ++i) lat.observe(1000.0);
-    engine.sample(at(t));
+    monitor.sample(at(t));
   }
-  EXPECT_DOUBLE_EQ(engine.status()[0].short_burn, 0.0);
+  ASSERT_EQ(monitor.slos().size(), 1u);
+  EXPECT_DOUBLE_EQ(monitor.slos()[0].burn_short.back(), 0.0);
 
   // Half the traffic goes slow: error rate 0.5 against a 0.1 budget → 5.
   for (int t = 7; t <= 12; ++t) {
     for (int i = 0; i < 25; ++i) lat.observe(1000.0);
     for (int i = 0; i < 25; ++i) lat.observe(100'000.0);
-    engine.sample(at(t));
+    monitor.sample(at(t));
   }
-  EXPECT_NEAR(engine.status()[0].short_burn, 5.0, 0.5);
+  EXPECT_NEAR(monitor.slos()[0].burn_short.back(), 5.0, 0.5);
   EXPECT_TRUE(monitor.is_firing("slo:latency"));
 }
 
-TEST(SloEngine, MissingSourceReportsNothingAndNeverFires) {
-  HealthMonitor monitor;
-  SloEngine engine(monitor, 8);
-  SloSpec spec;
-  spec.name = "ghost";
-  spec.total_metric = "nope";
-  spec.bad_metric = "nada";
-  engine.add_slo(spec);
-  for (int t = 0; t < 5; ++t) engine.sample(at(t));
-  ASSERT_EQ(engine.status().size(), 1u);
-  EXPECT_FALSE(engine.status()[0].firing);
-  EXPECT_EQ(engine.status()[0].total, 0u);
+TEST(SloRule, MissingSourceReportsNothingAndNeverFires) {
+  HealthMonitor monitor(HealthMonitorConfig{8, 256});
+  AlertRule rule = slo_rule("slo:ghost", MetricKind::kCounterBurn, "nope");
+  rule.bad_metric = "nada";
+  monitor.add_rule(rule);
+  for (int t = 0; t < 5; ++t) monitor.sample(at(t));
+  // A source without the metrics is no better than no source at all.
+  MetricsRegistry empty;
+  monitor.add_source("coordinator", &empty);
+  for (int t = 5; t < 10; ++t) monitor.sample(at(t));
+
+  EXPECT_TRUE(monitor.slos().empty());
+  EXPECT_TRUE(monitor.alerts().empty());
+  EXPECT_FALSE(monitor.is_firing("slo:ghost"));
+  obs::JsonWriter w;
+  monitor.append_slo_json(w);
+  EXPECT_EQ(w.take(), "[]");
 }
 
 // -------------------------------------------------------- flight recorder
@@ -362,7 +370,7 @@ TEST(FlightRecorder, FrameRingEvictsOldestAndBundleCapHolds) {
   EXPECT_EQ(rec.latest()->sequence, 4u);
 }
 
-TEST(FlightRecorder, BundleJsonRoundTripsByteStable) {
+TEST(FlightRecorder, BundleKeepsSectionsVerbatim) {
   FlightRecorder rec;
   rec.record_frame(at(1), "{\"queries\":10,\"firing\":0}");
   FlightTrigger t;
@@ -372,26 +380,37 @@ TEST(FlightRecorder, BundleJsonRoundTripsByteStable) {
   t.severity = "degraded";
   t.value = 14.5;
   t.threshold = 1.0;
-  FlightRecorder::Sections s;
-  s.slo_json = "{\"slos\":[{\"name\":\"query_latency\",\"burn\":14.5}]}";
-  s.cost_json = "{\"queries\":10,\"by_tenant\":[]}";
-  s.exemplars_json = "[{\"trace_id\":42,\"bucket\":11}]";
-  s.events_json = "[{\"kind\":\"firing\",\"rule\":\"slo:query_latency\"}]";
-  s.config_json = "{\"worker_count\":4}";
+  // Keys out of order and a trailing-zero fraction: nothing rewrites them.
+  const std::vector<std::pair<std::string, std::string>> sections = {
+      {"slo", "[{\"name\":\"query_latency\",\"burn\":14.50}]"},
+      {"cost", "{\"queries\":10,\"by_tenant\":[]}"},
+      {"exemplars", "[{\"trace_id\":42,\"bucket\":11}]"},
+      {"events", "[{\"kind\":\"firing\",\"rule\":\"slo:query_latency\"}]"},
+      {"config", "{\"worker_count\":4}"},
+  };
+  PostmortemSections s;
+  s.slo_json = sections[0].second;
+  s.cost_json = sections[1].second;
+  s.exemplars_json = sections[2].second;
+  s.events_json = sections[3].second;
+  s.config_json = sections[4].second;
   const PostmortemBundle& bundle = rec.freeze(at(2), t, std::move(s));
+  EXPECT_EQ(bundle.slo_json, sections[0].second);
+  EXPECT_EQ(bundle.config_json, sections[4].second);
 
   std::string json = bundle.to_json();
-  PostmortemBundle parsed;
-  ASSERT_TRUE(parse_bundle(json, parsed));
-  EXPECT_EQ(parsed.trigger.kind, "slo");
-  EXPECT_EQ(parsed.trigger.rule, "slo:query_latency");
-  EXPECT_DOUBLE_EQ(parsed.trigger.value, 14.5);
-  EXPECT_EQ(parsed.frozen_at, at(2));
-  EXPECT_EQ(parsed.to_json(), json);  // byte-stable round trip
-
-  PostmortemBundle garbage;
-  EXPECT_FALSE(parse_bundle("not json", garbage));
-  EXPECT_FALSE(parse_bundle("{\"sequence\":1}", garbage));
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::JsonValue::parse(json, parsed, &error)) << error;
+  EXPECT_EQ(parsed.at("trigger").at("rule").string(), "slo:query_latency");
+  EXPECT_DOUBLE_EQ(parsed.at("trigger").at("value").number(), 14.5);
+  EXPECT_EQ(parsed.at("frozen_at_us").number(),
+            static_cast<double>(at(2).micros_since_origin()));
+  for (const auto& [key, raw] : sections) {
+    EXPECT_NE(json.find("\"" + key + "\":" + raw), std::string::npos) << key;
+  }
+  EXPECT_FALSE(parsed.has("slow_queries"));  // empty sections are omitted
+  EXPECT_EQ(parsed.at("frames").array().size(), 1u);
 }
 
 // -------------------------------------------------- cluster integration
@@ -538,12 +557,17 @@ TEST(CostLedgerCluster, HealthSamplingRecordsFramesAndSlosStayQuiet) {
     cluster->advance_time(Duration::millis(300));
     cluster->sample_health();
   }
-  // Default SLOs installed and evaluated on the sim clock.
-  EXPECT_EQ(cluster->slo_engine().slo_count(), 2u);
-  auto status = cluster->slo_engine().status();
-  ASSERT_EQ(status.size(), 2u);
-  for (const auto& st : status) {
-    EXPECT_FALSE(st.firing) << st.name << " burning on a healthy cluster";
+  // Default SLOs installed as monitor rules and evaluated on the sim clock.
+  const HealthMonitor& monitor = cluster->health_monitor();
+  for (const char* name : {"slo:query_availability", "slo:query_latency"}) {
+    EXPECT_TRUE(std::any_of(monitor.rules().begin(), monitor.rules().end(),
+                            [&](const AlertRule& r) { return r.name == name; }))
+        << name;
+  }
+  ASSERT_EQ(monitor.slos().size(), 2u);
+  for (const SloState& slo : monitor.slos()) {
+    EXPECT_FALSE(monitor.is_firing(slo.rule))
+        << slo.rule << " burning on a healthy cluster";
   }
   // The recorder is buffering frames but froze nothing.
   EXPECT_GT(cluster->flight_recorder().frames().size(), 0u);
