@@ -460,7 +460,7 @@ VectorizedReport run_vectorized_section() {
         std::uint32_t n =
             store.scan_range_block(b, world, hwindows[q], sel, hms);
         heatmap_accumulate(xs.data(), ys.data(), 0, sel, n, {0, 0}, cell,
-                           cols, dense.data());
+                           cols, grid_rows, dense.data());
       }
       std::map<std::uint64_t, std::uint64_t> counts;
       for (std::uint64_t c = 0; c < dense.size(); ++c) {

@@ -79,12 +79,21 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   # The merger moves fragments in rather than copying them; hedge answers,
   # duplicated messages and k-NN fallback rounds feed it duplicate rows and
   # moved-from fragments. A use after move shows up here under ASan+UBSan.
-  ./build-asan/tests/test_query --gtest_filter='ResultMerger*' >/dev/null
+  # Aggregates fold into one accumulator per fragment and merge as sorted
+  # pairs: the differential against the map-based merge, with the
+  # oversized-grid pair fallback and out-of-order wire keys.
+  ./build-asan/tests/test_query \
+      --gtest_filter='ResultMerger*:AggregateMerge.*' >/dev/null
+  # The estimator's cached prior and once-per-query cell intersections,
+  # bit for bit against the reference estimator and k-NN plan ladder.
+  ./build-asan/tests/test_selectivity \
+      --gtest_filter='SelectivityDifferential.*' >/dev/null
   # Workers write row fragments straight from the stores: the byte-identity
   # differential against the materialized merge, and the row codec's
   # corrupt-dim and bit-exact cases. Sync answers carry store images and
   # replay entries kept as wire bytes: their round trips, byte identity
-  # and decoder fuzz.
+  # and decoder fuzz, including count pairs that overrun the message or
+  # arrive out of order.
   ./build-asan/tests/test_protocol \
       --gtest_filter='RowsResponseDifferential.*:ProtocolFuzz.*:Protocol.Sync*' \
       >/dev/null

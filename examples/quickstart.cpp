@@ -78,8 +78,7 @@ int main() {
       Query::count(cluster.next_query_id(), world, TimeInterval::all(),
                    GroupBy::kCamera));
   std::printf("busiest cameras:\n");
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> by_count(
-      counts.counts.begin(), counts.counts.end());
+  CountPairs by_count = std::move(counts.counts);
   std::sort(by_count.begin(), by_count.end(),
             [](auto a, auto b) { return a.second > b.second; });
   for (std::size_t i = 0; i < 3 && i < by_count.size(); ++i) {

@@ -29,6 +29,7 @@
 // the end.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/codec.h"
@@ -346,20 +347,21 @@ inline std::uint32_t refine_code_eq(const std::uint8_t* codes,
 /// Accumulates heatmap cell counts for the selected rows into the dense
 /// `cells` array (size cols × rows of the heatmap grid). `xs`/`ys` are
 /// block-local column views whose element 0 is global row `base`; `sel`
-/// holds global row ids. Positions are guaranteed inside the heatmap
-/// region by the preceding filter, so the cell computation needs no
-/// clamping. Divides by `cell` (rather than multiplying by a precomputed
-/// reciprocal) so cell assignment is bit-identical to the scalar
-/// Query::heatmap_cell.
+/// holds global row ids. Positions lie inside the heatmap region (the
+/// preceding filter), but one within rounding of its far edge can divide
+/// out to `cols` or `rows`; it is clamped into the last column or row.
+/// Divides by `cell` (rather than multiplying by a precomputed reciprocal)
+/// so cell assignment is bit-identical to the scalar Query::heatmap_cell.
 inline void heatmap_accumulate(const double* xs, const double* ys,
                                std::uint32_t base, const std::uint32_t* sel,
                                std::uint32_t n, Point origin, double cell,
-                               std::uint64_t cols, std::uint64_t* cells) {
+                               std::uint64_t cols, std::uint64_t rows,
+                               std::uint64_t* cells) {
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint32_t row = sel[i] - base;
     auto cx = static_cast<std::uint64_t>((xs[row] - origin.x) / cell);
     auto cy = static_cast<std::uint64_t>((ys[row] - origin.y) / cell);
-    ++cells[cy * cols + cx];
+    ++cells[std::min(cy, rows - 1) * cols + std::min(cx, cols - 1)];
   }
 }
 

@@ -283,11 +283,12 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
   auto wall_start = std::chrono::steady_clock::now();
   const Query& query = request.query;
   // Row-returning kinds keep (store, row) pairs and write the rows to the
-  // wire straight from the stores; count and heatmap merge their maps.
+  // wire straight from the stores; count and heatmap fold every held
+  // partition into one accumulator.
   bool aggregate =
       query.kind == QueryKind::kCount || query.kind == QueryKind::kHeatmap;
   std::vector<FragmentRow> rows;
-  ResultMerger merger(query);
+  AggregateFold fold(query);
   ScanStats scan_stats;
   std::vector<PartitionId> held;
   for (PartitionId p : request.partitions) {
@@ -300,7 +301,7 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
       const DetectionStore& store = it->second->store;
       ScanStats local;
       if (aggregate) {
-        merger.add(LocalExecutor::execute(store, query, &local));
+        local.rows_scanned = fold.add(store, local.store);
       } else {
         std::vector<DetectionRef> refs =
             LocalExecutor::select(store, query, local.store);
@@ -349,7 +350,8 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
   auto payload =
       aggregate
           ? encode(QueryResponse{request.request_id, request.sub_id,
-                                 merger.take(), scan_stats, scan_only_us})
+                                 QueryResult{query.id, {}, fold.take()},
+                                 scan_stats, scan_only_us})
           : encode_rows_response(request.request_id, request.sub_id, query,
                                  std::move(rows), scan_stats, scan_only_us);
   if (sspan.valid()) {

@@ -193,8 +193,7 @@ inline std::vector<HotCell> busiest_regions(const QueryExecutorRef& exec,
                                             double cell_size, std::size_t k) {
   Query q = Query::heatmap(QueryId(0x5e11ed00), region, cell_size, window);
   QueryResult r = exec.execute(q);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> cells(
-      r.counts.begin(), r.counts.end());
+  CountPairs cells = std::move(r.counts);
   std::sort(cells.begin(), cells.end(), [](auto a, auto b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;

@@ -3,8 +3,12 @@
 // A LocalExecutor answers a Query against one partition's DetectionStore.
 // It is pure with respect to the framework: given the store, it computes a
 // QueryResult fragment; the coordinator merges fragments across workers.
+// An AggregateFold answers a count or heatmap over every partition a
+// worker holds, so a fragment carries one aggregate, not one per partition.
 #pragma once
 
+#include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "common/filter_kernel.h"
@@ -22,6 +26,102 @@ namespace stcn {
 struct ScanStats {
   std::uint64_t rows_scanned = 0;
   MorselStats store;
+};
+
+/// Folds one count, group-by or heatmap query over any number of stores
+/// into one accumulator, straight off the vectorized block scan (each
+/// morsel's selection vector is consumed in place): an ungrouped count is
+/// one u64, a group-by a hash tally per camera, and a heatmap one dense
+/// cols × rows array filled by heatmap_accumulate. A grid above
+/// kMaxDenseCells keeps one (cell, 1) pair per row instead, sorted and
+/// summed once. take() emits the answer once, in key order.
+class AggregateFold {
+ public:
+  /// Largest heatmap grid folded densely (32 MiB of counters).
+  static constexpr std::size_t kMaxDenseCells = std::size_t{1} << 22;
+
+  /// `query` must outlive the fold.
+  explicit AggregateFold(const Query& query) : query_(query) {}
+
+  /// Adds the rows of `store` the query selects and returns their number.
+  /// Block-scan accounting accumulates into `ms`.
+  std::uint64_t add(const DetectionStore& store, MorselStats& ms) {
+    added_ = true;
+    bool heatmap = query_.kind == QueryKind::kHeatmap;
+    if (query_.region.is_empty() || query_.interval.empty() ||
+        (heatmap && query_.cell_size <= 0.0)) {
+      return 0;
+    }
+    std::size_t cols = query_.heatmap_cols();
+    std::size_t rows = query_.heatmap_rows();
+    bool dense = cols > 0 && rows > 0 && cols <= kMaxDenseCells / rows;
+    if (heatmap && dense && cells_.empty()) cells_.assign(cols * rows, 0);
+    bool by_camera = !heatmap && query_.group_by == GroupBy::kCamera;
+    sel_.resize(kDetectionBlockRows);
+    MorselStats local;
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < store.block_count(); ++b) {
+      std::uint32_t n = store.scan_range_block(b, query_.region,
+                                               query_.interval, sel_.data(),
+                                               local);
+      total += n;
+      if (n == 0 || (!heatmap && !by_camera)) continue;
+      // Per-block view: hot blocks read the store columns, cold blocks
+      // this thread's decode scratch (still valid — scan_range_block on a
+      // cold block just decoded it).
+      DetectionStore::BlockColumnsView v = store.block_columns(b);
+      if (by_camera) {
+        for (std::uint32_t i = 0; i < n; ++i) {
+          ++cameras_[v.cameras[sel_[i] - v.base]];
+        }
+      } else if (dense) {
+        heatmap_accumulate(v.xs, v.ys, v.base, sel_.data(), n,
+                           query_.region.min, query_.cell_size, cols, rows,
+                           cells_.data());
+      } else {
+        for (std::uint32_t i = 0; i < n; ++i) {
+          std::uint32_t row = sel_[i] - v.base;
+          spill_.emplace_back(
+              query_.heatmap_cell(Point{v.xs[row], v.ys[row]}), 1);
+        }
+      }
+    }
+    total_ += total;
+    store.note_scan(local);
+    ms.merge(local);
+    return total;
+  }
+
+  /// The answer over the stores added: key 0 → total for an ungrouped
+  /// count (none when no store was added), else the non-zero cameras or
+  /// cells, keys ascending.
+  [[nodiscard]] CountPairs take() {
+    CountPairs out;
+    if (query_.kind == QueryKind::kHeatmap) {
+      for (std::size_t c = 0; c < cells_.size(); ++c) {
+        if (cells_[c] != 0) out.emplace_back(c, cells_[c]);
+      }
+      if (!spill_.empty()) {
+        out = std::move(spill_);
+        sort_and_sum(out);
+      }
+    } else if (query_.group_by == GroupBy::kCamera) {
+      out.assign(cameras_.begin(), cameras_.end());
+      std::sort(out.begin(), out.end());
+    } else if (added_) {
+      out.emplace_back(0, total_);
+    }
+    return out;
+  }
+
+ private:
+  const Query& query_;
+  bool added_ = false;
+  std::uint64_t total_ = 0;
+  std::vector<std::uint64_t> cells_;
+  std::unordered_map<std::uint64_t, std::uint64_t> cameras_;
+  CountPairs spill_;
+  std::vector<std::uint32_t> sel_;
 };
 
 class LocalExecutor {
@@ -53,9 +153,8 @@ class LocalExecutor {
   }
 
   /// Executes `query` against `store`, producing a partial result: select()
-  /// with each row materialized, or the aggregate. When `stats` is given,
-  /// scan accounting accumulates into it. Aggregates (count, group-by,
-  /// heatmap) consume the selection vectors in place.
+  /// with each row materialized, or the aggregate (AggregateFold over this
+  /// one store). When `stats` is given, scan accounting accumulates into it.
   [[nodiscard]] static QueryResult execute(const DetectionStore& store,
                                            const Query& query,
                                            ScanStats* stats = nullptr) {
@@ -63,12 +162,10 @@ class LocalExecutor {
     result.query = query.id;
     std::uint64_t scanned = 0;
     MorselStats ms;  // block-scan accounting for this execution
-    if (query.kind == QueryKind::kCount) {
-      scanned = count_from_store(store, query, result, ms);
-    } else if (query.kind == QueryKind::kHeatmap) {
-      if (query.cell_size > 0.0) {
-        scanned = heatmap_from_store(store, query, result, ms);
-      }
+    if (query.kind == QueryKind::kCount || query.kind == QueryKind::kHeatmap) {
+      AggregateFold fold(query);
+      scanned = fold.add(store, ms);
+      result.counts = fold.take();
     } else {
       std::vector<DetectionRef> refs = select(store, query, ms);
       scanned = refs.size();
@@ -80,90 +177,6 @@ class LocalExecutor {
       stats->store.merge(ms);
     }
     return result;
-  }
-
- private:
-  /// Count / group-by-camera straight off the vectorized block scan: no
-  /// DetectionRef vector is materialized; each morsel's selection vector
-  /// is consumed in place (per-camera counts read the camera column by
-  /// selected row id).
-  static std::uint64_t count_from_store(const DetectionStore& store,
-                                        const Query& query,
-                                        QueryResult& result, MorselStats& ms) {
-    if (query.region.is_empty() || query.interval.empty()) {
-      if (query.group_by != GroupBy::kCamera) result.counts[0] = 0;
-      return 0;
-    }
-    MorselStats local;
-    std::vector<std::uint32_t> sel(kDetectionBlockRows);
-    bool by_camera = query.group_by == GroupBy::kCamera;
-    std::uint64_t total = 0;
-    for (std::size_t b = 0; b < store.block_count(); ++b) {
-      std::uint32_t n = store.scan_range_block(b, query.region, query.interval,
-                                               sel.data(), local);
-      total += n;
-      if (by_camera && n > 0) {
-        // Per-block view: hot blocks read the store columns, cold blocks
-        // this thread's decode scratch (still valid — scan_range_block on
-        // a cold block just decoded it).
-        DetectionStore::BlockColumnsView v = store.block_columns(b);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          ++result.counts[v.cameras[sel[i] - v.base]];
-        }
-      }
-    }
-    if (!by_camera) result.counts[0] = total;
-    store.note_scan(local);
-    ms.merge(local);
-    return total;
-  }
-
-  /// Heatmap aggregation from selection vectors into a dense cell array
-  /// (one index computation + increment per selected row), folded into the
-  /// sparse result map at the end. Grids too large to hold densely fall
-  /// back to per-row map inserts — same results, no memory blowup.
-  static std::uint64_t heatmap_from_store(const DetectionStore& store,
-                                          const Query& query,
-                                          QueryResult& result,
-                                          MorselStats& ms) {
-    if (query.region.is_empty() || query.interval.empty()) return 0;
-    MorselStats local;
-    std::vector<std::uint32_t> sel(kDetectionBlockRows);
-    std::size_t cols = query.heatmap_cols();
-    std::size_t rows = query.heatmap_rows();
-    constexpr std::size_t kMaxDenseCells = std::size_t{1} << 22;  // 32 MiB
-    std::uint64_t total = 0;
-    if (cols > 0 && rows > 0 && cols <= kMaxDenseCells / rows) {
-      std::vector<std::uint64_t> cells(cols * rows, 0);
-      for (std::size_t b = 0; b < store.block_count(); ++b) {
-        std::uint32_t n = store.scan_range_block(
-            b, query.region, query.interval, sel.data(), local);
-        total += n;
-        if (n == 0) continue;
-        DetectionStore::BlockColumnsView v = store.block_columns(b);
-        heatmap_accumulate(v.xs, v.ys, v.base, sel.data(), n,
-                           query.region.min, query.cell_size, cols,
-                           cells.data());
-      }
-      for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (cells[c] != 0) result.counts[c] += cells[c];
-      }
-    } else {
-      for (std::size_t b = 0; b < store.block_count(); ++b) {
-        std::uint32_t n = store.scan_range_block(
-            b, query.region, query.interval, sel.data(), local);
-        total += n;
-        if (n == 0) continue;
-        DetectionStore::BlockColumnsView v = store.block_columns(b);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          std::uint32_t row = sel[i] - v.base;
-          ++result.counts[query.heatmap_cell(Point{v.xs[row], v.ys[row]})];
-        }
-      }
-    }
-    store.note_scan(local);
-    ms.merge(local);
-    return total;
   }
 };
 

@@ -18,6 +18,7 @@
 //                 replaces a grid of kCount queries for dashboards)
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -176,11 +177,15 @@ struct Query {
     if (cell_size <= 0.0) return 0;
     return static_cast<std::size_t>(std::ceil(region.height() / cell_size));
   }
-  /// Flat heatmap cell index of a position inside `region`.
+  /// Flat heatmap cell index of a position inside `region`. A position
+  /// within rounding of the far edge can divide out to heatmap_cols() or
+  /// heatmap_rows(); it belongs to the last column or row.
   [[nodiscard]] std::uint64_t heatmap_cell(Point p) const {
     auto cx = static_cast<std::uint64_t>((p.x - region.min.x) / cell_size);
     auto cy = static_cast<std::uint64_t>((p.y - region.min.y) / cell_size);
-    return cy * heatmap_cols() + cx;
+    std::uint64_t cols = heatmap_cols();
+    return std::min<std::uint64_t>(cy, heatmap_rows() - 1) * cols +
+           std::min<std::uint64_t>(cx, cols - 1);
   }
 };
 

@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.h"
@@ -18,12 +18,43 @@
 
 namespace stcn {
 
+/// An aggregate answer: (group key, count) pairs, keys ascending and unique.
+using CountPairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// Sums the counts of adjacent pairs with equal keys into the first of them.
+inline void sum_adjacent_keys(CountPairs& pairs) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (w > 0 && pairs[w - 1].first == pairs[i].first) {
+      pairs[w - 1].second += pairs[i].second;
+    } else {
+      pairs[w++] = pairs[i];
+    }
+  }
+  pairs.resize(w);
+}
+
+/// Puts `pairs` in key order and sums the counts of equal keys.
+inline void sort_and_sum(CountPairs& pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  sum_adjacent_keys(pairs);
+}
+
 struct QueryResult {
   QueryId query;
   std::vector<Detection> detections;
-  /// For kCount: group key → count. Key 0 is the ungrouped total;
-  /// otherwise keys are camera ids.
-  std::map<std::uint64_t, std::uint64_t> counts;
+  /// For kCount and kHeatmap. Key 0 is the ungrouped count, present even
+  /// when it is 0; a group-by keys cameras by id and a heatmap keys cells
+  /// by flat index, and both list only non-zero counts.
+  CountPairs counts;
+
+  /// The count under `key`; 0 when absent.
+  [[nodiscard]] std::uint64_t count_of(std::uint64_t key) const {
+    auto it = std::lower_bound(
+        counts.begin(), counts.end(), key,
+        [](const auto& pair, std::uint64_t k) { return pair.first < k; });
+    return it != counts.end() && it->first == key ? it->second : 0;
+  }
 
   [[nodiscard]] std::uint64_t total_count() const {
     std::uint64_t t = 0;
@@ -47,16 +78,29 @@ inline void serialize(BinaryWriter& w, const QueryResult& r) {
   }
 }
 
+/// Encoders write the pairs in key order; pairs out of order or repeated
+/// are sorted and summed, so any pair sequence decodes to valid counts.
 inline QueryResult deserialize_query_result(BinaryReader& r) {
   QueryResult out;
   out.query = r.read_id<QueryIdTag>();
   out.detections = r.read_vector<Detection>(
       [](BinaryReader& br) { return deserialize_detection(br); });
   std::uint32_t n = r.read_u32();
-  for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
-    std::uint64_t key = r.read_u64();
-    out.counts[key] += r.read_u64();
+  // A pair is 16 bytes: a count the remaining bytes cannot hold is corrupt
+  // and must not size an allocation.
+  if (n > r.remaining() / 16) {
+    r.fail();
+    return out;
   }
+  out.counts.reserve(n);
+  bool ordered = true;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint64_t key = r.read_u64();
+    std::uint64_t count = r.read_u64();
+    if (!out.counts.empty() && key <= out.counts.back().first) ordered = false;
+    out.counts.emplace_back(key, count);
+  }
+  if (!ordered) sort_and_sum(out.counts);
   return out;
 }
 
@@ -132,15 +176,25 @@ class ResultMerger {
       ds.insert(ds.end(), std::make_move_iterator(fragment.detections.begin()),
                 std::make_move_iterator(fragment.detections.end()));
     }
-    if (merged_.counts.empty()) {
-      merged_.counts = std::move(fragment.counts);
-    } else {
-      for (const auto& [key, n] : fragment.counts) merged_.counts[key] += n;
+    // Both count runs are in key order: one linear merge keeps the union
+    // sorted, and take() sums the equal keys it leaves adjacent.
+    auto& cs = merged_.counts;
+    if (cs.empty()) {
+      cs = std::move(fragment.counts);
+    } else if (!fragment.counts.empty()) {
+      auto mid = cs.insert(cs.end(), fragment.counts.begin(),
+                           fragment.counts.end());
+      std::inplace_merge(cs.begin(), mid, cs.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first < b.first;
+                         });
     }
   }
 
-  /// Finalizes ordering and truncation by query kind (order_rows).
+  /// Finalizes ordering and truncation by query kind (order_rows) and sums
+  /// the counts of keys that several fragments reported.
   [[nodiscard]] QueryResult take() {
+    sum_adjacent_keys(merged_.counts);
     order_rows(query_, merged_.detections, [](const Detection& d) {
       return RowKey{d.id, d.time, d.position};
     });

@@ -164,7 +164,7 @@ TEST(Coordinator, CountQueryAggregatesAcrossWorkers) {
     manual += (d.camera == CameraId(1)) ? 1 : 0;
   }
   if (manual > 0) {
-    EXPECT_EQ(grouped.counts.at(1), manual);
+    EXPECT_EQ(grouped.count_of(1), manual);
   }
 }
 

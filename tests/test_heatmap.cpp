@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "baseline/centralized.h"
@@ -31,6 +32,31 @@ TEST(HeatmapQuery, GridShapeHelpers) {
   EXPECT_EQ(q.heatmap_cell({95, 45}), 49u);
 }
 
+// The region's side divides by the 1.1 m cell to exactly 49.0, and so does
+// the offset of the last double below its far edge: unclamped, a row there
+// would land in the next grid row's first cell, and in the top row past
+// the end of the dense grid.
+TEST(HeatmapQuery, RowJustInsideFarEdgeCountsInLastCell) {
+  double lo = -24.286686951704837;
+  double hi = 29.61331304829517;
+  double edge = std::nextafter(hi, lo);
+  Query q = Query::heatmap(QueryId(1), {{lo, lo}, {hi, hi}}, 1.1,
+                           TimeInterval::all());
+  ASSERT_EQ(q.heatmap_cols(), 49u);
+  ASSERT_EQ(q.heatmap_rows(), 49u);
+  ASSERT_TRUE(q.region.contains(Point{edge, edge}));
+  ASSERT_EQ(static_cast<std::uint64_t>((edge - lo) / 1.1), 49u);
+  EXPECT_EQ(q.heatmap_cell({edge, edge}), 49u * 49u - 1);
+  EXPECT_EQ(q.heatmap_cell({edge, lo}), 48u);
+
+  CentralizedIndex index(q.region);
+  index.ingest(make_detection(1, {edge, edge}, 100));
+  index.ingest(make_detection(2, {edge, lo}, 200));
+  index.ingest(make_detection(3, {lo, lo}, 300));
+  EXPECT_EQ(index.execute(q).counts,
+            (CountPairs{{0, 1}, {48, 1}, {49u * 49u - 1, 1}}));
+}
+
 TEST(HeatmapQuery, SerializationRoundTrip) {
   Query q = Query::heatmap(QueryId(7), {{0, 0}, {100, 100}}, 25.0,
                            {TimePoint(5), TimePoint(10)});
@@ -55,10 +81,10 @@ TEST(HeatmapQuery, LocalExecutionCountsPerCell) {
   Query q = Query::heatmap(QueryId(1), {{0, 0}, {100, 100}}, 50.0,
                            TimeInterval::all());
   QueryResult r = index.execute(q);
-  EXPECT_EQ(r.counts.at(0), 2u);
-  EXPECT_EQ(r.counts.at(1), 1u);
-  EXPECT_EQ(r.counts.at(2), 1u);
-  EXPECT_EQ(r.counts.at(3), 1u);
+  EXPECT_EQ(r.count_of(0), 2u);
+  EXPECT_EQ(r.count_of(1), 1u);
+  EXPECT_EQ(r.count_of(2), 1u);
+  EXPECT_EQ(r.count_of(3), 1u);
   EXPECT_EQ(r.total_count(), 5u);
 }
 
@@ -120,9 +146,8 @@ TEST(HeatmapQuery, DistributedMatchesCentralizedAndCountGrid) {
           cluster.next_query_id(), cell.intersection(world),
           TimeInterval::all()));
       std::uint64_t key = cy * q.heatmap_cols() + cx;
-      auto it = distributed.counts.find(key);
-      std::uint64_t heat = it == distributed.counts.end() ? 0 : it->second;
-      EXPECT_EQ(heat, count.total_count()) << "cell " << key;
+      EXPECT_EQ(distributed.count_of(key), count.total_count())
+          << "cell " << key;
     }
   }
 }

@@ -96,7 +96,7 @@ TEST(Protocol, QueryResponseRoundTrip) {
   response.sub_id = 23;
   response.result.query = QueryId(7);
   response.result.detections = {make_detection(5)};
-  response.result.counts[3] = 14;
+  response.result.counts = {{3, 14}};
   response.scan.rows_scanned = 100;
   response.scan_wall_us = 250;
   response.scan.store.blocks_scanned = 4;
@@ -114,7 +114,7 @@ TEST(Protocol, QueryResponseRoundTrip) {
   EXPECT_FALSE(r.failed());
   EXPECT_EQ(back.request_id, 9u);
   EXPECT_EQ(back.sub_id, 23u);
-  EXPECT_EQ(back.result.counts.at(3), 14u);
+  EXPECT_EQ(back.result.counts, (CountPairs{{3, 14}}));
   ASSERT_EQ(back.result.detections.size(), 1u);
   EXPECT_EQ(back.scan.rows_scanned, 100u);
   EXPECT_EQ(back.scan_wall_us, 250u);
@@ -403,10 +403,84 @@ TEST(ProtocolFuzz, QueryResponseDecoderRobust) {
   response.result.query = QueryId(1);
   for (std::uint64_t i = 1; i <= 10; ++i) {
     response.result.detections.push_back(make_detection(i));
-    response.result.counts[i] = i;
+    response.result.counts.emplace_back(i, i);
   }
   fuzz_decoder(encode(response),
                [](BinaryReader& r) { return decode_query_response(r); }, 3);
+}
+
+/// A query response with no rows whose count section is `pairs` as given,
+/// in any order, followed by zeroed scan stats.
+std::vector<std::uint8_t> count_response_bytes(std::uint32_t declared,
+                                               const CountPairs& pairs) {
+  BinaryWriter w;
+  w.write_u64(5);  // request id
+  w.write_u64(2);  // sub id
+  w.write_id(QueryId(8));
+  w.write_u32(0);  // no rows
+  w.write_u32(declared);
+  for (auto [key, n] : pairs) {
+    w.write_u64(key);
+    w.write_u64(n);
+  }
+  for (int i = 0; i < 10; ++i) w.write_u64(0);  // scan stats
+  return w.take();
+}
+
+TEST(ProtocolFuzz, QueryResponseCountPairsBeyondBytesFailCleanly) {
+  CountPairs pairs = {{1, 1}, {2, 2}};
+  // 2 pairs and the scan stats leave 112 bytes after the count: 8 pairs
+  // already overrun them, and 2^32 - 1 must not size an allocation.
+  for (std::uint32_t declared : {8u, 1'000'000u, 0xFFFF'FFFFu}) {
+    std::vector<std::uint8_t> bytes = count_response_bytes(declared, pairs);
+    BinaryReader r(bytes);
+    QueryResponse back = decode_query_response(r);
+    EXPECT_TRUE(r.failed()) << declared;
+    EXPECT_EQ(back.result.counts.capacity(), 0u) << declared;
+  }
+  // A count that fits the bytes but runs into the scan stats decodes them
+  // as pairs and then fails on the truncated stats.
+  std::vector<std::uint8_t> bytes = count_response_bytes(3, pairs);
+  BinaryReader r(bytes);
+  (void)decode_query_response(r);
+  EXPECT_TRUE(r.failed());
+}
+
+TEST(ProtocolFuzz, QueryResponseCountPairsShuffledOrRepeatedKeysSum) {
+  CountPairs wire = {{7, 1}, {3, 2}, {7, 4}, {0, 0}, {3, 1}, {1ull << 63, 9}};
+  std::vector<std::uint8_t> bytes =
+      count_response_bytes(static_cast<std::uint32_t>(wire.size()), wire);
+  BinaryReader r(bytes);
+  QueryResponse back = decode_query_response(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(back.result.counts,
+            (CountPairs{{0, 0}, {3, 3}, {7, 5}, {1ull << 63, 9}}));
+  EXPECT_EQ(back.request_id, 5u);
+  EXPECT_EQ(back.result.query, QueryId(8));
+
+  // Keys already ascending but one repeated at the end.
+  bytes = count_response_bytes(3, {{1, 1}, {4, 1}, {4, 6}});
+  BinaryReader again(bytes);
+  EXPECT_EQ(decode_query_response(again).result.counts,
+            (CountPairs{{1, 1}, {4, 7}}));
+  EXPECT_TRUE(again.at_end());
+}
+
+TEST(ProtocolFuzz, QueryResponseCountPairsRoundTripByteForByte) {
+  QueryResponse response;
+  response.request_id = 11;
+  response.sub_id = 3;
+  response.result.query = QueryId(4);
+  response.result.detections = {make_detection(1), make_detection(2)};
+  response.result.counts = {{0, 0}, {5, 2}, {6, 1}, {~0ull, 40}};
+  response.scan.rows_scanned = 9;
+  response.scan_wall_us = 77;
+  std::vector<std::uint8_t> bytes = encode(response);
+  BinaryReader r(bytes);
+  QueryResponse back = decode_query_response(r);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(back.result.counts, response.result.counts);
+  EXPECT_EQ(encode(back), bytes);
 }
 
 TEST(ProtocolFuzz, DeltaBatchDecoderRobust) {

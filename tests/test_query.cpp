@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "query/executor.h"
 #include "query/result.h"
+#include "support/reference_aggregates.h"
 
 namespace stcn {
 namespace {
@@ -95,9 +96,9 @@ TEST_F(ExecutorFixture, CountQueryGroupedByCamera) {
   Query q = Query::count(QueryId(1), {{0, 0}, {100, 100}},
                          TimeInterval::all(), GroupBy::kCamera);
   QueryResult r = LocalExecutor::execute(store_, q);
-  EXPECT_EQ(r.counts.at(1), 2u);
-  EXPECT_EQ(r.counts.at(2), 2u);
-  EXPECT_EQ(r.counts.at(3), 1u);
+  EXPECT_EQ(r.count_of(1), 2u);
+  EXPECT_EQ(r.count_of(2), 2u);
+  EXPECT_EQ(r.count_of(3), 1u);
   EXPECT_EQ(r.total_count(), 5u);
 }
 
@@ -229,9 +230,9 @@ TEST(ResultMerger, SumsCounts) {
   merger.add(a);
   merger.add(b);
   QueryResult merged = merger.take();
-  EXPECT_EQ(merged.counts.at(1), 5u);
-  EXPECT_EQ(merged.counts.at(2), 5u);
-  EXPECT_EQ(merged.counts.at(3), 7u);
+  EXPECT_EQ(merged.count_of(1), 5u);
+  EXPECT_EQ(merged.count_of(2), 5u);
+  EXPECT_EQ(merged.count_of(3), 7u);
   EXPECT_EQ(merged.total_count(), 17u);
 }
 
@@ -264,12 +265,14 @@ QueryResult reference_merge(const Query& q,
   QueryResult out;
   out.query = q.id;
   std::unordered_set<std::uint64_t> seen;
+  CountMap counts;
   for (const QueryResult& f : fragments) {
     for (const Detection& d : f.detections) {
       if (seen.insert(d.id.value()).second) out.detections.push_back(d);
     }
-    for (const auto& [key, n] : f.counts) out.counts[key] += n;
+    for (const auto& [key, n] : f.counts) counts[key] += n;
   }
+  out.counts = to_pairs(counts);
   auto& ds = out.detections;
   if (q.kind == QueryKind::kKnn) {
     Point c = q.circle.center;
@@ -317,7 +320,9 @@ std::vector<QueryResult> random_fragments(Rng& rng, const Query& q,
       f.detections.push_back(rows[rng.uniform_index(rows.size())]);
       if (rng.bernoulli(0.1)) f.detections.push_back(f.detections.back());
     }
-    for (int g = 0; g < 3; ++g) f.counts[rng.uniform_index(4)] += 1;
+    CountMap counts;
+    for (int g = 0; g < 3; ++g) counts[rng.uniform_index(4)] += 1;
+    f.counts = to_pairs(counts);
   }
   return fragments;
 }
@@ -406,7 +411,7 @@ TEST(ResultMergerDifferential, MovedFromAndEmptyFragmentsAddNothing) {
   merger.add(std::move(b));
   QueryResult merged = merger.take();
   EXPECT_EQ(merged.detections, expected.detections);
-  EXPECT_EQ(merged.counts, (std::map<std::uint64_t, std::uint64_t>{{0, 4}}));
+  EXPECT_EQ(merged.counts, (CountPairs{{0, 4}}));
   EXPECT_EQ(merged.query, q.id);
 
   ResultMerger none(q);
@@ -415,6 +420,215 @@ TEST(ResultMergerDifferential, MovedFromAndEmptyFragmentsAddNothing) {
   EXPECT_TRUE(empty.detections.empty());
   EXPECT_TRUE(empty.counts.empty());
   EXPECT_EQ(empty.query, q.id);
+}
+
+// ------------------------------- aggregates vs the map-based reference
+
+/// 0–3 blocks of rows on a 100 × 100 world over 10 s, cameras drawn from a
+/// few small ids and a few just below 2^64; older blocks sometimes demoted
+/// to the cold tier.
+DetectionStore random_partition(Rng& rng, std::uint64_t& next_id) {
+  static constexpr std::uint64_t kCameras[] = {
+      1, 2, 3, 17, ~0ull, ~0ull - 1, ~0ull - 40};
+  DetectionStore store;
+  std::size_t n = rng.uniform_index(3 * kDetectionBlockRows + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    Point p{rng.uniform(0, 100), rng.uniform(0, 100)};
+    auto t = static_cast<std::int64_t>(i * 10'000'000 / n);
+    (void)store.append(make_detection(
+        next_id++, p, t, 1, kCameras[rng.uniform_index(std::size(kCameras))]));
+  }
+  if (rng.bernoulli(0.5)) store.demote_older_than(TimePoint(5'000'000));
+  return store;
+}
+
+Query random_aggregate(Rng& rng, QueryId id) {
+  Rect region = rng.bernoulli(0.3)
+                    ? Rect{{0, 0}, {100, 100}}
+                    : Rect::centered({rng.uniform(0, 100), rng.uniform(0, 100)},
+                                     rng.uniform(1, 60));
+  TimeInterval interval =
+      rng.bernoulli(0.3)
+          ? TimeInterval::all()
+          : TimeInterval{TimePoint(rng.uniform_int(0, 6'000'000)),
+                         TimePoint(rng.uniform_int(4'000'000, 11'000'000))};
+  switch (rng.uniform_index(3)) {
+    case 0:
+      return Query::count(id, region, interval);
+    case 1:
+      return Query::count(id, region, interval, GroupBy::kCamera);
+    default:
+      return Query::heatmap(id, region, rng.uniform(0.5, 30), interval);
+  }
+}
+
+/// Folds `stores` into fragments as workers would (stores dealt to
+/// `workers` folds, one AggregateFold each, some holding none), sends each
+/// fragment through the wire codec and merges them at the coordinator.
+/// Also checks each store's LocalExecutor answer and the fragments against
+/// the reference.
+CountPairs fold_and_merge(const Query& q, const std::vector<DetectionStore>& stores,
+                          std::size_t workers, Rng& rng) {
+  std::vector<AggregateFold> folds;
+  for (std::size_t w = 0; w < workers; ++w) folds.emplace_back(q);
+  std::vector<std::vector<CountMap>> held(workers);
+  for (const DetectionStore& store : stores) {
+    std::size_t w = rng.uniform_index(workers);
+    MorselStats ms;
+    std::uint64_t scanned = folds[w].add(store, ms);
+    CountMap reference = reference_aggregate(store, q);
+    held[w].push_back(reference);
+    QueryResult alone = LocalExecutor::execute(store, q);
+    EXPECT_EQ(alone.counts, to_pairs(reference));
+    EXPECT_EQ(scanned, alone.total_count());
+  }
+  ResultMerger merger(q);
+  for (std::size_t w = 0; w < workers; ++w) {
+    QueryResult fragment{q.id, {}, folds[w].take()};
+    EXPECT_EQ(fragment.counts, to_pairs(reference_merge_counts(held[w])));
+    BinaryWriter writer;
+    serialize(writer, fragment);
+    BinaryReader reader(writer.bytes());
+    QueryResult decoded = deserialize_query_result(reader);
+    EXPECT_TRUE(reader.at_end());
+    merger.add(std::move(decoded));
+  }
+  return merger.take().counts;
+}
+
+TEST(AggregateMerge, RandomFragmentsMatchMapMerge) {
+  Rng rng(31);
+  std::uint64_t next_id = 1;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<DetectionStore> stores;
+    std::size_t partitions = rng.uniform_index(6);
+    for (std::size_t p = 0; p < partitions; ++p) {
+      stores.push_back(random_partition(rng, next_id));
+    }
+    std::vector<CountMap> all;
+    for (int k = 0; k < 4; ++k) {
+      Query q = random_aggregate(rng, QueryId(trial * 4 + k));
+      all.clear();
+      for (const DetectionStore& s : stores) {
+        all.push_back(reference_aggregate(s, q));
+      }
+      CountPairs merged = fold_and_merge(q, stores, 1 + rng.uniform_index(4), rng);
+      ASSERT_EQ(merged, to_pairs(reference_merge_counts(all)))
+          << "trial " << trial << " " << query_kind_name(q.kind);
+    }
+  }
+}
+
+TEST(AggregateMerge, UngroupedCountOfZeroKeepsKeyZero) {
+  Rng rng(37);
+  std::uint64_t next_id = 1;
+  std::vector<DetectionStore> stores;
+  stores.push_back(random_partition(rng, next_id));
+  stores.emplace_back();  // an empty partition
+  stores.push_back(random_partition(rng, next_id));
+  for (Query q : {Query::count(QueryId(1), {{200, 200}, {300, 300}},
+                               TimeInterval::all()),
+                  Query::count(QueryId(2), {{0, 0}, {100, 100}},
+                               {TimePoint(50'000'000), TimePoint(60'000'000)}),
+                  Query::count(QueryId(3), Rect::empty(), TimeInterval::all())}) {
+    EXPECT_EQ(LocalExecutor::execute(stores.front(), q).counts,
+              (CountPairs{{0, 0}}));
+    EXPECT_EQ(fold_and_merge(q, stores, 3, rng), (CountPairs{{0, 0}}));
+  }
+  // A worker that holds none of the partitions answers no pairs at all.
+  Query q = Query::count(QueryId(4), {{0, 0}, {100, 100}}, TimeInterval::all());
+  EXPECT_TRUE(AggregateFold(q).take().empty());
+}
+
+TEST(AggregateMerge, GroupByCameraIdsNearTopOfRange) {
+  DetectionStore a;
+  DetectionStore b;
+  std::uint64_t cams[] = {~0ull, 0, ~0ull - 1, 1ull << 63, ~0ull, 5};
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    (void)a.append(make_detection(i + 1, {10, 10}, 100, 1, cams[i]));
+    (void)b.append(make_detection(i + 11, {20, 20}, 200, 1, cams[5 - i]));
+  }
+  Query q = Query::count(QueryId(1), {{0, 0}, {100, 100}},
+                         TimeInterval::all(), GroupBy::kCamera);
+  AggregateFold fold(q);
+  MorselStats ms;
+  EXPECT_EQ(fold.add(a, ms), 6u);
+  EXPECT_EQ(fold.add(b, ms), 6u);
+  CountPairs expected = {
+      {0, 2}, {5, 2}, {1ull << 63, 2}, {~0ull - 1, 2}, {~0ull, 4}};
+  EXPECT_EQ(fold.take(), expected);
+  Rng rng(41);
+  std::vector<DetectionStore> stores;
+  stores.push_back(std::move(a));
+  stores.push_back(std::move(b));
+  EXPECT_EQ(fold_and_merge(q, stores, 2, rng), expected);
+}
+
+TEST(AggregateMerge, OversizedHeatmapGridTakesPairFallback) {
+  Rng rng(43);
+  std::uint64_t next_id = 1;
+  std::vector<DetectionStore> stores;
+  for (int p = 0; p < 3; ++p) stores.push_back(random_partition(rng, next_id));
+  // 2,500 × 2,500 cells: above the dense limit.
+  Query q = Query::heatmap(QueryId(1), {{0, 0}, {100, 100}}, 0.04,
+                           TimeInterval::all());
+  ASSERT_GT(q.heatmap_cols() * q.heatmap_rows(), AggregateFold::kMaxDenseCells);
+  std::vector<CountMap> all;
+  for (const DetectionStore& s : stores) all.push_back(reference_aggregate(s, q));
+  CountPairs expected = to_pairs(reference_merge_counts(all));
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(fold_and_merge(q, stores, 2, rng), expected);
+  // Coarse cells so rows share cells and the fallback has sums to make.
+  Query coarse = Query::heatmap(QueryId(2), {{0, 0}, {8'200, 4'100}}, 2.0,
+                                TimeInterval::all());
+  ASSERT_GT(coarse.heatmap_cols() * coarse.heatmap_rows(),
+            AggregateFold::kMaxDenseCells);
+  all.clear();
+  for (const DetectionStore& s : stores) {
+    all.push_back(reference_aggregate(s, coarse));
+  }
+  expected = to_pairs(reference_merge_counts(all));
+  std::uint64_t max_count = 0;
+  for (auto [cell, n] : expected) max_count = std::max(max_count, n);
+  EXPECT_GT(max_count, 1u);
+  EXPECT_EQ(fold_and_merge(coarse, stores, 2, rng), expected);
+}
+
+TEST(AggregateMerge, WireKeysOutOfOrderOrRepeatedMergeLikeMaps) {
+  Rng rng(47);
+  Query q = Query::count(QueryId(5), {{0, 0}, {1, 1}}, TimeInterval::all(),
+                         GroupBy::kCamera);
+  for (int trial = 0; trial < 200; ++trial) {
+    ResultMerger merger(q);
+    std::vector<CountMap> fragments(1 + rng.uniform_index(5));
+    for (CountMap& f : fragments) {
+      // Pairs in arbitrary order with repeated keys, written raw.
+      CountPairs wire;
+      std::size_t n = rng.uniform_index(12);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t key = rng.bernoulli(0.2) ? ~0ull - rng.uniform_index(3)
+                                               : rng.uniform_index(8);
+        std::uint64_t count = rng.uniform_index(1000);
+        wire.emplace_back(key, count);
+        f[key] += count;
+      }
+      BinaryWriter w;
+      w.write_id(q.id);
+      w.write_u32(0);
+      w.write_u32(static_cast<std::uint32_t>(wire.size()));
+      for (auto [key, count] : wire) {
+        w.write_u64(key);
+        w.write_u64(count);
+      }
+      BinaryReader r(w.bytes());
+      QueryResult decoded = deserialize_query_result(r);
+      ASSERT_TRUE(r.at_end());
+      ASSERT_EQ(decoded.counts, to_pairs(f)) << "trial " << trial;
+      merger.add(std::move(decoded));
+    }
+    ASSERT_EQ(merger.take().counts, to_pairs(reference_merge_counts(fragments)))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -265,6 +265,51 @@ TEST(ReliableChannelE2E, HedgingMasksGrayFailure) {
   EXPECT_EQ(cc.counter_value("workers_suspected"), 0u);  // detector never fired
 }
 
+// Aggregates merge by summing every fragment answer the coordinator kept,
+// retired ones included. A count, a group-by and a heatmap must still equal
+// the oracle when a gray-slow worker's fragments are hedged over, for mild
+// to extreme slowdowns of different workers.
+TEST(ReliableChannelE2E, HedgingKeepsAggregatesExact) {
+  E2eScenario s;
+  CentralizedIndex oracle(s.world);
+  oracle.ingest_all(s.trace.detections);
+  std::uint64_t hedges_won = 0;
+  for (std::uint64_t victim : {1, 2, 4}) {
+    for (double slow : {4.0, 40.0, 500.0}) {
+      ClusterConfig config;
+      config.worker_count = 4;
+      config.network.seed = 6 + victim;
+      Cluster cluster(
+          s.world,
+          std::make_unique<SpatialGridStrategy>(s.world, 3, 3,
+                                                s.trace.cameras),
+          config);
+      cluster.ingest_all(s.trace.detections);
+      quiesce(cluster);
+      cluster.network().set_slow(NodeId(victim), slow);
+
+      std::vector<Query> queries = {
+          Query::count(cluster.next_query_id(), s.world, TimeInterval::all()),
+          Query::count(cluster.next_query_id(), s.world, TimeInterval::all(),
+                       GroupBy::kCamera),
+          Query::heatmap(cluster.next_query_id(), s.world, 150.0,
+                         TimeInterval::all())};
+      for (const Query& q : queries) {
+        QueryResult got = cluster.execute(q);
+        EXPECT_EQ(got.counts, oracle.execute(q).counts)
+            << query_kind_name(q.kind) << " victim " << victim << " slow "
+            << slow;
+      }
+      EXPECT_EQ(cluster.coordinator().metrics().counter_value(
+                    "workers_suspected"),
+                0u);
+      hedges_won +=
+          cluster.coordinator().metrics().counter_value("hedges_won");
+    }
+  }
+  EXPECT_GT(hedges_won, 0u);
+}
+
 TEST(ReliableChannelE2E, HeartbeatsResumeAfterNetworkOnlyRestart) {
   // Regression: a crash used to silently discard the worker's pending
   // monitor-tick timer, so a restart that did not explicitly re-arm it left

@@ -207,8 +207,7 @@ TEST(QueryResultSerialization, RoundTrip) {
   QueryResult result;
   result.query = QueryId(77);
   result.detections = {make_detection()};
-  result.counts[0] = 5;
-  result.counts[22] = 3;
+  result.counts = {{0, 5}, {22, 3}};
 
   BinaryWriter w;
   serialize(w, result);

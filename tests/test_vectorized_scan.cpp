@@ -227,7 +227,7 @@ TEST_P(VectorizedExecutor, CountMatchesBruteForce) {
     QueryResult plain = LocalExecutor::execute(
         store_, Query::count(QueryId(1), region, interval), &stats);
     ASSERT_EQ(plain.counts.size(), 1u) << "trial " << trial;
-    EXPECT_EQ(plain.counts.at(0), expected) << "trial " << trial;
+    EXPECT_EQ(plain.count_of(0), expected) << "trial " << trial;
     EXPECT_GT(stats.store.morsels, 0u) << "trial " << trial;
     EXPECT_GE(stats.store.rows_evaluated, stats.store.rows_selected);
     EXPECT_EQ(stats.store.rows_selected, expected);
@@ -235,7 +235,9 @@ TEST_P(VectorizedExecutor, CountMatchesBruteForce) {
     QueryResult grouped = LocalExecutor::execute(
         store_,
         Query::count(QueryId(2), region, interval, GroupBy::kCamera));
-    EXPECT_TRUE(grouped.counts == expected_by_camera) << "trial " << trial;
+    EXPECT_EQ(grouped.counts, CountPairs(expected_by_camera.begin(),
+                                         expected_by_camera.end()))
+        << "trial " << trial;
   }
 }
 
@@ -259,7 +261,8 @@ TEST_P(VectorizedExecutor, HeatmapMatchesBruteForce) {
     }
     ScanStats stats;
     QueryResult result = LocalExecutor::execute(store_, query, &stats);
-    EXPECT_TRUE(result.counts == expected) << "trial " << trial;
+    EXPECT_EQ(result.counts, CountPairs(expected.begin(), expected.end()))
+        << "trial " << trial;
     EXPECT_GT(stats.store.morsels, 0u) << "trial " << trial;
   }
 }
