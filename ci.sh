@@ -102,6 +102,15 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ./build-asan/tests/test_reliable_channel \
       --gtest_filter='ReliableChannelE2E.*' >/dev/null
   ./build-asan/tests/test_planner --gtest_filter='KnnCoverage.*' >/dev/null
+  echo "== sanitizer tracer rerun =="
+  # The tracer keeps flat span and tag records with offsets into one byte
+  # arena per ring slot, and reuses slots without freeing them: the
+  # differential against the reference tracer (evictions, clears, control
+  # characters), the slow-query log that copies spans out, and the traced
+  # cluster queries under ASan+UBSan.
+  ./build-asan/tests/test_obs \
+      --gtest_filter='Tracer*:SlowQueryLog.*' >/dev/null
+  ./build-asan/tests/test_trace_propagation >/dev/null
 fi
 
 echo "== columnar scan smoke (Release -O3, bench_index_micro --quick) =="

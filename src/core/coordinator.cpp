@@ -221,7 +221,7 @@ std::uint64_t Coordinator::submit_to(std::vector<PartitionId> partitions,
     pending.root = tracer_->start_span("coordinator.fanout", parent,
                                        id_.value(), network.now());
     tracer_->tag(pending.root, "kind", query_kind_name(query.kind));
-    tracer_->tag(pending.root, "request_id", std::to_string(request_id));
+    tracer_->tag(pending.root, "request_id", request_id);
   }
 
   std::unordered_map<NodeId, std::vector<PartitionId>> assignment;
@@ -263,8 +263,8 @@ std::uint64_t Coordinator::submit_to(std::vector<PartitionId> partitions,
     if (tracer_ != nullptr) {
       fspan = tracer_->start_span("fragment", pending.root, id_.value(),
                                   network.now());
-      tracer_->tag(fspan, "worker", std::to_string(worker.value()));
-      tracer_->tag(fspan, "partitions", std::to_string(partitions.size()));
+      tracer_->tag(fspan, "worker", worker.value());
+      tracer_->tag(fspan, "partitions", partitions.size());
     }
     // Apportion the caller's cardinality estimate by partition share: with
     // no better signal, a fragment serving half the partitions is expected
@@ -327,22 +327,26 @@ void Coordinator::maybe_finish(std::uint64_t request_id,
   if (pending.query.kind == QueryKind::kCameraWindow) {
     rec.hottest_camera = pending.query.camera.value();
   } else {
-    // Every row that arrived counts, duplicates included.
-    std::unordered_map<std::uint64_t, std::uint64_t> camera_counts;
+    // Every row that arrived counts, duplicates included. Sorted camera
+    // ids count as runs; a run wins only by being longer, so the smallest
+    // id wins ties.
+    std::vector<std::uint64_t>& cams = camera_scratch_;
+    cams.clear();
     for (const QueryResult& fragment : pending.results) {
       for (const Detection& d : fragment.detections) {
-        ++camera_counts[d.camera.value()];
+        cams.push_back(d.camera.value());
       }
     }
+    std::sort(cams.begin(), cams.end());
     std::uint64_t best_cam = CostRecord::kNoCamera;
-    std::uint64_t best_n = 0;
-    for (const auto& [cam, n] : camera_counts) {
-      // Smallest id wins ties, keeping attribution deterministic across
-      // unordered_map iteration orders.
-      if (n > best_n || (n == best_n && n > 0 && cam < best_cam)) {
-        best_cam = cam;
-        best_n = n;
+    std::size_t best_n = 0;
+    for (auto run = cams.begin(); run != cams.end();) {
+      auto next = std::upper_bound(run, cams.end(), *run);
+      if (static_cast<std::size_t>(next - run) > best_n) {
+        best_cam = *run;
+        best_n = static_cast<std::size_t>(next - run);
       }
+      run = next;
     }
     rec.hottest_camera = best_cam;
   }
@@ -549,7 +553,7 @@ void Coordinator::hedge(std::uint64_t request_id, SimNetwork& network) {
       // shows which slow fragment triggered the speculative re-issue.
       hspan = tracer_->start_span("fragment", plan.parent, id_.value(),
                                   network.now());
-      tracer_->tag(hspan, "worker", std::to_string(plan.worker.value()));
+      tracer_->tag(hspan, "worker", plan.worker.value());
       tracer_->tag(hspan, "hedge", "true");
     }
     pending.cost.bytes_out +=
@@ -632,7 +636,7 @@ void Coordinator::failover_retry(std::uint64_t request_id,
     if (tracer_ != nullptr) {
       rspan = tracer_->start_span("fragment", pending.root, id_.value(),
                                   network.now());
-      tracer_->tag(rspan, "worker", std::to_string(plan.worker.value()));
+      tracer_->tag(rspan, "worker", plan.worker.value());
       tracer_->tag(rspan, "retry", "true");
     }
     pending.cost.bytes_out +=

@@ -523,6 +523,9 @@ class Coordinator final : public NetworkNode {
 
   Tracer* tracer_ = nullptr;
   SlowQueryLog slow_log_;
+  // Camera ids of a finished query's rows, reused to find its hottest
+  // camera without a per-query map.
+  std::vector<std::uint64_t> camera_scratch_;
   ResourceLedger ledger_;
   QueryProfiler* profiler_ = nullptr;
   // Request the active profile belongs to; responses for other requests

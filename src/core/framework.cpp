@@ -109,7 +109,7 @@ QueryResult Cluster::execute(const Query& query) {
                            ? execute_knn(query, root)
                            : submit_and_wait(query, root);
   if (root.valid()) {
-    tracer_.tag(root, "results", std::to_string(result.detections.size()));
+    tracer_.tag(root, "results", result.detections.size());
     tracer_.end_span(root, network_.now());
   }
   return result;
@@ -538,7 +538,7 @@ Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
   TraceContext rspan;
   if (tracer_.enabled()) {
     rspan = tracer_.start_trace("recovery", w.value(), network_.now());
-    tracer_.tag(rspan, "worker", std::to_string(w.value()));
+    tracer_.tag(rspan, "worker", w.value());
     last_trace_id_ = rspan.trace_id;
   }
 
@@ -574,9 +574,8 @@ Cluster::RecoveryReport Cluster::restart_worker(WorkerId w) {
     coordinator_->cluster_events().resync_timeout.inc();
   }
   if (rspan.valid()) {
-    tracer_.tag(rspan, "partitions", std::to_string(report.partitions_total));
-    tracer_.tag(rspan, "recovered",
-                std::to_string(report.partitions_recovered));
+    tracer_.tag(rspan, "partitions", report.partitions_total);
+    tracer_.tag(rspan, "recovered", report.partitions_recovered);
     tracer_.tag(rspan, "outcome", report.completed ? "ok" : "incomplete");
     tracer_.end_span(rspan, network_.now());
   }

@@ -137,10 +137,12 @@ class ReplayLog {
               std::vector<std::uint8_t> rows) {
     entries_.push_back({source, pbid, std::move(rows)});
     bytes_ += entry_cost(entries_.back());
+    if (pbid == 0) ++unsequenced_;
     while (bytes_ > max_bytes_ && entries_.size() > 1) {
       const ReplayEntry& front = entries_.front();
       bytes_ -= entry_cost(front);
       if (front.pbid == 0) {
+        --unsequenced_;
         unsequenced_pruned_ = true;
       } else {
         std::uint64_t& f = floor_[front.source];
@@ -187,6 +189,8 @@ class ReplayLog {
   }
 
   [[nodiscard]] const Watermark& floor() const { return floor_; }
+  /// Entries held with pbid 0, which every collect() returns.
+  [[nodiscard]] std::size_t unsequenced() const { return unsequenced_; }
   [[nodiscard]] std::size_t bytes() const { return bytes_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
@@ -200,6 +204,7 @@ class ReplayLog {
   Watermark floor_;
   std::size_t bytes_ = 0;
   std::size_t max_bytes_ = 4u << 20;
+  std::size_t unsequenced_ = 0;
   bool unsequenced_pruned_ = false;
 };
 

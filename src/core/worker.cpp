@@ -1,5 +1,6 @@
 #include "core/worker.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace stcn {
@@ -278,7 +279,7 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
   if (tracer_ != nullptr && parent.valid()) {
     qspan = tracer_->start_span("worker.query", parent,
                                 node_id().value(), network.now());
-    tracer_->tag(qspan, "sub_id", std::to_string(request.sub_id));
+    tracer_->tag(qspan, "sub_id", request.sub_id);
   }
   auto wall_start = std::chrono::steady_clock::now();
   const Query& query = request.query;
@@ -323,8 +324,8 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
                          .count();
       TraceContext scan = tracer_->instant("worker.scan", qspan,
                                            node_id().value(), network.now());
-      tracer_->tag(scan, "partition", std::to_string(p.value()));
-      tracer_->tag(scan, "wall_us", std::to_string(wall_us));
+      tracer_->tag(scan, "partition", p.value());
+      tracer_->tag(scan, "wall_us", static_cast<std::uint64_t>(wall_us));
       if (it == partitions_.end()) tracer_->tag(scan, "absent", "true");
     }
   }
@@ -355,7 +356,7 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
           : encode_rows_response(request.request_id, request.sub_id, query,
                                  std::move(rows), scan_stats, scan_only_us);
   if (sspan.valid()) {
-    tracer_->tag(sspan, "bytes", std::to_string(payload.size()));
+    tracer_->tag(sspan, "bytes", payload.size());
     tracer_->end_span(sspan, network.now());
   }
   // Fragment + wire-bytes heat, apportioned evenly across the partitions
@@ -370,7 +371,8 @@ void WorkerNode::on_query(const QueryRequest& request, NodeId reply_to,
                            .count();
   scan_wall_us_.observe(static_cast<double>(total_wall_us));
   if (qspan.valid()) {
-    tracer_->tag(qspan, "wall_us", std::to_string(total_wall_us));
+    tracer_->tag(qspan, "wall_us",
+                 static_cast<std::uint64_t>(total_wall_us));
     tracer_->end_span(qspan, network.now());
   }
   reply(reply_to, MsgType::kQueryResponse, std::move(payload), reliable, qspan,
@@ -478,6 +480,16 @@ bool WorkerNode::dedup_ingest(PartitionId p, const Detection& d) {
   return true;
 }
 
+bool WorkerNode::tail_past_watermark(PartitionId p) const {
+  auto log = replay_logs_.find(p);
+  if (log != replay_logs_.end() && log->second.unsequenced() > 0) return true;
+  auto marks = watermarks_.find(p);
+  if (marks == watermarks_.end()) return false;
+  return std::any_of(
+      marks->second.begin(), marks->second.end(),
+      [](const auto& source) { return !source.second.ahead.empty(); });
+}
+
 Watermark WorkerNode::watermark_of(PartitionId p) const {
   Watermark mark;
   auto it = watermarks_.find(p);
@@ -503,7 +515,9 @@ void WorkerNode::take_snapshots(TimePoint now) {
     snap.watermark = watermark_of(p);
     // Rows the contiguous watermark does not cover (delivered out of
     // order) ride along as replay entries under their true identity.
-    snap.tail = replay_log(p).collect(snap.watermark);
+    snap.tail = tail_past_watermark(p)
+                    ? replay_log(p).collect(snap.watermark)
+                    : std::vector<ReplayEntry>{};
     snapshots_taken_.inc();
   }
   update_recovery_gauges();
@@ -656,8 +670,7 @@ void WorkerNode::start_recovery(std::uint64_t recovery_id,
     if (tracer_ != nullptr && parent.valid()) {
       task.span = tracer_->start_span("recovery.partition", parent,
                                       node_id().value(), network.now());
-      tracer_->tag(task.span, "partition",
-                   std::to_string(spec.partition.value()));
+      tracer_->tag(task.span, "partition", spec.partition.value());
     }
     task_by_partition_[spec.partition] = token;
     auto it = recovery_tasks_.emplace(token, std::move(task)).first;

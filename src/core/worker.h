@@ -377,6 +377,11 @@ class WorkerNode final : public NetworkNode {
   };
 
   ReplayLog& replay_log(PartitionId p);
+  /// Whether `p`'s log may hold entries past its watermark, without
+  /// walking it. Every sequenced entry's pbid was noted in its source's
+  /// tracker before it was logged, so with no pbid parked ahead of any
+  /// tracker's watermark, only unsequenced (pbid 0) entries can be past it.
+  [[nodiscard]] bool tail_past_watermark(PartitionId p) const;
   /// Ingests `d` unless already present; returns true if it was new.
   bool dedup_ingest(PartitionId p, const Detection& d);
   /// Installs the vault snapshot for `p` (no-op without one). Returns true

@@ -74,7 +74,7 @@ void ReliableChannel::handle_timer(std::uint64_t token, SimNetwork& network) {
       TraceContext span = tracer_->instant("net.retransmit_exhausted",
                                            frame.trace, self_.value(),
                                            network.now());
-      tracer_->tag(span, "to", std::to_string(frame.to.value()));
+      tracer_->tag(span, "to", frame.to.value());
     }
     pending_by_dest_[frame.to.value()].erase(frame.seq);
     pending_.erase(it);
@@ -86,7 +86,7 @@ void ReliableChannel::handle_timer(std::uint64_t token, SimNetwork& network) {
   if (tracer_ != nullptr && frame.trace.valid()) {
     TraceContext span = tracer_->instant("net.retransmit", frame.trace,
                                          self_.value(), network.now());
-    tracer_->tag(span, "to", std::to_string(frame.to.value()));
+    tracer_->tag(span, "to", frame.to.value());
     tracer_->tag(span, "attempt", std::to_string(frame.attempts));
   }
   transmit(frame, network);

@@ -1,80 +1,165 @@
 #include "obs/tracer.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "obs/json.h"
 
 namespace stcn {
 
-TraceContext Tracer::start_trace(std::string name, std::uint64_t node,
+namespace {
+
+// What a reused slot keeps: room for a city-wide count (about 90 spans,
+// 170 tags and 3 KB of text). A larger trace's buffers are released when
+// its slot is reused, so the ring keeps at most about 19 KB per slot.
+constexpr std::size_t kSlotSpans = 128;
+constexpr std::size_t kSlotTags = 256;
+constexpr std::size_t kSlotArenaBytes = 8 << 10;
+
+template <typename Buffer>
+void recycle(Buffer& buffer, std::size_t keep) {
+  if (buffer.capacity() > keep) {
+    Buffer().swap(buffer);
+  } else {
+    buffer.clear();
+  }
+}
+
+}  // namespace
+
+std::uint32_t Tracer::Slot::store(std::string_view bytes) {
+  auto offset = static_cast<std::uint32_t>(arena.size());
+  arena.append(bytes);
+  return offset;
+}
+
+void Tracer::Slot::reuse(std::uint64_t id) {
+  trace_id = id;
+  recycle(spans, kSlotSpans);
+  recycle(tags, kSlotTags);
+  recycle(arena, kSlotArenaBytes);
+}
+
+Tracer::Span* Tracer::Slot::find(std::uint64_t span_id) {
+  // Most tags land on the span just started.
+  if (!spans.empty() && spans.back().span_id == span_id) return &spans.back();
+  auto it = std::lower_bound(
+      spans.begin(), spans.end(), span_id,
+      [](const Span& s, std::uint64_t id) { return s.span_id < id; });
+  return it == spans.end() || it->span_id != span_id ? nullptr : &*it;
+}
+
+const Tracer::Slot* Tracer::slot_of(std::uint64_t trace_id) const {
+  // Trace ids are consecutive, so a trace's age places it behind the next
+  // slot without dividing: (trace_id - 1) % max_traces.
+  std::uint64_t age = next_trace_id_ - trace_id;  // 1 = the newest trace
+  if (trace_id == 0 || trace_id >= next_trace_id_ ||
+      age > config_.max_traces) {
+    return nullptr;
+  }
+  std::size_t index = next_slot_ >= age
+                          ? next_slot_ - age
+                          : next_slot_ + config_.max_traces - age;
+  if (index >= slots_.size() || slots_[index].trace_id != trace_id) {
+    return nullptr;
+  }
+  return &slots_[index];
+}
+
+TraceContext Tracer::start_trace(std::string_view name, std::uint64_t node,
                                  TimePoint now) {
   if (!enabled()) return {};
   std::uint64_t trace_id = next_trace_id_++;
-  while (traces_.size() >= config_.max_traces && !eviction_order_.empty()) {
-    traces_.erase(eviction_order_.front());
-    eviction_order_.pop_front();
-  }
-  traces_.emplace(trace_id, TraceBuffer{});
-  eviction_order_.push_back(trace_id);
-  return start_span(std::move(name), TraceContext{trace_id, 0}, node, now);
+  std::size_t index = next_slot_;
+  next_slot_ = index + 1 == config_.max_traces ? 0 : index + 1;
+  if (index >= slots_.size()) slots_.resize(index + 1);
+  Slot& slot = slots_[index];
+  if (slot.trace_id == 0) ++live_;
+  slot.reuse(trace_id);
+  return start_span(name, TraceContext{trace_id, 0}, node, now);
 }
 
-TraceContext Tracer::start_span(std::string name, TraceContext parent,
+TraceContext Tracer::start_span(std::string_view name, TraceContext parent,
                                 std::uint64_t node, TimePoint now) {
   if (!enabled()) return {};
-  if (!parent.valid()) {
-    return start_trace(std::move(name), node, now);
-  }
-  auto it = traces_.find(parent.trace_id);
-  if (it == traces_.end()) return {};  // trace already evicted
-  SpanRecord span;
-  span.trace_id = parent.trace_id;
+  if (!parent.valid()) return start_trace(name, node, now);
+  Slot* slot = slot_of(parent.trace_id);
+  if (slot == nullptr) return {};  // trace already evicted
+  Span span;
   span.span_id = next_span_id_++;
   span.parent_id = parent.span_id;
-  span.name = std::move(name);
   span.node = node;
   span.start = now;
   span.end = now;
+  span.name_offset = slot->store(name);
+  span.name_size = static_cast<std::uint32_t>(name.size());
+  slot->spans.push_back(span);
   ++spans_started_;
-  it->second.by_span_id.emplace(span.span_id, it->second.spans.size());
-  it->second.spans.push_back(std::move(span));
-  return {parent.trace_id, it->second.spans.back().span_id};
+  return {parent.trace_id, span.span_id};
 }
 
-SpanRecord* Tracer::find_span(TraceContext ctx) {
-  if (!ctx.valid() || ctx.span_id == 0) return nullptr;
-  auto it = traces_.find(ctx.trace_id);
-  if (it == traces_.end()) return nullptr;
-  auto span_it = it->second.by_span_id.find(ctx.span_id);
-  if (span_it == it->second.by_span_id.end()) return nullptr;
-  return &it->second.spans[span_it->second];
+void Tracer::tag(TraceContext ctx, std::string_view key,
+                 std::string_view value) {
+  Slot* slot = slot_of(ctx.trace_id);
+  Span* span = slot == nullptr ? nullptr : slot->find(ctx.span_id);
+  if (span == nullptr) return;
+  Tag tag;
+  tag.span = static_cast<std::uint32_t>(span - slot->spans.data());
+  tag.offset = slot->store(key);
+  slot->store(value);
+  tag.key_size = static_cast<std::uint32_t>(key.size());
+  tag.value_size = static_cast<std::uint32_t>(value.size());
+  slot->tags.push_back(tag);
 }
 
-void Tracer::tag(TraceContext ctx, std::string key, std::string value) {
-  if (SpanRecord* span = find_span(ctx)) {
-    span->tags.emplace_back(std::move(key), std::move(value));
-  }
+void Tracer::tag(TraceContext ctx, std::string_view key,
+                 std::uint64_t value) {
+  char digits[20];
+  char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  tag(ctx, key,
+      std::string_view(digits, static_cast<std::size_t>(end - digits)));
 }
 
 void Tracer::end_span(TraceContext ctx, TimePoint now) {
-  if (SpanRecord* span = find_span(ctx)) {
+  Slot* slot = slot_of(ctx.trace_id);
+  if (Span* span = slot == nullptr ? nullptr : slot->find(ctx.span_id)) {
     span->end = now;
     span->finished = true;
   }
 }
 
 std::vector<SpanRecord> Tracer::trace(std::uint64_t trace_id) const {
-  auto it = traces_.find(trace_id);
-  return it == traces_.end() ? std::vector<SpanRecord>{} : it->second.spans;
+  std::vector<SpanRecord> out;
+  const Slot* slot = slot_of(trace_id);
+  if (slot == nullptr) return out;
+  out.reserve(slot->spans.size());
+  for (const Span& s : slot->spans) {
+    SpanRecord& r = out.emplace_back();
+    r.trace_id = trace_id;
+    r.span_id = s.span_id;
+    r.parent_id = s.parent_id;
+    r.name = slot->text(s.name_offset, s.name_size);
+    r.node = s.node;
+    r.start = s.start;
+    r.end = s.end;
+    r.finished = s.finished;
+  }
+  for (const Tag& t : slot->tags) {
+    out[t.span].tags.emplace_back(
+        slot->text(t.offset, t.key_size),
+        slot->text(t.offset + t.key_size, t.value_size));
+  }
+  return out;
 }
 
 std::size_t Tracer::count_spans(std::uint64_t trace_id,
                                 std::string_view name) const {
-  auto it = traces_.find(trace_id);
-  if (it == traces_.end()) return 0;
-  return static_cast<std::size_t>(
-      std::count_if(it->second.spans.begin(), it->second.spans.end(),
-                    [name](const SpanRecord& s) { return s.name == name; }));
+  const Slot* slot = slot_of(trace_id);
+  if (slot == nullptr) return 0;
+  return static_cast<std::size_t>(std::count_if(
+      slot->spans.begin(), slot->spans.end(), [&](const Span& s) {
+        return slot->text(s.name_offset, s.name_size) == name;
+      }));
 }
 
 std::string Tracer::to_chrome_json(std::uint64_t trace_id) const {
@@ -119,8 +204,8 @@ std::string Tracer::to_chrome_json(std::uint64_t trace_id) const {
 }
 
 void Tracer::clear() {
-  traces_.clear();
-  eviction_order_.clear();
+  slots_.clear();
+  live_ = 0;
 }
 
 // -------------------------------------------------------------- span tree

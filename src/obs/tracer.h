@@ -19,11 +19,19 @@
 //
 // Retention is bounded: the tracer keeps the most recent `max_traces`
 // traces (FIFO eviction), so long benches cannot grow memory without bound.
+// It is one ring of `max_traces` slots, trace `t` in slot
+// `(t - 1) % max_traces`; starting a trace overwrites the slot of the trace
+// `max_traces` older. A slot holds flat span records, flat tag records and
+// one byte arena for names, keys and values, and is cleared without being
+// freed when it is reused (only buffers an unusually large trace grew are
+// released), so a query pays no allocation and no eviction once the ring
+// is warm. Span ids grow within a trace, so a span is found
+// by binary search. SpanRecords are built only on export (`trace()`,
+// `to_chrome_json`).
 // Export: Chrome trace-event JSON (load in chrome://tracing or Perfetto).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -71,25 +79,28 @@ class Tracer {
 
   [[nodiscard]] bool enabled() const { return config_.max_traces > 0; }
 
-  /// Starts a new trace with a root span.
-  TraceContext start_trace(std::string name, std::uint64_t node,
+  /// Starts a new trace with a root span, evicting the trace `max_traces`
+  /// older.
+  TraceContext start_trace(std::string_view name, std::uint64_t node,
                            TimePoint now);
 
   /// Starts a child span of `parent`. An invalid parent starts a fresh
   /// trace (so call sites need no special casing).
-  TraceContext start_span(std::string name, TraceContext parent,
+  TraceContext start_span(std::string_view name, TraceContext parent,
                           std::uint64_t node, TimePoint now);
 
   /// Attaches a key/value tag to an open or finished span.
-  void tag(TraceContext ctx, std::string key, std::string value);
+  void tag(TraceContext ctx, std::string_view key, std::string_view value);
+  /// Same as tagging the value's decimal string.
+  void tag(TraceContext ctx, std::string_view key, std::uint64_t value);
 
   void end_span(TraceContext ctx, TimePoint now);
 
   /// Zero-duration annotation span (retransmits, drops): start == end.
   /// Returns the span's context so callers can tag it.
-  TraceContext instant(std::string name, TraceContext parent,
+  TraceContext instant(std::string_view name, TraceContext parent,
                        std::uint64_t node, TimePoint now) {
-    TraceContext ctx = start_span(std::move(name), parent, node, now);
+    TraceContext ctx = start_span(name, parent, node, now);
     end_span(ctx, now);
     return ctx;
   }
@@ -102,9 +113,9 @@ class Tracer {
                                         std::string_view name) const;
 
   [[nodiscard]] bool has_trace(std::uint64_t trace_id) const {
-    return traces_.contains(trace_id);
+    return slot_of(trace_id) != nullptr;
   }
-  [[nodiscard]] std::size_t trace_count() const { return traces_.size(); }
+  [[nodiscard]] std::size_t trace_count() const { return live_; }
   [[nodiscard]] std::uint64_t spans_started() const { return spans_started_; }
 
   /// Chrome trace-event JSON ({"traceEvents": [...]}) for one trace.
@@ -113,19 +124,54 @@ class Tracer {
   void clear();
 
  private:
-  struct TraceBuffer {
-    std::vector<SpanRecord> spans;
-    std::unordered_map<std::uint64_t, std::size_t> by_span_id;
+  struct Span {
+    std::uint64_t span_id = 0;
+    std::uint64_t parent_id = 0;
+    std::uint64_t node = 0;
+    TimePoint start;
+    TimePoint end;
+    std::uint32_t name_offset = 0;  // into the slot's arena
+    std::uint32_t name_size = 0;
+    bool finished = false;
+  };
+  /// Key then value, adjacent in the slot's arena.
+  struct Tag {
+    std::uint32_t span = 0;  // index into the slot's spans
+    std::uint32_t offset = 0;
+    std::uint32_t key_size = 0;
+    std::uint32_t value_size = 0;
+  };
+  struct Slot {
+    std::uint64_t trace_id = 0;  // 0 = empty
+    std::vector<Span> spans;     // span ids ascending
+    std::vector<Tag> tags;       // in tagging order
+    std::string arena;
+
+    [[nodiscard]] std::string_view text(std::uint32_t offset,
+                                        std::uint32_t size) const {
+      return std::string_view(arena).substr(offset, size);
+    }
+    /// The span with `span_id`, or nullptr.
+    Span* find(std::uint64_t span_id);
+    /// Appends `bytes` to the arena; returns their offset.
+    std::uint32_t store(std::string_view bytes);
+    /// Empties the slot for `trace_id`, keeping its buffers unless a large
+    /// trace grew them past what a slot keeps.
+    void reuse(std::uint64_t trace_id);
   };
 
-  SpanRecord* find_span(TraceContext ctx);
+  [[nodiscard]] const Slot* slot_of(std::uint64_t trace_id) const;
+  Slot* slot_of(std::uint64_t trace_id) {
+    return const_cast<Slot*>(std::as_const(*this).slot_of(trace_id));
+  }
 
   TracerConfig config_;
   std::uint64_t next_trace_id_ = 1;
   std::uint64_t next_span_id_ = 1;
   std::uint64_t spans_started_ = 0;
-  std::unordered_map<std::uint64_t, TraceBuffer> traces_;
-  std::deque<std::uint64_t> eviction_order_;
+  std::size_t next_slot_ = 0;  // (next_trace_id_ - 1) % max_traces
+  std::size_t live_ = 0;       // slots holding a trace
+  std::vector<Slot> slots_;    // grown on first use, up to max_traces
 };
 
 /// Children-by-parent view over one trace's spans, for tree asserts and the

@@ -492,6 +492,34 @@ TEST(CostLedgerCluster, AttributesTenantsAndConservesAcrossDimensions) {
   EXPECT_NE(prom.find("# HELP stcn_cost_rows_evaluated"), std::string::npos);
 }
 
+TEST(CostLedgerCluster, HottestCameraTieGoesToTheSmallestId) {
+  // Cameras 9 and 4 tie at three rows each and camera 2 has one; rows
+  // arrive in per-worker fragments. The smaller of the tied ids wins.
+  Rect world{{0, 0}, {1000, 1000}};
+  ClusterConfig config;
+  config.worker_count = 3;
+  Cluster cluster(world, std::make_unique<HashStrategy>(4), config);
+  std::vector<Detection> rows;
+  for (std::uint64_t camera : {9, 4, 9, 2, 4, 9, 4}) {
+    Detection d;
+    d.id = DetectionId(rows.size() + 1);
+    d.camera = CameraId(camera);
+    d.object = ObjectId(rows.size() % 3 + 1);
+    d.time = TimePoint::origin() + Duration::seconds(1 + rows.size());
+    d.position = {100.0 + 100.0 * static_cast<double>(rows.size()), 500.0};
+    rows.push_back(d);
+  }
+  cluster.ingest_all(rows);
+  QueryResult r = cluster.execute(
+      Query::range(cluster.next_query_id(), world, TimeInterval::all()));
+  ASSERT_EQ(r.detections.size(), rows.size());
+  const ResourceLedger& ledger = cluster.cost_ledger();
+  ASSERT_EQ(ledger.recent().size(), 1u);
+  EXPECT_EQ(ledger.recent().back().hottest_camera, 4u);
+  ASSERT_EQ(ledger.by_camera().top().size(), 1u);
+  EXPECT_EQ(ledger.by_camera().top()[0].key, "camera:4");
+}
+
 TEST(CostLedgerCluster, ExemplarsLinkLatencyBucketsToTraces) {
   auto cluster = make_cluster();
   Scenario& s = scenario();

@@ -2,10 +2,14 @@
 // replication + failover, and restarted workers resync their data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "baseline/centralized.h"
+#include "common/rng.h"
 #include "core/framework.h"
 #include "partition/strategies.h"
 #include "trace/generator.h"
@@ -795,6 +799,192 @@ TEST(ReplayLog, BytesAreTheEntriesWireBytes) {
   BinaryWriter w;
   for (const ReplayEntry& e : log.collect({})) write_replay_entry(w, e);
   EXPECT_EQ(w.size(), log.bytes());
+}
+
+// ---------------------------------------------------------- snapshot tail
+
+/// One worker driven directly: ingest batches from two senders under
+/// chosen pbids, snapshots, and a SyncRequest without `since`, whose answer
+/// carries the worker's watermark and its replay log's collect() at that
+/// watermark: the tail a snapshot taken now must hold.
+class TailRig final : public NetworkNode {
+ public:
+  static constexpr NodeId kSelf{4343};
+
+  TailRig() : worker_(WorkerId(1), kSelf, [] {
+    WorkerConfig c;
+    c.world = {{0, 0}, {1000, 1000}};
+    return c;
+  }()) {
+    net_.attach(worker_);
+    net_.attach(*this);
+  }
+
+  [[nodiscard]] NodeId node_id() const override { return kSelf; }
+  void handle_message(const Message& message, SimNetwork&) override {
+    if (static_cast<MsgType>(message.type) != MsgType::kSyncResponse) return;
+    BinaryReader r(message.payload);
+    answer_ = decode_sync_response(r);
+  }
+
+  WorkerNode& worker() { return worker_; }
+  SimNetwork& net() { return net_; }
+
+  /// Delivers one batch of `n` rows with ids from `first` (a repeated
+  /// delivery passes the same `first`, so its rows deduplicate).
+  void ingest(std::uint64_t source, PartitionId p, std::uint64_t pbid,
+              std::uint64_t first, std::size_t n = 2) {
+    IngestBatch batch{p, true, {}, pbid};
+    for (std::size_t i = 0; i < n; ++i) {
+      Detection d;
+      d.id = DetectionId(first + i);
+      d.camera = CameraId(1 + p.value());
+      d.object = ObjectId(first % 7);
+      d.time = TimePoint::origin() +
+               Duration::micros(static_cast<std::int64_t>(first + i));
+      d.position = {static_cast<double>((first + i) % 900), 100.0};
+      batch.detections.push_back(d);
+    }
+    net_.send({NodeId(source), worker_.node_id(),
+               static_cast<std::uint32_t>(MsgType::kIngestBatch),
+               encode(batch), net_.now(), {}});
+    net_.run_until_idle();
+  }
+
+  /// Snapshots, then checks each recaptured partition's tail against the
+  /// worker's collect() at its watermark. Returns how many of the checked
+  /// tails were non-empty.
+  std::size_t snapshot_and_check() {
+    std::map<PartitionId, std::uint64_t> before;
+    for (const auto& [p, snap] : worker_.snapshot_vault()) {
+      before[p] = snap.version;
+    }
+    worker_.take_snapshots(net_.now());
+    std::size_t nonempty = 0;
+    for (const auto& [p, snap] : worker_.snapshot_vault()) {
+      auto it = before.find(p);
+      if (it != before.end() && it->second == snap.version) continue;
+      answer_.reset();
+      net_.send({kSelf, worker_.node_id(),
+                 static_cast<std::uint32_t>(MsgType::kSyncRequest),
+                 encode(SyncRequest{p, std::nullopt}), net_.now(), {}});
+      net_.run_until_idle();
+      if (!answer_) {
+        ADD_FAILURE() << "no sync answer for partition " << p.value();
+        continue;
+      }
+      EXPECT_EQ(snap.watermark, answer_->watermark) << p.value();
+      EXPECT_EQ(identities(snap.tail), identities(answer_->entries))
+          << "partition " << p.value();
+      for (std::size_t i = 0;
+           i < std::min(snap.tail.size(), answer_->entries.size()); ++i) {
+        EXPECT_EQ(snap.tail[i].rows, answer_->entries[i].rows);
+      }
+      if (!snap.tail.empty()) ++nonempty;
+      ++checked_;
+    }
+    return nonempty;
+  }
+
+  [[nodiscard]] std::size_t checked() const { return checked_; }
+
+ private:
+  WorkerNode worker_;
+  SimNetwork net_{[] {
+    NetworkConfig nc;
+    nc.latency_jitter = Duration::zero();
+    return nc;
+  }()};
+  std::optional<SyncResponse> answer_;
+  std::size_t checked_ = 0;
+};
+
+TEST(SnapshotTail, MatchesCollectUnderOutOfOrderAndDuplicateDelivery) {
+  // Two senders, three partitions, 24 batches each, delivered in a
+  // locally shuffled order (so gaps open and later fill) with repeats;
+  // partition 2 also takes a few unsequenced batches.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TailRig rig;
+    Rng rng(seed);
+    struct Delivery {
+      std::uint64_t source;
+      PartitionId partition;
+      std::uint64_t pbid;
+      std::uint64_t first;
+    };
+    std::vector<Delivery> order;
+    std::uint64_t next_id = 1;
+    for (std::uint64_t pbid = 1; pbid <= 24; ++pbid) {
+      for (std::uint64_t source : {21, 22}) {
+        for (std::uint32_t p = 0; p < 3; ++p) {
+          order.push_back({source, PartitionId(p), pbid, next_id});
+          next_id += 2;
+        }
+      }
+      if (pbid % 8 == 0) {
+        order.push_back({21, PartitionId(2), 0, next_id});
+        next_id += 2;
+      }
+    }
+    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+      std::size_t j = i + rng.uniform_index(std::min<std::size_t>(
+                              14, order.size() - i));
+      std::swap(order[i], order[j]);
+    }
+    std::size_t nonempty = 0;
+    std::size_t delivered = 0;
+    for (const Delivery& d : order) {
+      rig.ingest(d.source, d.partition, d.pbid, d.first);
+      if (rng.uniform_index(4) == 0) {  // a repeat: same pbid, same rows
+        rig.ingest(d.source, d.partition, d.pbid, d.first);
+      }
+      if (++delivered % 5 == 0) nonempty += rig.snapshot_and_check();
+    }
+    nonempty += rig.snapshot_and_check();
+    // Both sides of the shortcut ran: tails the log walk had to fill, and
+    // (every partition once its gaps closed) tails known empty without it.
+    EXPECT_GT(nonempty, 0u);
+    EXPECT_GT(rig.checked(), nonempty);
+    ASSERT_TRUE(rig.worker().snapshot_vault().contains(PartitionId(0)));
+    EXPECT_TRUE(rig.worker().snapshot_vault().at(PartitionId(0)).tail.empty());
+    EXPECT_FALSE(
+        rig.worker().snapshot_vault().at(PartitionId(2)).tail.empty())
+        << "unsequenced batches stay in every tail";
+  }
+}
+
+TEST(SnapshotTail, MatchesCollectAfterInstallThenIngest) {
+  TailRig rig;
+  PartitionId p(0);
+  // pbids 1, 2, 4, 5 from sender 21: 4 and 5 park ahead of the watermark.
+  rig.ingest(21, p, 1, 1);
+  rig.ingest(21, p, 2, 3);
+  rig.ingest(21, p, 4, 7);
+  rig.ingest(21, p, 5, 9);
+  rig.ingest(22, p, 1, 11);
+  EXPECT_EQ(rig.snapshot_and_check(), 1u);
+  ASSERT_EQ(rig.worker().snapshot_vault().at(p).tail.size(), 2u);
+
+  // Crash, then rebuild from the vault alone: the tail's pbids are noted
+  // again and park ahead of the installed watermark.
+  rig.worker().lose_state();
+  rig.worker().start_recovery(0, {{p, NodeId(0)}}, {}, rig.net());
+  rig.net().run_until_idle();
+  EXPECT_EQ(rig.snapshot_and_check(), 1u);
+  EXPECT_EQ(rig.worker().snapshot_vault().at(p).tail.size(), 2u);
+
+  // A repeat of a parked batch, then the gap fills: the tail empties.
+  rig.ingest(21, p, 5, 9);
+  rig.ingest(22, p, 2, 13);
+  EXPECT_EQ(rig.snapshot_and_check(), 1u);
+  rig.ingest(21, p, 3, 5);
+  rig.ingest(21, p, 6, 15);
+  EXPECT_EQ(rig.snapshot_and_check(), 0u);
+  EXPECT_TRUE(rig.worker().snapshot_vault().at(p).tail.empty());
+  EXPECT_EQ(rig.worker().snapshot_vault().at(p).watermark,
+            (Watermark{{21, 6}, {22, 2}}));
+  EXPECT_EQ(rig.checked(), 4u);
 }
 
 // ------------------------------------------------------------- sync image

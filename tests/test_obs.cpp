@@ -3,13 +3,17 @@
 // slow-query log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/stats.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "obs/tracer.h"
+#include "support/reference_tracer.h"
 
 namespace stcn {
 namespace {
@@ -402,6 +406,206 @@ TEST(Tracer, ChromeJsonExportParses) {
     }
   }
   EXPECT_TRUE(saw_worker);
+}
+
+// ---------------------------------------------------- tracer differential
+
+// Names, keys and values the differential draws from: empty, control
+// characters, quotes, backslashes, non-ASCII, and a name longer than any
+// small-string buffer.
+const std::vector<std::string>& tracer_texts() {
+  static const std::vector<std::string> texts = {
+      "",          "worker.scan", "fragment",  "net.retransmit", "a\x01z",
+      "\x1f\n\t",  "\"q\"",       "back\\sl",  "\xc3\xbc" "ber",
+      std::string("nul\0mid", 7), "coordinator.fanout.with.a.long.name"};
+  return texts;
+}
+
+void expect_same_trace(const Tracer& ring, const ReferenceTracer& ref,
+                       std::uint64_t trace_id) {
+  ASSERT_EQ(ring.has_trace(trace_id), ref.has_trace(trace_id)) << trace_id;
+  std::vector<SpanRecord> got = ring.trace(trace_id);
+  std::vector<SpanRecord> want = ref.trace(trace_id);
+  ASSERT_EQ(got.size(), want.size()) << trace_id;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].trace_id, want[i].trace_id);
+    EXPECT_EQ(got[i].span_id, want[i].span_id);
+    EXPECT_EQ(got[i].parent_id, want[i].parent_id);
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].node, want[i].node);
+    EXPECT_EQ(got[i].start, want[i].start);
+    EXPECT_EQ(got[i].end, want[i].end);
+    EXPECT_EQ(got[i].finished, want[i].finished);
+    EXPECT_EQ(got[i].tags, want[i].tags) << "span " << got[i].span_id;
+  }
+  EXPECT_EQ(ring.to_chrome_json(trace_id), ref.to_chrome_json(trace_id));
+  for (const std::string& name : tracer_texts()) {
+    EXPECT_EQ(ring.count_spans(trace_id, name), ref.count_spans(trace_id, name));
+  }
+}
+
+// Drives the ring tracer and the reference with one seeded interleaving of
+// traces, spans, instants, string and numeric tags, span ends and clears,
+// against live, evicted, ended, never-started and mismatched contexts.
+void run_tracer_differential(std::size_t max_traces, std::uint64_t seed,
+                             int steps) {
+  SCOPED_TRACE("max_traces=" + std::to_string(max_traces) +
+               " seed=" + std::to_string(seed));
+  TracerConfig config;
+  config.max_traces = max_traces;
+  Tracer ring(config);
+  ReferenceTracer ref(config);
+  Rng rng(seed);
+  const std::vector<std::string>& texts = tracer_texts();
+  auto text = [&] { return texts[rng.uniform_index(texts.size())]; };
+  std::vector<TraceContext> contexts;  // every context either tracer returned
+  std::uint64_t traces_started = 0;
+  TimePoint now = TimePoint::origin();
+  auto pick = [&]() -> TraceContext {
+    switch (rng.uniform_index(8)) {
+      case 0:
+        return {};  // invalid: starts a trace, or a no-op
+      case 1:  // a trace not started yet, or a root-less context
+        return {traces_started + 1 + rng.uniform_index(3),
+                rng.uniform_index(2)};
+      case 2:  // a real span id under some other trace
+        if (!contexts.empty()) {
+          TraceContext a = contexts[rng.uniform_index(contexts.size())];
+          TraceContext b = contexts[rng.uniform_index(contexts.size())];
+          return {a.trace_id, b.span_id};
+        }
+        return {};
+      default:  // recent contexts dominate, older ones are likely evicted
+        if (contexts.empty()) return {};
+        std::size_t back = std::min<std::size_t>(
+            contexts.size(), 1 + rng.uniform_index(rng.uniform_index(4) == 0
+                                                       ? contexts.size()
+                                                       : 12));
+        return contexts[contexts.size() - back];
+    }
+  };
+  for (int step = 0; step < steps; ++step) {
+    now = now + Duration::micros(static_cast<std::int64_t>(
+                    rng.uniform_index(50)));
+    std::uint64_t node = rng.uniform_index(4) == 0 ? ~std::uint64_t{0}
+                                                   : rng.uniform_index(9);
+    TraceContext touched;
+    std::uint64_t op = rng.uniform_index(100);
+    if (op < 10) {
+      std::string name = text();
+      TraceContext a = ring.start_trace(name, node, now);
+      TraceContext b = ref.start_trace(name, node, now);
+      ASSERT_EQ(a, b);
+      if (a.valid()) ++traces_started;
+      touched = a;
+    } else if (op < 40) {
+      std::string name = text();
+      TraceContext parent = pick();
+      TraceContext a = ring.start_span(name, parent, node, now);
+      TraceContext b = ref.start_span(name, parent, node, now);
+      ASSERT_EQ(a, b);
+      if (a.valid() && !parent.valid()) ++traces_started;
+      touched = a.valid() ? a : parent;
+    } else if (op < 50) {
+      std::string name = text();
+      TraceContext parent = pick();
+      TraceContext a = ring.instant(name, parent, node, now);
+      TraceContext b = ref.instant(name, parent, node, now);
+      ASSERT_EQ(a, b);
+      if (a.valid() && !parent.valid()) ++traces_started;
+      touched = a.valid() ? a : parent;
+    } else if (op < 68) {
+      touched = pick();
+      std::string key = text();
+      std::string value = text();
+      ring.tag(touched, key, value);
+      ref.tag(touched, key, value);
+    } else if (op < 80) {
+      touched = pick();
+      std::uint64_t value = rng.uniform_index(3) == 0 ? ~std::uint64_t{0}
+                                                      : rng.uniform_index(1000);
+      std::string key = text();
+      ring.tag(touched, key, value);
+      ref.tag(touched, key, std::to_string(value));
+    } else if (op < 99) {
+      touched = pick();
+      ring.end_span(touched, now);
+      ref.end_span(touched, now);
+    } else if (rng.uniform_index(1 + max_traces / 8) == 0) {
+      // Rare enough for a large ring to wrap between clears.
+      ring.clear();
+      ref.clear();
+    }
+    if (touched.valid()) contexts.push_back(touched);
+
+    ASSERT_EQ(ring.trace_count(), ref.trace_count());
+    ASSERT_EQ(ring.spans_started(), ref.spans_started());
+    expect_same_trace(ring, ref, touched.trace_id);
+    expect_same_trace(ring, ref, 1 + rng.uniform_index(traces_started + 2));
+    if (step % 64 == 0 || step == steps - 1) {
+      for (std::uint64_t id = 0; id <= traces_started + 1; ++id) {
+        expect_same_trace(ring, ref, id);
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(TracerDifferential, OversizedTracesReleaseAndRefillTheirSlot) {
+  // Traces past what a slot keeps (spans, tags and text) alternate with
+  // small ones through a two-slot ring, so slots are released and reused.
+  TracerConfig config;
+  config.max_traces = 2;
+  Tracer ring(config);
+  ReferenceTracer ref(config);
+  TimePoint now = TimePoint::origin();
+  const std::string long_value(100, 'v');
+  for (int round = 0; round < 6; ++round) {
+    int spans = round % 3 == 0 ? 400 : 3;
+    std::string name = "trace" + std::to_string(round);
+    TraceContext a = ring.start_trace(name, 1, now);
+    TraceContext b = ref.start_trace(name, 1, now);
+    ASSERT_EQ(a, b);
+    for (int i = 0; i < spans; ++i) {
+      TraceContext ca = ring.start_span("worker.scan", a, 2, now);
+      TraceContext cb = ref.start_span("worker.scan", b, 2, now);
+      ASSERT_EQ(ca, cb);
+      ring.tag(ca, "partition", static_cast<std::uint64_t>(i));
+      ref.tag(cb, "partition", std::to_string(i));
+      ring.tag(ca, "note", long_value);
+      ref.tag(cb, "note", long_value);
+      ring.end_span(ca, now);
+      ref.end_span(cb, now);
+    }
+    ring.end_span(a, now);
+    ref.end_span(b, now);
+    for (std::uint64_t id = 0; id <= a.trace_id + 1; ++id) {
+      expect_same_trace(ring, ref, id);
+    }
+    ASSERT_EQ(ring.trace_count(), ref.trace_count());
+    ASSERT_EQ(ring.spans_started(), ref.spans_started());
+  }
+}
+
+TEST(TracerDifferential, DisabledRingMatchesReference) {
+  run_tracer_differential(0, 1, 400);
+}
+
+TEST(TracerDifferential, OneSlotRingMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_tracer_differential(1, seed, 1500);
+  }
+}
+
+TEST(TracerDifferential, TwoSlotRingMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_tracer_differential(2, seed, 1500);
+  }
+}
+
+TEST(TracerDifferential, DefaultRingMatchesReferencePastWraparound) {
+  // Enough traces to wrap the 512-slot ring more than twice.
+  run_tracer_differential(512, 7, 12000);
 }
 
 // ---------------------------------------------------------- slow queries
