@@ -70,6 +70,11 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ./build-asan/tests/test_tiered_store \
       --gtest_filter='*TieredDifferential.*:*VaultDifferential.*:QuantizedAppearance.*' \
       >/dev/null
+  # Time-sorted blocks cut a window with two binary searches: every query
+  # kind against a brute-force loop over the rows, on sorted, equal-time,
+  # out-of-order, tiered, compacted, restored and reinstalled stores.
+  ./build-asan/tests/test_time_ordered_scan \
+      --gtest_filter='*TimeOrderedScan*' >/dev/null
   echo "== sanitizer trajectory differential rerun =="
   # scan_object against the brute-force reference on hot and tiered
   # stores, including the cold-block dictionary skip, under ASan+UBSan.

@@ -74,6 +74,10 @@ struct DetectionBlockZone {
   std::uint64_t camera_min = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t camera_max = 0;
   std::uint64_t camera_bits = 0;
+  /// Row times never decrease along the block, so the rows of a time window
+  /// are one contiguous run that two binary searches find. Rows arrive in
+  /// time order, so this is the norm; out-of-order delivery clears it.
+  bool time_sorted = true;
 
   /// Could any row of this block fall inside `interval`?
   [[nodiscard]] bool overlaps(const TimeInterval& interval) const {
@@ -324,8 +328,10 @@ struct StoreTierConfig {
 /// MorselStats is plain caller-owned state, so block-granular scans are
 /// safe to run concurrently over disjoint morsels of one store.
 struct MorselStats {
-  /// Row-predicate evaluations performed (a row counts once per predicate
-  /// actually applied to it; zone fast paths evaluate nothing).
+  /// Row-predicate evaluations performed: a row counts once per predicate
+  /// actually applied to it, and each time-column probe of a sorted
+  /// block's two window searches counts once. Zone fast paths evaluate
+  /// nothing.
   std::uint64_t rows_evaluated = 0;
   /// Rows that passed every predicate (== selection-vector sizes).
   std::uint64_t rows_selected = 0;
@@ -737,14 +743,19 @@ class DetectionStore {
   // predicate evaluated branch-free into a `uint32_t` selection vector. A
   // zone map proving the block fully inside every predicate emits the
   // morsel wholesale without evaluating (or, for cold blocks, decoding)
-  // anything; otherwise predicates run most-selective-first
-  // (zone-estimated), so later predicates only touch survivors. Hot blocks
-  // run the plain kernels over the store's columns; cold blocks run the
-  // decode-fused kernels (common/filter_kernel.h) straight off packed
-  // codes into this thread's ColdScratch, counting one decode_morsel.
-  // Block entries write all accounting into the caller's MorselStats and
-  // never touch the store's mutable counters, so disjoint morsels of one
-  // store can be scanned from many threads — each thread owns its scratch.
+  // anything. A block whose zone proves its rows time-sorted answers the
+  // window with two binary searches on the time column instead of a time
+  // filter: the rest of the scan sees only the rows of the window, emitted
+  // as identity when the zone also proves the other predicate. Otherwise
+  // predicates run most-selective-first (zone-estimated), so later
+  // predicates only touch survivors. Hot blocks run the plain kernels over
+  // the store's columns; cold blocks run the decode-fused kernels
+  // (common/filter_kernel.h) straight off packed codes into this thread's
+  // ColdScratch, counting one decode_morsel, or gather-decode the rows of
+  // a cut window. Block entries write all accounting into the caller's
+  // MorselStats and never touch the store's mutable counters, so disjoint
+  // morsels of one store can be scanned from many threads — each thread
+  // owns its scratch.
 
   /// Scans block `b` for rows with position ∈ `region`, time ∈ `interval`.
   /// Appends at most kDetectionBlockRows row ids into `sel`; returns how
@@ -752,158 +763,15 @@ class DetectionStore {
   std::uint32_t scan_range_block(std::size_t b, const Rect& region,
                                  const TimeInterval& interval,
                                  std::uint32_t* sel, MorselStats& ms) const {
-    const DetectionBlockZone& z = zones_[b];
-    bool cold = b < cold_.size();
-    if (!z.overlaps(interval) || !z.overlaps(region)) {
-      ++ms.blocks_skipped;
-      ms.cold_blocks_skipped += cold;
-      return 0;
-    }
-    ++ms.blocks_scanned;
-    ms.cold_blocks_scanned += cold;
-    ++ms.morsels;
-    auto [first, last] = block_rows(b);
-    std::int64_t t0 = interval.begin.micros_since_origin();
-    std::int64_t t1 = interval.end.micros_since_origin();
-    bool all_time = z.within(interval);
-    bool all_space = z.within(region);
-    if (all_time && all_space) {
-      ++ms.zone_fast_path;
-      std::uint32_t n = fill_identity(first, last, sel);
-      ms.rows_selected += n;
-      return n;
-    }
-    std::uint32_t n;
-    if (cold) {
-      const CompressedBlock& cb = cold_[b];
-      ColdScratch& sc = cold_scratch();
-      sc.ensure(cb.uid);
-      ++ms.decode_morsels;
-      if (all_space) {
-        n = cb.filter_time(t0, t1, sc.times, sel);
-        sc.valid |= ColdScratch::kTime;
-        ms.rows_evaluated += last - first;
-      } else if (all_time) {
-        n = cb.filter_rect(region, sc.xs, sc.ys, sel);
-        sc.valid |= ColdScratch::kPos;
-        ms.rows_evaluated += last - first;
-      } else if (z.space_selectivity(region) <= z.time_selectivity(interval)) {
-        n = cb.filter_rect(region, sc.xs, sc.ys, sel);
-        sc.valid |= ColdScratch::kPos;
-        ms.rows_evaluated += (last - first) + n;
-        n = cb.refine_time(t0, t1, sel, n);
-      } else {
-        n = cb.filter_time(t0, t1, sc.times, sel);
-        sc.valid |= ColdScratch::kTime;
-        ms.rows_evaluated += (last - first) + n;
-        n = cb.refine_rect(region, sel, n);
-      }
-      offset_sel(sel, n, first);
-    } else {
-      auto lf = static_cast<std::uint32_t>(first - hot_base_);
-      auto ll = static_cast<std::uint32_t>(last - hot_base_);
-      if (all_space) {
-        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
-        ms.rows_evaluated += last - first;
-      } else if (all_time) {
-        n = filter_rect(xs_.data(), ys_.data(), lf, ll, region, sel);
-        ms.rows_evaluated += last - first;
-      } else if (z.space_selectivity(region) <= z.time_selectivity(interval)) {
-        n = filter_rect(xs_.data(), ys_.data(), lf, ll, region, sel);
-        ms.rows_evaluated += (last - first) + n;
-        n = refine_time(times_.data(), t0, t1, sel, n);
-      } else {
-        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
-        ms.rows_evaluated += (last - first) + n;
-        n = refine_rect(xs_.data(), ys_.data(), region, sel, n);
-      }
-      if (hot_base_ != 0) {
-        offset_sel(sel, n, static_cast<std::uint32_t>(hot_base_));
-      }
-    }
-    ms.rows_selected += n;
-    return n;
+    return scan_block(b, RectPredicate{region}, interval, sel, ms);
   }
 
   /// Scans block `b` for rows inside `circle` during `interval`.
   std::uint32_t scan_circle_block(std::size_t b, const Circle& circle,
                                   const TimeInterval& interval,
                                   std::uint32_t* sel, MorselStats& ms) const {
-    const DetectionBlockZone& z = zones_[b];
-    Rect box = circle.bounding_box();
-    bool cold = b < cold_.size();
-    if (!z.overlaps(interval) || !z.overlaps(box)) {
-      ++ms.blocks_skipped;
-      ms.cold_blocks_skipped += cold;
-      return 0;
-    }
-    ++ms.blocks_scanned;
-    ms.cold_blocks_scanned += cold;
-    ++ms.morsels;
-    auto [first, last] = block_rows(b);
-    std::int64_t t0 = interval.begin.micros_since_origin();
-    std::int64_t t1 = interval.end.micros_since_origin();
-    bool all_time = z.within(interval);
-    bool all_space = z.within(circle);  // corner containment, not bbox-in-box
-    if (all_time && all_space) {
-      ++ms.zone_fast_path;
-      std::uint32_t n = fill_identity(first, last, sel);
-      ms.rows_selected += n;
-      return n;
-    }
-    std::uint32_t n;
-    if (cold) {
-      const CompressedBlock& cb = cold_[b];
-      ColdScratch& sc = cold_scratch();
-      sc.ensure(cb.uid);
-      ++ms.decode_morsels;
-      if (all_space) {
-        n = cb.filter_time(t0, t1, sc.times, sel);
-        sc.valid |= ColdScratch::kTime;
-        ms.rows_evaluated += last - first;
-      } else if (all_time) {
-        n = cb.filter_circle(circle.center, circle.radius, sc.xs, sc.ys, sel);
-        sc.valid |= ColdScratch::kPos;
-        ms.rows_evaluated += last - first;
-      } else if (z.space_selectivity(box) <= z.time_selectivity(interval)) {
-        n = cb.filter_circle(circle.center, circle.radius, sc.xs, sc.ys, sel);
-        sc.valid |= ColdScratch::kPos;
-        ms.rows_evaluated += (last - first) + n;
-        n = cb.refine_time(t0, t1, sel, n);
-      } else {
-        n = cb.filter_time(t0, t1, sc.times, sel);
-        sc.valid |= ColdScratch::kTime;
-        ms.rows_evaluated += (last - first) + n;
-        n = cb.refine_circle(circle.center, circle.radius, sel, n);
-      }
-      offset_sel(sel, n, first);
-    } else {
-      auto lf = static_cast<std::uint32_t>(first - hot_base_);
-      auto ll = static_cast<std::uint32_t>(last - hot_base_);
-      if (all_space) {
-        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
-        ms.rows_evaluated += last - first;
-      } else if (all_time) {
-        n = filter_circle(xs_.data(), ys_.data(), lf, ll, circle.center,
-                          circle.radius, sel);
-        ms.rows_evaluated += last - first;
-      } else if (z.space_selectivity(box) <= z.time_selectivity(interval)) {
-        n = filter_circle(xs_.data(), ys_.data(), lf, ll, circle.center,
-                          circle.radius, sel);
-        ms.rows_evaluated += (last - first) + n;
-        n = refine_time(times_.data(), t0, t1, sel, n);
-      } else {
-        n = filter_time(times_.data(), lf, ll, t0, t1, sel);
-        ms.rows_evaluated += (last - first) + n;
-        n = refine_circle(xs_.data(), ys_.data(), circle.center, circle.radius,
-                          sel, n);
-      }
-      if (hot_base_ != 0) {
-        offset_sel(sel, n, static_cast<std::uint32_t>(hot_base_));
-      }
-    }
-    ms.rows_selected += n;
-    return n;
+    return scan_block(b, CirclePredicate{circle, circle.bounding_box()},
+                      interval, sel, ms);
   }
 
   /// Full-store scan with block skipping: every row with position ∈
@@ -914,21 +782,8 @@ class DetectionStore {
   [[nodiscard]] std::vector<DetectionRef> scan_range(
       const Rect& region, const TimeInterval& interval,
       MorselStats* stats = nullptr) const {
-    std::vector<DetectionRef> out;
-    if (region.is_empty() || interval.empty()) return out;
-    MorselStats ms;
-    std::uint32_t sel[kDetectionBlockRows];
-    for (std::size_t b = 0; b < zones_.size(); ++b) {
-      const DetectionBlockZone& z = zones_[b];
-      if (z.within(interval) && z.within(region)) {
-        append_identity_block(b, ms, out);
-        continue;
-      }
-      std::uint32_t n = scan_range_block(b, region, interval, sel, ms);
-      append_refs(sel, n, out);
-    }
-    finish_scan(ms, stats);
-    return out;
+    if (region.is_empty() || interval.empty()) return {};
+    return scan_blocks(RectPredicate{region}, interval, stats);
   }
 
   /// Full-store scan with block skipping: rows inside `circle` during
@@ -936,21 +791,9 @@ class DetectionStore {
   [[nodiscard]] std::vector<DetectionRef> scan_circle(
       const Circle& circle, const TimeInterval& interval,
       MorselStats* stats = nullptr) const {
-    std::vector<DetectionRef> out;
-    if (interval.empty() || circle.radius < 0.0) return out;
-    MorselStats ms;
-    std::uint32_t sel[kDetectionBlockRows];
-    for (std::size_t b = 0; b < zones_.size(); ++b) {
-      const DetectionBlockZone& z = zones_[b];
-      if (z.within(interval) && z.within(circle)) {
-        append_identity_block(b, ms, out);
-        continue;
-      }
-      std::uint32_t n = scan_circle_block(b, circle, interval, sel, ms);
-      append_refs(sel, n, out);
-    }
-    finish_scan(ms, stats);
-    return out;
+    if (interval.empty() || circle.radius < 0.0) return {};
+    return scan_blocks(CirclePredicate{circle, circle.bounding_box()},
+                       interval, stats);
   }
 
   /// Full-store scan with block skipping on the camera fingerprint: rows of
@@ -958,7 +801,8 @@ class DetectionStore {
   [[nodiscard]] std::vector<DetectionRef> scan_camera(
       CameraId camera, const TimeInterval& interval,
       MorselStats* stats = nullptr) const {
-    return scan_eq(IdColumn::kCamera, camera.value(), interval, stats);
+    if (interval.empty()) return {};
+    return scan_blocks(EqPredicate{true, camera.value()}, interval, stats);
   }
 
   /// Rows of `object` during `interval`, in row (arrival) order — not time
@@ -968,7 +812,8 @@ class DetectionStore {
   [[nodiscard]] std::vector<DetectionRef> scan_object(
       ObjectId object, const TimeInterval& interval,
       MorselStats* stats = nullptr) const {
-    return scan_eq(IdColumn::kObject, object.value(), interval, stats);
+    if (interval.empty()) return {};
+    return scan_blocks(EqPredicate{false, object.value()}, interval, stats);
   }
 
   /// The k rows during `interval` nearest to `center`, ordered by (squared
@@ -977,9 +822,11 @@ class DetectionStore {
   /// blocks: blocks outside `interval` are skipped, the rest are visited by
   /// the squared distance from `center` to their zone bbox, and the walk
   /// stops (counting the rest skipped) once that bound exceeds the k-th
-  /// best distance. A visited block filters time into a selection vector
-  /// and offers each survivor to a top-k heap. rows_evaluated counts time
-  /// checks plus distance computations; rows_selected the rows offered.
+  /// best distance. A visited block narrows to its time window (two binary
+  /// searches when the block is time-sorted, else a time filter into a
+  /// selection vector) and offers each row of it to a top-k heap.
+  /// rows_evaluated counts time probes or checks plus distance
+  /// computations; rows_selected the rows offered.
   [[nodiscard]] std::vector<DetectionRef> scan_knn(
       Point center, std::size_t k, const TimeInterval& interval,
       MorselStats* stats = nullptr) const {
@@ -1025,14 +872,16 @@ class DetectionStore {
       ++ms.morsels;
       auto [first, last] = block_rows(b);
       BlockColumnsView v = block_columns(b);
-      std::uint32_t rows = last - first;
+      std::uint32_t lo = first;
+      std::uint32_t hi = last;
       std::uint32_t n;
-      if (zones_[b].within(interval)) {
-        n = fill_identity(0, rows, sel);
+      if (cut_time(b, interval, lo, hi, ms) || zones_[b].within(interval)) {
+        n = fill_identity(lo - first, hi - first, sel);
       } else {
-        n = filter_time(v.times, 0, rows, interval.begin.micros_since_origin(),
+        n = filter_time(v.times, 0, last - first,
+                        interval.begin.micros_since_origin(),
                         interval.end.micros_since_origin(), sel);
-        ms.rows_evaluated += rows;
+        ms.rows_evaluated += last - first;
       }
       ms.rows_evaluated += n;
       ms.rows_selected += n;
@@ -1359,48 +1208,162 @@ class DetectionStore {
     return {arena_.data() + begin, emb_offsets_[h] - begin};
   }
 
-  /// The id column an equality scan compares: camera-window and
-  /// trajectory queries are one scan over different columns.
-  enum class IdColumn { kCamera, kObject };
+  // The non-time predicate of a block scan. It tells whether a zone rules
+  // the block out or proves every row, estimates its selectivity from the
+  // zone (to order it against the time predicate), and filters a row range
+  // or refines a selection, over the hot columns or a cold block.
 
-  /// Rows whose `column` id equals `value` during `interval` (the body of
-  /// scan_camera and scan_object).
-  [[nodiscard]] std::vector<DetectionRef> scan_eq(
-      IdColumn column, std::uint64_t value, const TimeInterval& interval,
+  /// Position inside a rectangle (half-open max edges).
+  struct RectPredicate {
+    const Rect& region;
+
+    [[nodiscard]] bool excludes(const DetectionStore& /*store*/,
+                                std::size_t /*b*/,
+                                const DetectionBlockZone& z) const {
+      return !z.overlaps(region);
+    }
+    [[nodiscard]] bool proven(const DetectionBlockZone& z) const {
+      return z.within(region);
+    }
+    [[nodiscard]] double selectivity(const DetectionBlockZone& z) const {
+      return z.space_selectivity(region);
+    }
+    std::uint32_t filter(const DetectionStore& s, std::uint32_t first,
+                         std::uint32_t last, std::uint32_t* sel) const {
+      return filter_rect(s.xs_.data(), s.ys_.data(), first, last, region,
+                         sel);
+    }
+    std::uint32_t refine(const DetectionStore& s, std::uint32_t* sel,
+                         std::uint32_t n) const {
+      return refine_rect(s.xs_.data(), s.ys_.data(), region, sel, n);
+    }
+    std::uint32_t filter(const CompressedBlock& cb, ColdScratch& sc,
+                         std::uint32_t* sel) const {
+      sc.valid |= ColdScratch::kPos;
+      return cb.filter_rect(region, sc.xs, sc.ys, sel);
+    }
+    std::uint32_t refine(const CompressedBlock& cb, std::uint32_t* sel,
+                         std::uint32_t n) const {
+      return cb.refine_rect(region, sel, n);
+    }
+  };
+
+  /// Position inside a circle (inclusive). Zones are tested against its
+  /// bounding box, except that "every row inside" needs every corner of
+  /// the zone inside the circle itself.
+  struct CirclePredicate {
+    const Circle& circle;
+    Rect box;
+
+    [[nodiscard]] bool excludes(const DetectionStore& /*store*/,
+                                std::size_t /*b*/,
+                                const DetectionBlockZone& z) const {
+      return !z.overlaps(box);
+    }
+    [[nodiscard]] bool proven(const DetectionBlockZone& z) const {
+      return z.within(circle);
+    }
+    [[nodiscard]] double selectivity(const DetectionBlockZone& z) const {
+      return z.space_selectivity(box);
+    }
+    std::uint32_t filter(const DetectionStore& s, std::uint32_t first,
+                         std::uint32_t last, std::uint32_t* sel) const {
+      return filter_circle(s.xs_.data(), s.ys_.data(), first, last,
+                           circle.center, circle.radius, sel);
+    }
+    std::uint32_t refine(const DetectionStore& s, std::uint32_t* sel,
+                         std::uint32_t n) const {
+      return refine_circle(s.xs_.data(), s.ys_.data(), circle.center,
+                           circle.radius, sel, n);
+    }
+    std::uint32_t filter(const CompressedBlock& cb, ColdScratch& sc,
+                         std::uint32_t* sel) const {
+      sc.valid |= ColdScratch::kPos;
+      return cb.filter_circle(circle.center, circle.radius, sc.xs, sc.ys,
+                              sel);
+    }
+    std::uint32_t refine(const CompressedBlock& cb, std::uint32_t* sel,
+                         std::uint32_t n) const {
+      return cb.refine_circle(circle.center, circle.radius, sel, n);
+    }
+  };
+
+  /// An id column equal to `value`: camera-window and trajectory queries
+  /// are one scan over different columns. Only the skip tests differ by
+  /// column: a camera is ruled out by the zone's camera fingerprint, an
+  /// object by a cold block's dictionary (hot blocks carry no object
+  /// summary). Cold equality runs in dictionary-code space without decoding
+  /// the id column.
+  struct EqPredicate {
+    bool camera;  // else the object column
+    std::uint64_t value;
+
+    [[nodiscard]] bool excludes(const DetectionStore& s, std::size_t b,
+                                const DetectionBlockZone& z) const {
+      if (camera) return !z.may_contain(CameraId(value));
+      return b < s.cold_.size() && s.cold_[b].objects.code_of(value) < 0;
+    }
+    [[nodiscard]] bool proven(const DetectionBlockZone& z) const {
+      return camera && z.only_camera(CameraId(value));
+    }
+    /// Zones carry no object estimate; one object is taken to be rarer than
+    /// any time window, so its equality runs first.
+    [[nodiscard]] double selectivity(const DetectionBlockZone& z) const {
+      return camera ? z.camera_selectivity() : 0.0;
+    }
+    std::uint32_t filter(const DetectionStore& s, std::uint32_t first,
+                         std::uint32_t last, std::uint32_t* sel) const {
+      return filter_eq(camera ? s.cameras_.data() : s.objects_.data(), first,
+                       last, value, sel);
+    }
+    std::uint32_t refine(const DetectionStore& s, std::uint32_t* sel,
+                         std::uint32_t n) const {
+      return refine_eq(camera ? s.cameras_.data() : s.objects_.data(), value,
+                       sel, n);
+    }
+    std::uint32_t filter(const CompressedBlock& cb, ColdScratch& /*sc*/,
+                         std::uint32_t* sel) const {
+      return CompressedBlock::filter_eq(camera ? cb.cameras : cb.objects,
+                                        value, sel);
+    }
+    std::uint32_t refine(const CompressedBlock& cb, std::uint32_t* sel,
+                         std::uint32_t n) const {
+      return CompressedBlock::refine_eq(camera ? cb.cameras : cb.objects,
+                                        value, sel, n);
+    }
+  };
+
+  /// Every row passing `pred` during `interval`, in row order (the body of
+  /// the full-store scans).
+  template <typename Pred>
+  [[nodiscard]] std::vector<DetectionRef> scan_blocks(
+      const Pred& pred, const TimeInterval& interval,
       MorselStats* stats) const {
     std::vector<DetectionRef> out;
-    if (interval.empty()) return out;
     MorselStats ms;
     std::uint32_t sel[kDetectionBlockRows];
     for (std::size_t b = 0; b < zones_.size(); ++b) {
       const DetectionBlockZone& z = zones_[b];
-      if (column == IdColumn::kCamera && z.within(interval) &&
-          z.only_camera(CameraId(value))) {
+      if (z.within(interval) && pred.proven(z)) {
         append_identity_block(b, ms, out);
         continue;
       }
-      std::uint32_t n = scan_eq_block(b, column, value, interval, sel, ms);
+      std::uint32_t n = scan_block(b, pred, interval, sel, ms);
       append_refs(sel, n, out);
     }
     finish_scan(ms, stats);
     return out;
   }
 
-  /// Scans block `b` for rows whose `column` id equals `value` during
-  /// `interval`. Only the skip tests differ by column: a camera is ruled
-  /// out by the zone's camera fingerprint, an object by a cold block's
-  /// dictionary (hot blocks carry no object summary). Cold equality runs
-  /// in dictionary-code space without decoding the id column.
-  std::uint32_t scan_eq_block(std::size_t b, IdColumn column,
-                              std::uint64_t value,
-                              const TimeInterval& interval, std::uint32_t* sel,
-                              MorselStats& ms) const {
+  /// Scans block `b` for rows passing `pred` during `interval` (the body of
+  /// every filtering block scan; see the section comment above).
+  template <typename Pred>
+  std::uint32_t scan_block(std::size_t b, const Pred& pred,
+                           const TimeInterval& interval, std::uint32_t* sel,
+                           MorselStats& ms) const {
     const DetectionBlockZone& z = zones_[b];
     bool cold = b < cold_.size();
-    bool camera = column == IdColumn::kCamera;
-    bool absent = camera ? !z.may_contain(CameraId(value))
-                         : cold && cold_[b].objects.code_of(value) < 0;
-    if (!z.overlaps(interval) || absent) {
+    if (!z.overlaps(interval) || pred.excludes(*this, b, z)) {
       ++ms.blocks_skipped;
       ms.cold_blocks_skipped += cold;
       return 0;
@@ -1409,63 +1372,65 @@ class DetectionStore {
     ms.cold_blocks_scanned += cold;
     ++ms.morsels;
     auto [first, last] = block_rows(b);
-    std::int64_t t0 = interval.begin.micros_since_origin();
-    std::int64_t t1 = interval.end.micros_since_origin();
-    bool all_time = z.within(interval);
-    bool all_id = camera && z.only_camera(CameraId(value));
-    if (all_time && all_id) {
+    std::uint32_t base = first;
+    bool all_pred = pred.proven(z);
+    if (z.within(interval) && all_pred) {
       ++ms.zone_fast_path;
       std::uint32_t n = fill_identity(first, last, sel);
       ms.rows_selected += n;
       return n;
     }
-    // Zones carry no object estimate; one object is taken to be rarer than
-    // any time window, so its equality runs first.
-    bool id_first = !camera || z.camera_selectivity() <=
-                                   z.time_selectivity(interval);
+    bool cut = cut_time(b, interval, first, last, ms);
+    bool all_time = cut || z.within(interval);
+    std::int64_t t0 = interval.begin.micros_since_origin();
+    std::int64_t t1 = interval.end.micros_since_origin();
     std::uint32_t n;
-    if (cold) {
+    if (cut && (all_pred || first == last)) {
+      n = fill_identity(first, last, sel);
+    } else if (cold) {
       const CompressedBlock& cb = cold_[b];
-      const DictU64Column& ids = camera ? cb.cameras : cb.objects;
       ColdScratch& sc = cold_scratch();
       sc.ensure(cb.uid);
       ++ms.decode_morsels;
-      if (all_id) {
+      if (cut) {  // gather-decode the window's rows only
+        n = fill_identity(first - base, last - base, sel);
+        ms.rows_evaluated += n;
+        n = pred.refine(cb, sel, n);
+      } else if (all_pred) {
         n = cb.filter_time(t0, t1, sc.times, sel);
         sc.valid |= ColdScratch::kTime;
         ms.rows_evaluated += last - first;
       } else if (all_time) {
-        n = CompressedBlock::filter_eq(ids, value, sel);
+        n = pred.filter(cb, sc, sel);
         ms.rows_evaluated += last - first;
-      } else if (id_first) {
-        n = CompressedBlock::filter_eq(ids, value, sel);
+      } else if (pred.selectivity(z) <= z.time_selectivity(interval)) {
+        n = pred.filter(cb, sc, sel);
         ms.rows_evaluated += (last - first) + n;
         n = cb.refine_time(t0, t1, sel, n);
       } else {
         n = cb.filter_time(t0, t1, sc.times, sel);
         sc.valid |= ColdScratch::kTime;
         ms.rows_evaluated += (last - first) + n;
-        n = CompressedBlock::refine_eq(ids, value, sel, n);
+        n = pred.refine(cb, sel, n);
       }
-      offset_sel(sel, n, first);
+      offset_sel(sel, n, base);
     } else {
-      const std::uint64_t* ids = camera ? cameras_.data() : objects_.data();
       auto lf = static_cast<std::uint32_t>(first - hot_base_);
       auto ll = static_cast<std::uint32_t>(last - hot_base_);
-      if (all_id) {
+      if (all_pred) {
         n = filter_time(times_.data(), lf, ll, t0, t1, sel);
         ms.rows_evaluated += last - first;
       } else if (all_time) {
-        n = filter_eq(ids, lf, ll, value, sel);
+        n = pred.filter(*this, lf, ll, sel);
         ms.rows_evaluated += last - first;
-      } else if (id_first) {
-        n = filter_eq(ids, lf, ll, value, sel);
+      } else if (pred.selectivity(z) <= z.time_selectivity(interval)) {
+        n = pred.filter(*this, lf, ll, sel);
         ms.rows_evaluated += (last - first) + n;
         n = refine_time(times_.data(), t0, t1, sel, n);
       } else {
         n = filter_time(times_.data(), lf, ll, t0, t1, sel);
         ms.rows_evaluated += (last - first) + n;
-        n = refine_eq(ids, value, sel, n);
+        n = pred.refine(*this, sel, n);
       }
       if (hot_base_ != 0) {
         offset_sel(sel, n, static_cast<std::uint32_t>(hot_base_));
@@ -1473,6 +1438,50 @@ class DetectionStore {
     }
     ms.rows_selected += n;
     return n;
+  }
+
+  /// Narrows block `b`'s row range [first, last) to exactly the rows
+  /// inside `interval`, when the zone proves the block time-sorted but not
+  /// wholly inside: [lower_bound(t0), lower_bound(t1)) on the time column
+  /// (cold blocks read single packed times, decoding nothing else). Every
+  /// probe of the two searches counts in rows_evaluated. Returns whether
+  /// it cut; an unsorted block keeps its range and its time predicate.
+  bool cut_time(std::size_t b, const TimeInterval& interval,
+                std::uint32_t& first, std::uint32_t& last,
+                MorselStats& ms) const {
+    const DetectionBlockZone& z = zones_[b];
+    if (!z.time_sorted || z.within(interval)) return false;
+    auto cut = [&](auto time_at) {
+      // First row in [lo, hi) whose time is not below t.
+      auto lower_bound = [&](std::uint32_t lo, std::uint32_t hi,
+                             std::int64_t t) {
+        while (lo < hi) {
+          std::uint32_t mid = lo + (hi - lo) / 2;
+          ++ms.rows_evaluated;
+          if (time_at(mid) < t) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
+          }
+        }
+        return lo;
+      };
+      std::uint32_t rows = last - first;
+      std::uint32_t lo =
+          lower_bound(0, rows, interval.begin.micros_since_origin());
+      std::uint32_t hi =
+          lower_bound(lo, rows, interval.end.micros_since_origin());
+      last = first + hi;
+      first += lo;
+    };
+    if (b < cold_.size()) {
+      const CompressedBlock& cb = cold_[b];
+      cut([&cb](std::uint32_t i) { return cb.time_at(i); });
+    } else {
+      const std::int64_t* times = times_.data() + (first - hot_base_);
+      cut([times](std::uint32_t i) { return times[i]; });
+    }
+    return true;
   }
 
   static void append_refs(const std::uint32_t* sel, std::uint32_t n,
@@ -1524,6 +1533,7 @@ class DetectionStore {
     DetectionBlockZone& z = zones_.back();
     std::size_t h = row - hot_base_;
     std::int64_t t = times_[h];
+    if (t < z.t_max) z.time_sorted = false;
     z.t_min = std::min(z.t_min, t);
     z.t_max = std::max(z.t_max, t);
     z.x_min = std::min(z.x_min, xs_[h]);
@@ -1550,6 +1560,7 @@ class DetectionStore {
     cold_positions(cb, xs, ys);
     const std::uint64_t* cameras = cold_cameras(cb);
     for (std::uint32_t i = 0; i < cb.rows; ++i) {
+      if (times[i] < z.t_max) z.time_sorted = false;
       z.t_min = std::min(z.t_min, times[i]);
       z.t_max = std::max(z.t_max, times[i]);
       z.x_min = std::min(z.x_min, xs[i]);

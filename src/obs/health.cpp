@@ -243,12 +243,11 @@ void HealthMonitor::sample_rule(const AlertRule& rule, const Source& src,
     key += std::to_string(static_cast<int>(rule.kind));
     key += kSep;
     key += rule.name;
-    SeriesState& state = series_state(key);
+    SeriesState& state = series_[key];
 
     double value = 0.0;
     bool ready = false;  // false freezes the alert streaks (no evidence)
     read_value(state, value, ready);
-    state.series.push(now, value);
     if (!ready) return;
     if (rule.compare == AlertComparison::kBelow && !state.armed) return;
     evaluate(rule, src.name, metric_name, capture, value, now);
@@ -453,23 +452,6 @@ ClusterHealth HealthMonitor::health() const {
     }
   }
   return h;
-}
-
-const TimeSeries* HealthMonitor::series(const std::string& source,
-                                        const std::string& metric,
-                                        MetricKind kind) const {
-  std::string prefix = source;
-  prefix += kSep;
-  prefix += metric;
-  prefix += kSep;
-  prefix += std::to_string(static_cast<int>(kind));
-  prefix += kSep;
-  auto it = series_.lower_bound(prefix);
-  if (it == series_.end() ||
-      it->first.compare(0, prefix.size(), prefix) != 0) {
-    return nullptr;
-  }
-  return &it->second.series;
 }
 
 void HealthMonitor::append_slo_json(obs::JsonWriter& w) const {

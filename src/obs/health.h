@@ -157,20 +157,6 @@ struct ClusterHealth {
     auto it = nodes.find(node);
     return it == nodes.end() ? HealthStatus::kHealthy : it->second;
   }
-  [[nodiscard]] HealthStatus overall() const {
-    HealthStatus worst = HealthStatus::kHealthy;
-    for (const auto& [node, s] : nodes) {
-      if (static_cast<int>(s) > static_cast<int>(worst)) worst = s;
-    }
-    return worst;
-  }
-  [[nodiscard]] std::string render() const {
-    std::string out;
-    for (const auto& [node, s] : nodes) {
-      out += node + ": " + health_status_name(s) + "\n";
-    }
-    return out;
-  }
 };
 
 /// Fixed-capacity ring buffer of (time, value) samples. at(0) is the oldest
@@ -276,7 +262,7 @@ struct SloState {
 };
 
 struct HealthMonitorConfig {
-  /// Ring-buffer capacity per sampled series.
+  /// Ring-buffer capacity of each SLO's burn-rate series.
   std::size_t ring_capacity = 128;
   std::size_t event_capacity = 256;
 };
@@ -319,11 +305,6 @@ class HealthMonitor {
   /// bump their subject to the rule severity.
   [[nodiscard]] ClusterHealth health() const;
 
-  /// Sampled series for (source, metric, kind), or nullptr.
-  [[nodiscard]] const TimeSeries* series(const std::string& source,
-                                         const std::string& metric,
-                                         MetricKind kind) const;
-
   /// Every (burn-rate rule, source) sampled so far, in rule order.
   [[nodiscard]] const std::vector<SloState>& slos() const { return slos_; }
   /// [{"name", "objective", "burn_short", "burn_long", "burn_threshold",
@@ -339,16 +320,14 @@ class HealthMonitor {
     std::string name;
     const MetricsRegistry* registry;
   };
+  /// What a rule's next sample needs from its previous one.
   struct SeriesState {
-    TimeSeries series;
     double prev_a = 0.0;  // counter raw / histogram count
     double prev_b = 0.0;  // histogram sum
     bool has_prev = false;
     /// kBelow rules only arm after the raw value has been nonzero once, so
     /// an idle cluster does not page for a stream that never started.
     bool armed = false;
-
-    explicit SeriesState(std::size_t capacity) : series(capacity) {}
   };
 
   /// Matches `pattern` (at most one '*') against `name`; on success stores
@@ -364,14 +343,6 @@ class HealthMonitor {
   void sample_rule(const AlertRule& rule, const Source& src, TimePoint now,
                    double dt_seconds);
   void sample_burn(const AlertRule& rule, const Source& src, TimePoint now);
-
-  SeriesState& series_state(const std::string& key) {
-    auto it = series_.find(key);
-    if (it == series_.end()) {
-      it = series_.emplace(key, SeriesState(config_.ring_capacity)).first;
-    }
-    return it->second;
-  }
 
   HealthMonitorConfig config_;
   std::vector<Source> sources_;

@@ -442,8 +442,8 @@ DetectionStore round_trip(const DetectionStore& store) {
 }
 
 /// Same rows in the same order, same tier boundary, byte-identical block
-/// encodings (cold codes and hot columns), equal zone maps, and
-/// bit-identical embeddings.
+/// encodings (cold codes and hot columns), equal zone maps (time order
+/// included), and bit-identical embeddings.
 void expect_same_store(const DetectionStore& got, const DetectionStore& want) {
   ASSERT_EQ(got.size(), want.size());
   ASSERT_EQ(got.cold_block_count(), want.cold_block_count());
@@ -454,9 +454,11 @@ void expect_same_store(const DetectionStore& got, const DetectionStore& want) {
     const DetectionBlockZone& g = got.zone(b);
     const DetectionBlockZone& w = want.zone(b);
     EXPECT_EQ(std::tie(g.t_min, g.t_max, g.x_min, g.x_max, g.y_min, g.y_max,
-                       g.camera_min, g.camera_max, g.camera_bits),
+                       g.camera_min, g.camera_max, g.camera_bits,
+                       g.time_sorted),
               std::tie(w.t_min, w.t_max, w.x_min, w.x_max, w.y_min, w.y_max,
-                       w.camera_min, w.camera_max, w.camera_bits))
+                       w.camera_min, w.camera_max, w.camera_bits,
+                       w.time_sorted))
         << "zone " << b;
   }
   // Materialize a block at a time per store: cold rows decode through a

@@ -150,8 +150,32 @@ TEST_F(MorselBoundary, IntervalEndingJustPastBlockEdgeEvaluatesNextBlock) {
   EXPECT_EQ(ms.zone_fast_path, 1u);   // block 0 wholesale
   EXPECT_EQ(ms.blocks_scanned, 2u);   // block 1 filtered
   EXPECT_EQ(ms.blocks_skipped, 1u);
-  EXPECT_EQ(ms.rows_evaluated, kDetectionBlockRows);  // one filtered morsel
+  // Block 1 is time-sorted: two binary searches over its 4096 rows cut it
+  // to its first row, 13 probes each, and the region is proven by the zone.
+  EXPECT_EQ(ms.rows_evaluated, 2u * 13u);
   EXPECT_TRUE(scan_range_scalar(store_, all_, window(0, kB + 1)) == refs);
+}
+
+TEST_F(MorselBoundary, IntervalEndingJustPastUnsortedBlockEdgeFiltersNextBlock) {
+  constexpr auto kB = static_cast<std::int64_t>(kDetectionBlockRows);
+  // The same layout with two rows of block 1 swapped in time: the block is
+  // no longer time-sorted, so the window runs the time filter over it.
+  DetectionStore store;
+  for (std::uint32_t i = 0; i < store_.size(); ++i) {
+    Detection d = store_.get(static_cast<DetectionRef>(i));
+    if (i == kB + 10 || i == kB + 11) d.time = TimePoint(2 * kB + 21 - i);
+    (void)store.append(d);
+  }
+  ASSERT_TRUE(store.zone(0).time_sorted);
+  ASSERT_FALSE(store.zone(1).time_sorted);
+  MorselStats ms;
+  auto refs = store.scan_range(all_, window(0, kB + 1), &ms);
+  EXPECT_EQ(refs.size(), kDetectionBlockRows + 1);
+  EXPECT_EQ(ms.zone_fast_path, 1u);
+  EXPECT_EQ(ms.blocks_scanned, 2u);
+  EXPECT_EQ(ms.blocks_skipped, 1u);
+  EXPECT_EQ(ms.rows_evaluated, kDetectionBlockRows);  // one filtered morsel
+  EXPECT_TRUE(scan_range_scalar(store, all_, window(0, kB + 1)) == refs);
 }
 
 TEST_F(MorselBoundary, EmptySelectionMorselEvaluatesButSelectsNothing) {
